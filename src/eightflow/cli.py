@@ -27,7 +27,7 @@ from .curves import (
 )
 from .diagnostics import compute_record
 from .errors import EightflowError, NumericalError, ValidationError
-from .flow import FlowConfig, estimate_extinction_time, run
+from .flow import FlowConfig, Trajectory, estimate_extinction_time, run
 from .gradients import FLOW_KINDS, evolve_gradient_flow
 from .shapes import (
     make_asymmetric_eight,
@@ -90,6 +90,11 @@ def _config_from(values: dict) -> FlowConfig:
 
 def _evolve_one(spec: dict) -> Path:
     """Run one RunSpec dictionary; returns the run directory."""
+    return _run_spec(spec)[1]
+
+
+def _run_spec(spec: dict) -> tuple[Trajectory, Path]:
+    """Run, save and monitor one RunSpec; returns (trajectory, run directory)."""
     if spec.get("curve_file"):
         curve = _load_curve(spec["curve_file"])
     else:
@@ -121,7 +126,7 @@ def _evolve_one(spec: dict) -> Path:
         rep = _run_monitor(traj, monitor, spec)
         path = Path(out_dir) / f"report_{monitor}.json"
         path.write_text(rep.to_json() + "\n")
-    return Path(out_dir)
+    return traj, Path(out_dir)
 
 
 def _run_monitor(traj, name: str, params: dict) -> monitors.Report:
@@ -194,8 +199,7 @@ def cmd_evolve(args) -> int:
     if args.monitors:
         base["monitors"] = [tok for tok in args.monitors.split(",") if tok]
 
-    out = _evolve_one(base)
-    traj = runio.load_run(out)
+    traj, out = _run_spec(base)
     _print_record(traj.records[-1])
     print(f"stop_reason={traj.stop_reason}")
     if base.get("generator", {}).get("name") == "circle" and traj.stop_reason == "time":

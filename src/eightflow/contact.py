@@ -49,7 +49,7 @@ class SpaceCurve:
         pts = np.ascontiguousarray(np.asarray(self.points, dtype=float))
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise InvalidCurve(f"expected an (N, 3) point array, got shape {pts.shape}")
-        if not np.all(np.isfinite(pts)):
+        if not np.isfinite(pts).all():
             raise InvalidCurve("curve samples must be finite")
         cv.PlaneCurve(pts[:, :2])  # validates the projection invariants
         pts.flags.writeable = False
@@ -75,9 +75,9 @@ def project(curve: SpaceCurve) -> cv.PlaneCurve:
 
 def _height_increments(plane: cv.PlaneCurve) -> np.ndarray:
     """Trapezoidal increments of integral(y x_u du) per segment."""
-    x_u = cv._diff1(plane.points[:, 0], plane.du)
+    x_u = cv.stencil(plane.points[:, 0], plane.du, second=False).d1
     w = plane.y * x_u
-    return 0.5 * plane.du * (w + np.roll(w, -1))
+    return 0.5 * plane.du * (w + cv.cyclic_next(w))
 
 
 def legendrian_residual_profile(curve: SpaceCurve) -> np.ndarray:
@@ -90,7 +90,7 @@ def legendrian_residual_profile(curve: SpaceCurve) -> np.ndarray:
     """
     plane = project(curve)
     inc = _height_increments(plane)
-    dz = np.roll(curve.z, -1) - curve.z
+    dz = cv.cyclic_next(curve.z) - curve.z
     return np.abs(dz - inc) / curve.du
 
 
@@ -163,11 +163,10 @@ def legendrian_angle(state: FlowState) -> np.ndarray:
         raise NotBalanced(
             f"total turning {turning:.6g} exceeds {_BALANCE_TURNING_TOL:g}", turning
         )
-    kappa = cv.curvature(curve)
-    g = np.sqrt(cv.speed_squared(curve))
-    w = kappa * g
+    jet = cv.stencil(curve.points, curve.du)
+    w = jet.kappa * np.sqrt(jet.g2)
     # Trapezoidal cumulative sum, matching the height-transport quadrature.
-    increments = 0.5 * curve.du * (w + np.roll(w, -1))
+    increments = 0.5 * curve.du * (w + cv.cyclic_next(w))
     cum = np.concatenate([[0.0], np.cumsum(increments[:-1])])
     x_t0 = csf_velocity(curve)[0, 0]
     return -curve.y[0] * x_t0 + cum
@@ -179,10 +178,10 @@ def contact_frame(curve: SpaceCurve) -> tuple[np.ndarray, np.ndarray, np.ndarray
     For a Legendrian curve the triple is g-orthonormal with eta(T) = 0; the
     z-components encode the contact twisting (X = d/dx + y d/dz).
     """
-    plane = project(curve)
-    x_u, y_u, _, _ = cv.derivatives(plane)
-    g = np.sqrt(cv.speed_squared(plane))
-    y = plane.y
+    d1, _, g2, _ = cv.stencil(curve.points[:, :2], curve.du, second=False)
+    x_u, y_u = d1.T
+    g = np.sqrt(g2)
+    y = curve.points[:, 1]
     tangent = np.column_stack([x_u / g, y_u / g, y * x_u / g])
     normal = np.column_stack([-y_u / g, x_u / g, -y * y_u / g])
     reeb = np.zeros_like(tangent)
@@ -222,11 +221,11 @@ def legendrian_variation(
     f = np.asarray(f, dtype=float)
     if f.shape != (curve.n,):
         raise InvalidCurve(f"scalar field shape {f.shape} != ({curve.n},)")
-    plane = project(curve)
-    x_u, y_u, _, _ = cv.derivatives(plane)
-    g = np.sqrt(cv.speed_squared(plane))
-    phi = np.zeros_like(f) if omit_normal_term else cv._diff1(f, curve.du) / g
-    y = plane.y
+    d1, _, g2, _ = cv.stencil(curve.points[:, :2], curve.du, second=False)
+    x_u, y_u = d1.T
+    g = np.sqrt(g2)
+    phi = np.zeros_like(f) if omit_normal_term else cv.stencil(f, curve.du, second=False).d1 / g
+    y = curve.points[:, 1]
     velocity = np.column_stack([
         -phi * y_u / g,
         phi * x_u / g,

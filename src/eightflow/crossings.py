@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import PlaneCurve, curve_length, shoelace_area
+from .curves import PlaneCurve, curve_length, cyclic_next, shoelace_area
 from .errors import InvalidSplit, TangentialCrossing
 
 # Parameter slack for the in-segment test; intersections this close to a
@@ -50,7 +50,7 @@ def _candidate_hits(curve: PlaneCurve, ii: np.ndarray, jj: np.ndarray):
     """
     pts = curve.points
     starts = pts
-    ends = np.roll(pts, -1, axis=0)
+    ends = cyclic_next(pts)
     dirs = ends - starts
 
     # Bounding-box prefilter.
@@ -75,7 +75,7 @@ def _candidate_hits(curve: PlaneCurve, ii: np.ndarray, jj: np.ndarray):
     scale = np.linalg.norm(r, axis=1) * np.linalg.norm(s, axis=1)
     parallel = np.abs(denom) <= 1e-14 * scale
     collinear = parallel & (np.abs(cross_qp_s) <= 1e-14 * scale)
-    if np.any(collinear):
+    if collinear.any():
         for a, b in zip(ii[collinear], jj[collinear]):
             if _collinear_overlap(starts[a], ends[a], starts[b], ends[b]):
                 raise TangentialCrossing(f"segments {a} and {b} overlap collinearly")
@@ -176,7 +176,7 @@ def loop_areas(curve: PlaneCurve, crossing: Crossing) -> tuple[float, float]:
     """
     arc1, arc2 = crossing.split
     merged = np.sort(np.concatenate([arc1, arc2]))
-    if len(merged) != curve.n or np.any(merged != np.arange(curve.n)):
+    if len(merged) != curve.n or (merged != np.arange(curve.n)).any():
         raise InvalidSplit("crossing arcs do not partition the sample indices")
     poly1 = np.vstack([crossing.point, curve.points[arc1]])
     poly2 = np.vstack([crossing.point, curve.points[arc2]])

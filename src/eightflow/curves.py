@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -52,9 +53,10 @@ class PlaneCurve:
         n = pts.shape[0]
         if n < 16:
             raise InvalidCurve(f"need at least 16 samples, got {n}")
-        if not np.all(np.isfinite(pts)):
+        if not np.isfinite(pts).all():
             raise InvalidCurve("curve samples must be finite")
-        seg = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
+        dx, dy = (cyclic_next(pts) - pts).T
+        seg = np.sqrt(dx * dx + dy * dy)
         total = float(seg.sum())
         if total <= 0.0 or seg.min() <= 1e-12 * total:
             raise InvalidCurve(
@@ -87,57 +89,60 @@ class PlaneCurve:
         return np.arange(self.n) * self.du
 
 
-def _diff1(values: np.ndarray, du: float) -> np.ndarray:
-    """4th-order periodic central first derivative along axis 0."""
-    p1 = np.roll(values, -1, axis=0)
-    p2 = np.roll(values, -2, axis=0)
-    m1 = np.roll(values, 1, axis=0)
-    m2 = np.roll(values, 2, axis=0)
-    return (-p2 + 8.0 * p1 - 8.0 * m1 + m2) / (12.0 * du)
+def cyclic_next(values: np.ndarray) -> np.ndarray:
+    """values[i+1] for every i (mod N) along axis 0, like np.roll(values, -1, 0)."""
+    return np.concatenate((values[1:], values[:1]))
 
 
-def _diff2(values: np.ndarray, du: float) -> np.ndarray:
-    """4th-order periodic central second derivative along axis 0."""
-    p1 = np.roll(values, -1, axis=0)
-    p2 = np.roll(values, -2, axis=0)
-    m1 = np.roll(values, 1, axis=0)
-    m2 = np.roll(values, 2, axis=0)
-    return (-p2 + 16.0 * p1 - 30.0 * values + 16.0 * m1 - m2) / (12.0 * du * du)
+class Jet(NamedTuple):
+    """One `stencil` evaluation; fields it does not compute are None."""
+
+    d1: np.ndarray
+    d2: np.ndarray | None
+    g2: np.ndarray | None
+    kappa: np.ndarray | None
 
 
-def _diff12(values: np.ndarray, du: float) -> tuple[np.ndarray, np.ndarray]:
-    """First and second 4th-order periodic derivatives, sharing the shifts."""
-    p1 = np.roll(values, -1, axis=0)
-    p2 = np.roll(values, -2, axis=0)
-    m1 = np.roll(values, 1, axis=0)
-    m2 = np.roll(values, 2, axis=0)
+def stencil(values: np.ndarray, du: float, *, second: bool = True) -> Jet:
+    """4th-order periodic central differences along axis 0.
+
+    `values` is 1-D or an (N, 2) point array.  It is padded once with two
+    ghost rows at each end, so the four shifted copies are slices of one
+    array.  d2 is computed only with `second`.  For a point array the jet
+    also carries g2 = x_u^2 + y_u^2 and, with `second`, the signed
+    curvature; DegenerateTangent is raised where g2 falls below the floor.
+    """
+    ext = np.concatenate((values[-2:], values, values[:2]))
+    m2, m1, p1, p2 = ext[:-4], ext[1:-3], ext[3:-1], ext[4:]
     d1 = (-p2 + 8.0 * p1 - 8.0 * m1 + m2) / (12.0 * du)
-    d2 = (-p2 + 16.0 * p1 - 30.0 * values + 16.0 * m1 - m2) / (12.0 * du * du)
-    return d1, d2
+    d2 = g2 = kappa = None
+    if second:
+        d2 = (-p2 + 16.0 * p1 - 30.0 * values + 16.0 * m1 - m2) / (12.0 * du * du)
+    if values.ndim == 2:
+        x_u, y_u = d1.T
+        g2 = x_u * x_u + y_u * y_u
+        g2_min = g2.min()
+        if g2_min < _TANGENT_FLOOR:
+            raise DegenerateTangent(f"parameter speed collapsed to {g2_min:.3e}")
+        if second:
+            kappa = (x_u * d2[:, 1] - y_u * d2[:, 0]) / g2 ** 1.5
+    return Jet(d1, d2, g2, kappa)
 
 
 def derivatives(curve: PlaneCurve) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Return (x_u, y_u, x_uu, y_uu) at every sample."""
-    d1, d2 = _diff12(curve.points, curve.du)
+    """(x_u, y_u, x_uu, y_uu) at every sample; DegenerateTangent if the speed collapses."""
+    d1, d2, _, _ = stencil(curve.points, curve.du)
     return d1[:, 0], d1[:, 1], d2[:, 0], d2[:, 1]
 
 
 def speed_squared(curve: PlaneCurve) -> np.ndarray:
     """x_u^2 + y_u^2; raises DegenerateTangent if any sample is unusable."""
-    x_u, y_u, _, _ = derivatives(curve)
-    g2 = x_u * x_u + y_u * y_u
-    if np.any(g2 < _TANGENT_FLOOR):
-        raise DegenerateTangent(f"parameter speed collapsed to {g2.min():.3e}")
-    return g2
+    return stencil(curve.points, curve.du, second=False).g2
 
 
 def curvature(curve: PlaneCurve) -> np.ndarray:
     """Signed curvature at every sample; orientation-equivariant."""
-    x_u, y_u, x_uu, y_uu = derivatives(curve)
-    g2 = x_u * x_u + y_u * y_u
-    if np.any(g2 < _TANGENT_FLOOR):
-        raise DegenerateTangent(f"parameter speed collapsed to {g2.min():.3e}")
-    return (x_u * y_uu - y_u * x_uu) / g2 ** 1.5
+    return stencil(curve.points, curve.du).kappa
 
 
 def segment_lengths(curve: PlaneCurve) -> np.ndarray:
@@ -157,24 +162,20 @@ def signed_area(curve: PlaneCurve) -> float:
     quadrature form is kept because the contact lift integrates exactly the
     same sum, making its periodicity defect identically -signed_area.
     """
-    x_u = _diff1(curve.points[:, 0], curve.du)
+    x_u = stencil(curve.points[:, 0], curve.du, second=False).d1
     return float(-(curve.y * x_u).sum() * curve.du)
 
 
 def shoelace_area(points: np.ndarray) -> float:
     """Signed polygon area of an (N, 2) closed vertex loop."""
-    x = points[:, 0]
-    y = points[:, 1]
-    xn = np.roll(x, -1)
-    yn = np.roll(y, -1)
-    return float(0.5 * np.sum(x * yn - xn * y))
+    nxt = cyclic_next(points)
+    return float(0.5 * np.sum(points[:, 0] * nxt[:, 1] - nxt[:, 0] * points[:, 1]))
 
 
 def total_curvature(curve: PlaneCurve) -> float:
     """Integral of kappa ds; equals 2*pi*(turning number) up to quadrature error."""
-    kappa = curvature(curve)
-    g = np.sqrt(speed_squared(curve))
-    return float((kappa * g).sum() * curve.du)
+    jet = stencil(curve.points, curve.du)
+    return float((jet.kappa * np.sqrt(jet.g2)).sum() * curve.du)
 
 
 def tangent_angle(curve: PlaneCurve) -> np.ndarray:
@@ -184,11 +185,8 @@ def tangent_angle(curve: PlaneCurve) -> np.ndarray:
     stay below pi; entry N closes the loop, so theta[N] - theta[0] is the
     total discrete turning (2*pi times the turning number).
     """
-    x_u, y_u, _, _ = derivatives(curve)
-    g2 = x_u * x_u + y_u * y_u
-    if np.any(g2 < _TANGENT_FLOOR):
-        raise DegenerateTangent(f"parameter speed collapsed to {g2.min():.3e}")
-    raw = np.arctan2(y_u, x_u)
+    d1 = stencil(curve.points, curve.du, second=False).d1
+    raw = np.arctan2(d1[:, 1], d1[:, 0])
     jumps = np.diff(np.concatenate([raw, raw[:1]]))
     jumps = (jumps + np.pi) % TWO_PI - np.pi
     theta = np.empty(curve.n + 1)

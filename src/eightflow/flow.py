@@ -61,16 +61,12 @@ def csf_velocity(curve: cv.PlaneCurve) -> np.ndarray:
 def _stage_velocity(
     curve: cv.PlaneCurve, speed_fn: SpeedFn
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One evaluation of (velocity, kappa), sharing the derivative stencils."""
-    d1, d2 = cv._diff12(curve.points, curve.du)
-    x_u = d1[:, 0]
-    y_u = d1[:, 1]
-    g2 = x_u * x_u + y_u * y_u
-    if np.any(g2 < 1e-24):
-        raise DegenerateTangent(f"parameter speed collapsed to {g2.min():.3e}")
-    kappa = (x_u * d2[:, 1] - y_u * d2[:, 0]) / g2 ** 1.5
+    """One evaluation of (velocity, kappa) from a single stencil jet."""
+    d1, _, g2, kappa = cv.stencil(curve.points, curve.du)
     factor = speed_fn(curve, kappa) / np.sqrt(g2)
-    velocity = np.column_stack([-y_u * factor, x_u * factor])
+    velocity = np.empty_like(d1)
+    np.multiply(-d1[:, 1], factor, out=velocity[:, 0])
+    np.multiply(d1[:, 0], factor, out=velocity[:, 1])
     return velocity, kappa
 
 
@@ -136,10 +132,10 @@ def step(
     curve = state.curve
     h_min = float(cv.segment_lengths(curve).min())
     k1, kappa = _stage_velocity(curve, speed_fn)
-    if np.abs(kappa).max() * h_min > config.stop_kappa_h:
+    kappa_h = np.abs(kappa).max() * h_min
+    if kappa_h > config.stop_kappa_h:
         raise SingularityReached(
-            "curvature",
-            f"max|kappa|*h = {np.abs(kappa).max() * h_min:.3g} at t = {state.t:.6g}",
+            "curvature", f"max|kappa|*h = {kappa_h:.3g} at t = {state.t:.6g}"
         )
 
     if dt_law == "h2":
@@ -300,7 +296,7 @@ def estimate_extinction_time(traj: Trajectory) -> ExtinctionEstimate:
     """
     areas = np.array([r.area_total for r in traj.records])
     times = traj.times
-    if len(areas) < 2 or np.any(np.diff(areas) >= 0):
+    if len(areas) < 2 or (np.diff(areas) >= 0).any():
         raise AreaNotDecreasing("need >= 2 snapshots with strictly decreasing |A|")
     slope, intercept = np.polyfit(times, areas, 1)
     if slope >= 0:

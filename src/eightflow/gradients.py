@@ -26,7 +26,7 @@ import numpy as np
 
 from . import curves as cv
 from .errors import InvalidCurve, SolveFailed
-from .flow import FlowConfig, Trajectory, run
+from .flow import FlowConfig, Trajectory, csf_speed, run
 from .tridiag import solve_cyclic
 
 _H1_RESIDUAL_TOL = 1e-8
@@ -51,18 +51,38 @@ class ArclengthField:
         spacing = np.asarray(self.spacing, dtype=float)
         if values.shape != spacing.shape or values.ndim != 1:
             raise InvalidCurve("field values and spacing must be equal-length 1-D")
-        if np.any(spacing <= 0):
+        if (spacing <= 0).any():
             raise InvalidCurve("arclength spacing must be positive")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "spacing", spacing)
 
     @property
     def weights(self) -> np.ndarray:
-        return 0.5 * (self.spacing + np.roll(self.spacing, 1))
+        return 0.5 * (self.spacing + _neighbours(self.spacing)[0])
 
     def integral(self) -> float:
         """Quadrature of the field against ds."""
         return float((self.values * self.weights).sum())
+
+
+def _neighbours(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values[i-1], values[i+1]) for every i (mod N), as slices of one padded copy."""
+    ext = np.concatenate((values[-1:], values, values[:1]))
+    return ext[:-2], ext[2:]
+
+
+def _d_ds(f: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Centered d/ds at nodes spaced b[i] = s_{i+1} - s_i."""
+    a = _neighbours(b)[0]              # s_i - s_{i-1}
+    fm, fp = _neighbours(f)
+    return (a * a * fp - b * b * fm + (b * b - a * a) * f) / (a * b * (a + b))
+
+
+def _d2_ds2(f: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Divergence-form d^2/ds^2 at the nodes of `_d_ds`."""
+    a = _neighbours(b)[0]
+    fm, fp = _neighbours(f)
+    return ((fp - f) / b - (f - fm) / a) / (0.5 * (a + b))
 
 
 def field_on_curve(curve: cv.PlaneCurve, values: np.ndarray) -> ArclengthField:
@@ -71,24 +91,12 @@ def field_on_curve(curve: cv.PlaneCurve, values: np.ndarray) -> ArclengthField:
 
 def arclength_derivative(field: ArclengthField) -> ArclengthField:
     """d/ds by centered differences with nonuniform-spacing correction."""
-    f = field.values
-    b = field.spacing                  # s_{i+1} - s_i
-    a = np.roll(field.spacing, 1)      # s_i - s_{i-1}
-    fp = np.roll(f, -1)
-    fm = np.roll(f, 1)
-    deriv = (a * a * fp - b * b * fm + (b * b - a * a) * f) / (a * b * (a + b))
-    return ArclengthField(values=deriv, spacing=field.spacing)
+    return ArclengthField(_d_ds(field.values, field.spacing), field.spacing)
 
 
 def arclength_second_derivative(field: ArclengthField) -> ArclengthField:
     """d^2/ds^2 in divergence form: ((f_{i+1}-f_i)/b - (f_i-f_{i-1})/a) / w_i."""
-    f = field.values
-    b = field.spacing
-    a = np.roll(field.spacing, 1)
-    flux_fwd = (np.roll(f, -1) - f) / b
-    flux_bwd = (f - np.roll(f, 1)) / a
-    deriv = (flux_fwd - flux_bwd) / (0.5 * (a + b))
-    return ArclengthField(values=deriv, spacing=field.spacing)
+    return ArclengthField(_d2_ds2(field.values, field.spacing), field.spacing)
 
 
 def curve_diffusion_speed(curve: cv.PlaneCurve, kappa: np.ndarray | None = None) -> np.ndarray:
@@ -99,8 +107,7 @@ def curve_diffusion_speed(curve: cv.PlaneCurve, kappa: np.ndarray | None = None)
     """
     if kappa is None:
         kappa = cv.curvature(curve)
-    field = field_on_curve(curve, kappa)
-    return -arclength_second_derivative(field).values
+    return -_d2_ds2(kappa, cv.segment_lengths(curve))
 
 
 def h1_gradient(
@@ -114,25 +121,19 @@ def h1_gradient(
     """
     if kappa is None:
         kappa = cv.curvature(curve)
-    spacing = cv.segment_lengths(curve)
-    kappa_s = arclength_derivative(ArclengthField(kappa, spacing)).values
-
-    b = spacing
-    a = np.roll(spacing, 1)
+    b = cv.segment_lengths(curve)
+    a = _neighbours(b)[0]
+    kappa_s = _d_ds(kappa, b)
     w = 0.5 * (a + b)
     lower = -1.0 / (a * w)
     upper = -1.0 / (b * w)
     diag = 1.0 + 1.0 / (a * w) + 1.0 / (b * w)
     zeta = solve_cyclic(lower, diag, upper, kappa_s)
 
-    field = ArclengthField(zeta, spacing)
-    residual = zeta - arclength_second_derivative(field).values - kappa_s
-    if np.abs(residual).max() > _H1_RESIDUAL_TOL * max(1.0, np.abs(kappa_s).max()):
-        raise SolveFailed(
-            f"h1 solve residual {np.abs(residual).max():.3e} above tolerance"
-        )
-    speed = -arclength_derivative(field).values
-    return field, speed
+    residual = np.abs(zeta - _d2_ds2(zeta, b) - kappa_s).max()
+    if residual > _H1_RESIDUAL_TOL * max(1.0, np.abs(kappa_s).max()):
+        raise SolveFailed(f"h1 solve residual {residual:.3e} above tolerance")
+    return ArclengthField(zeta, b), -_d_ds(zeta, b)
 
 
 def h1_weak_form_defect(curve: cv.PlaneCurve) -> float:
@@ -149,7 +150,7 @@ def h1_weak_form_defect(curve: cv.PlaneCurve) -> float:
     zeta = zeta_field.values
     w = zeta_field.weights
     lhs = float((zeta * kappa_s * w).sum())
-    staggered = (np.roll(zeta, -1) - zeta) ** 2 / spacing
+    staggered = (cv.cyclic_next(zeta) - zeta) ** 2 / spacing
     rhs = float((zeta * zeta * w).sum() + staggered.sum())
     return abs(lhs - rhs)
 
@@ -184,7 +185,7 @@ def evolve_gradient_flow(
     elif flow_kind == "h1":
         speed_fn, dt_law = (lambda c, k: h1_gradient(c, k)[1]), "h2"
     elif flow_kind == "indefinite":
-        speed_fn, dt_law = indefinite_speed, "h2"
+        speed_fn, dt_law = csf_speed, "h2"
     else:
         raise InvalidCurve(f"unknown flow kind {flow_kind!r}; pick from {FLOW_KINDS}")
     return run(

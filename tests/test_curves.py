@@ -61,6 +61,69 @@ class TestDerivatives:
             assert d.shape == (128,)
 
 
+def roll_stencil(values, du):
+    # Reference 4th-order periodic differences built from np.roll shifts.
+    p1 = np.roll(values, -1, axis=0)
+    p2 = np.roll(values, -2, axis=0)
+    m1 = np.roll(values, 1, axis=0)
+    m2 = np.roll(values, 2, axis=0)
+    d1 = (-p2 + 8.0 * p1 - 8.0 * m1 + m2) / (12.0 * du)
+    d2 = (-p2 + 16.0 * p1 - 30.0 * values + 16.0 * m1 - m2) / (12.0 * du * du)
+    return d1, d2
+
+
+def wobbly_points(n, seed):
+    rng = np.random.default_rng(seed)
+    u = 2 * np.pi * np.arange(n) / n
+    r = 1.0 + 0.2 * np.sin(3 * u) + 0.01 * rng.standard_normal(n)
+    return np.column_stack([r * np.cos(u), 0.7 * r * np.sin(u)])
+
+
+class TestStencil:
+    @pytest.mark.parametrize("n", [16, 17, 256, 512])
+    def test_point_array_matches_roll_reference(self, n):
+        pts = wobbly_points(n, seed=n)
+        du = 2 * np.pi / n
+        d1, d2 = roll_stencil(pts, du)
+        g2 = d1[:, 0] * d1[:, 0] + d1[:, 1] * d1[:, 1]
+        kappa = (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]) / g2 ** 1.5
+        jet = cv.stencil(pts, du)
+        for got, want in zip(jet, (d1, d2, g2, kappa)):
+            assert np.array_equal(got, want)
+        first = cv.stencil(pts, du, second=False)
+        assert np.array_equal(first.d1, d1)
+        assert np.array_equal(first.g2, g2)
+        assert first.d2 is None and first.kappa is None
+
+    @pytest.mark.parametrize("n", [16, 17, 256, 512])
+    def test_one_dimensional_matches_roll_reference(self, n):
+        rng = np.random.default_rng(n)
+        du = 2 * np.pi / n
+        for values in (wobbly_points(n, seed=n)[:, 0], rng.standard_normal(n)):
+            d1, d2 = roll_stencil(values, du)
+            jet = cv.stencil(values, du)
+            assert np.array_equal(jet.d1, d1)
+            assert np.array_equal(jet.d2, d2)
+            assert jet.g2 is None and jet.kappa is None
+            assert np.array_equal(cv.stencil(values, du, second=False).d1, d1)
+
+    @pytest.mark.parametrize("n", [16, 17, 256, 512])
+    def test_segment_lengths_match_roll_norm(self, n):
+        pts = wobbly_points(n, seed=n + 1) * 10.0 ** (n % 7 - 3)
+        old = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
+        assert np.array_equal(cv.segment_lengths(PlaneCurve(pts)), old)
+
+    @pytest.mark.parametrize("fn", [cv.curvature, cv.speed_squared, cv.tangent_angle])
+    def test_degenerate_tangent_below_floor(self, fn):
+        # The parameter speed of a circle of radius r is r, so g2 = r^2
+        # straddles the 1e-24 floor between these two radii.
+        fn(make_circle(1e-11, 64))
+        with pytest.raises(DegenerateTangent):
+            fn(make_circle(1e-13, 64))
+        with pytest.raises(DegenerateTangent):
+            fn(PlaneCurve(np.tile([[0.0, 0.0], [1.0, 1.0]], (16, 1))))
+
+
 class TestCurvature:
     def test_unit_circle(self):
         kappa = cv.curvature(make_circle(1.0, 256))
