@@ -43,6 +43,7 @@ from .gradients import (
 )
 from .solitons import (
     GrimReaper,
+    barrier_comparison,
     matched_barrier_comparison,
     push_distance,
     reaper_barrier_check,

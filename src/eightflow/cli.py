@@ -26,7 +26,7 @@ from .curves import (
     curve_to_json,
 )
 from .diagnostics import compute_record
-from .errors import EightflowError, NumericalError, ValidationError
+from .errors import EightflowError, ValidationError
 from .flow import FlowConfig, Trajectory, estimate_extinction_time, run
 from .gradients import FLOW_KINDS, evolve_gradient_flow
 from .shapes import (
@@ -44,8 +44,9 @@ _GENERATORS = {
 }
 
 
-def _add_generator_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("generator", choices=sorted(_GENERATORS))
+def _add_generator_args(parser: argparse.ArgumentParser, flag: str) -> None:
+    """The generator choice (positional or `--generator`) and its parameters."""
+    parser.add_argument(flag, choices=sorted(_GENERATORS))
     parser.add_argument("--a", type=float, default=1.0, help="scale / semi-axis")
     parser.add_argument("--b", type=float, default=1.0, help="ellipse minor semi-axis")
     parser.add_argument("--r", type=float, default=1.0, help="circle radius")
@@ -148,9 +149,7 @@ def cmd_evolve(args) -> int:
     base: dict = {}
     spec_files = args.spec or []
     if len(spec_files) > 1:
-        if any(
-            v for v in (args.curve, args.out_dir)
-        ):
+        if args.curve or args.out_dir:
             raise ValidationError("--curve/--out-dir cannot combine with multiple specs")
         specs = [json.loads(Path(p).read_text()) for p in spec_files]
         jobs = max(1, args.jobs)
@@ -170,16 +169,8 @@ def cmd_evolve(args) -> int:
         base["curve_file"] = args.curve
         base.pop("generator", None)
     if args.generator:
-        gen = {"name": args.generator, "n": args.n}
-        if args.generator == "lemniscate":
-            gen["a"] = args.a
-        elif args.generator == "circle":
-            gen["r"] = args.r
-        elif args.generator == "ellipse":
-            gen.update(a=args.a, b=args.b)
-        elif args.generator == "asymmetric-eight":
-            gen["ratio"] = args.ratio
-        base["generator"] = gen
+        base["generator"] = {"name": args.generator, "a": args.a, "b": args.b,
+                             "r": args.r, "ratio": args.ratio, "n": args.n}
         base.pop("curve_file", None)
     if args.flow:
         base["flow"] = args.flow
@@ -190,8 +181,7 @@ def cmd_evolve(args) -> int:
     if args.t_end is not None:
         base["t_end"] = args.t_end
     config = dict(base.get("config") or {})
-    for name in ("cfl", "cfl4", "remesh_every", "stop_area_frac",
-                 "stop_kappa_h", "max_steps"):
+    for name in (f.name for f in fields(FlowConfig)):
         value = getattr(args, name)
         if value is not None:
             config[name] = value
@@ -237,43 +227,22 @@ def cmd_report(args) -> int:
 
 
 def cmd_compare_reaper(args) -> int:
+    if (args.c0 is None) != (args.tau0 is None):
+        raise ValidationError("--c0 and --tau0 must be given together")
     traj = runio.load_run(args.run_dir)
-    if args.c0 is not None and args.tau0 is not None:
-        from dataclasses import replace
-
-        from .curves import translate
-
+    if args.c0 is not None:
         reaper = solitons.GrimReaper(c0=args.c0, tau0=args.tau0)
-        t_offset = traj.times[0] + 0.5 * reaper.tau0
-        # Position the run like the matched comparison: rightmost point of
-        # the initial snapshot at x = 0.
-        shift = -float(traj.states[0].curve.x.max())
-        keep = [k for k, s in enumerate(traj.states) if s.t <= t_offset + 1e-12]
-        sub = replace(
-            traj,
-            states=[
-                replace(traj.states[k],
-                        curve=translate(traj.states[k].curve, (shift, 0.0)))
-                for k in keep
-            ],
-            records=[traj.records[k] for k in keep],
-        )
-        margins = solitons.reaper_barrier_check(sub, reaper, t_offset)
-        push = solitons.push_distance(reaper.c0, reaper.tau0)
-        final_x = float(sub.states[-1].curve.x.max())
-        covered = len(keep)
+        cmp_ = solitons.barrier_comparison(traj, reaper)
     else:
         est = estimate_extinction_time(traj)
         t_max = 0.5 * (est.bracket_low + est.bracket_high)
         cmp_ = solitons.matched_barrier_comparison(traj, t_max)
-        reaper, margins, push = cmp_.reaper, cmp_.margins, cmp_.push
-        final_x = cmp_.final_rightmost_x
-        covered = len(cmp_.times)
-        print(f"matched reaper: C0={reaper.c0:.6g} tau0={reaper.tau0:.6g} "
+        print(f"matched reaper: C0={cmp_.reaper.c0:.6g} tau0={cmp_.reaper.tau0:.6g} "
               f"rectangle_contained={cmp_.initial_contained}")
 
+    margins, push, final_x = cmp_.margins, cmp_.push, cmp_.final_rightmost_x
     padded = np.full(len(traj.states), np.nan)
-    padded[:covered] = margins
+    padded[:len(margins)] = margins
     runio.append_margin_column(args.run_dir, padded)
     print(f"margins: min={np.nanmin(margins):.6g} "
           f"all_positive={bool(np.all(margins > 0))}")
@@ -291,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write an initial curve file")
-    _add_generator_args(p)
+    _add_generator_args(p, "generator")
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=cmd_generate)
@@ -301,12 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel runs when several specs are given")
     p.add_argument("--curve", help="input curve file (csv or json)")
-    p.add_argument("--generator", choices=sorted(_GENERATORS))
-    p.add_argument("--a", type=float, default=1.0)
-    p.add_argument("--b", type=float, default=1.0)
-    p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--ratio", type=float, default=1.5)
-    p.add_argument("--n", type=int, default=256)
+    _add_generator_args(p, "--generator")
     p.add_argument("--flow", choices=("csf",) + FLOW_KINDS)
     p.add_argument("--out-dir")
     p.add_argument("--times", help="comma-separated snapshot times")
@@ -352,9 +316,6 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except NumericalError as exc:
-        print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
     except EightflowError as exc:
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -178,9 +178,8 @@ def loop_areas(curve: PlaneCurve, crossing: Crossing) -> tuple[float, float]:
     merged = np.sort(np.concatenate([arc1, arc2]))
     if len(merged) != curve.n or (merged != np.arange(curve.n)).any():
         raise InvalidSplit("crossing arcs do not partition the sample indices")
-    poly1 = np.vstack([crossing.point, curve.points[arc1]])
-    poly2 = np.vstack([crossing.point, curve.points[arc2]])
-    return abs(shoelace_area(poly1)), abs(shoelace_area(poly2))
+    a1, a2 = loop_signed_areas(curve, crossing)
+    return abs(a1), abs(a2)
 
 
 def loop_signed_areas(curve: PlaneCurve, crossing: Crossing) -> tuple[float, float]:
@@ -191,15 +190,16 @@ def loop_signed_areas(curve: PlaneCurve, crossing: Crossing) -> tuple[float, flo
     return shoelace_area(poly1), shoelace_area(poly2)
 
 
-def crossing_interior_angle(curve: PlaneCurve, crossing: Crossing) -> float:
+def crossing_interior_angle(curve: PlaneCurve, segments: tuple[int, int]) -> float:
     """Interior angle of the loop wedge at the self-intersection, in (0, pi).
 
-    The angle is measured between the ray leaving the crossing into one loop
-    and the reversed ray along which that loop returns.  Two estimates are
-    averaged: one from the intersecting segments themselves, one from chords
-    twice as wide, which cancels the leading O(h) bias.
+    `segments` is the intersecting segment pair (i, j) of the crossing, as in
+    `Crossing.segments`.  The angle is measured between the ray leaving the
+    crossing into one loop and the reversed ray along which that loop returns.
+    Two estimates are averaged: one from the intersecting segments themselves,
+    one from chords twice as wide, which cancels the leading O(h) bias.
     """
-    i, j = crossing.segments
+    i, j = segments
     pts = curve.points
     n = curve.n
 

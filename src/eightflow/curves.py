@@ -39,9 +39,10 @@ _TANGENT_FLOOR = 1e-24
 class PlaneCurve:
     """Immersed closed plane curve sampled at N >= 16 points.
 
-    The sample array is copied and frozen at construction; all operations on
-    curves are pure functions, so curve values are safe to share across
-    threads.
+    The samples are frozen at construction.  A float64 C-contiguous array is
+    adopted without a copy, so the caller's array becomes read-only too; any
+    other input is converted to a new array first.  All operations on curves
+    are pure functions, so curve values are safe to share across threads.
     """
 
     points: np.ndarray

@@ -13,9 +13,10 @@ class DiagnosticsRecord:
     """Scalar observables of one snapshot.
 
     area_total is the sum of unsigned loop areas for a curve with exactly one
-    self-intersection, |signed area| otherwise.  loop_a1/loop_a2 and
-    crossing_point are NaN/None when the curve has no crossing.
-    isoperimetric_q is L^2 / area_total.
+    self-intersection, |signed area| otherwise (see `loop_split`).
+    crossing_point and crossing_segments (the intersecting segment pair, as in
+    `crossings.Crossing`) describe the first crossing found and are None when
+    the curve has none.  isoperimetric_q is L^2 / area_total.
     """
 
     t: float
@@ -29,6 +30,7 @@ class DiagnosticsRecord:
     inflections: int
     crossing_count: int
     crossing_point: tuple[float, float] | None
+    crossing_segments: tuple[int, int] | None
     x_extent: float
     isoperimetric_q: float
 
@@ -47,27 +49,31 @@ class DiagnosticsRecord:
         return f"{head},{self.inflections},{self.crossing_count},{tail}"
 
 
-def compute_record(curve: cv.PlaneCurve, t: float) -> DiagnosticsRecord:
-    length = cv.curve_length(curve)
-    a_signed = cv.signed_area(curve)
-    found = cx.find_self_intersections(curve)
+def loop_split(
+    curve: cv.PlaneCurve, found: list[cx.Crossing]
+) -> tuple[float, float, float]:
+    """(A1, A2, area_total) of a curve whose crossings are `found`.
+
+    At exactly one crossing these are the two unsigned loop areas and their
+    sum.  Multi-crossing decompositions are out of scope, so otherwise the
+    loop areas are NaN and area_total falls back to |signed area|, which
+    keeps the total well-defined.
+    """
     if len(found) == 1:
         a1, a2 = cx.loop_areas(curve, found[0])
-        area_total = a1 + a2
-        point = (float(found[0].point[0]), float(found[0].point[1]))
-    else:
-        # Multi-crossing decompositions are out of scope; fall back to the
-        # signed area so the record stays well-defined.
-        a1 = a2 = float("nan")
-        area_total = abs(a_signed)
-        point = None if not found else (
-            float(found[0].point[0]), float(found[0].point[1])
-        )
+        return a1, a2, a1 + a2
+    return float("nan"), float("nan"), abs(cv.signed_area(curve))
+
+
+def compute_record(curve: cv.PlaneCurve, t: float) -> DiagnosticsRecord:
+    length = cv.curve_length(curve)
+    found = cx.find_self_intersections(curve)
+    a1, a2, area_total = loop_split(curve, found)
     q = length**2 / area_total if area_total > 0 else float("inf")
     return DiagnosticsRecord(
         t=t,
         length=length,
-        area_signed=a_signed,
+        area_signed=cv.signed_area(curve),
         area_total=area_total,
         loop_a1=a1,
         loop_a2=a2,
@@ -75,7 +81,8 @@ def compute_record(curve: cv.PlaneCurve, t: float) -> DiagnosticsRecord:
         osc_theta=cv.osc_theta(curve),
         inflections=cv.inflection_count(curve),
         crossing_count=len(found),
-        crossing_point=point,
+        crossing_point=tuple(map(float, found[0].point)) if found else None,
+        crossing_segments=found[0].segments if found else None,
         x_extent=cv.x_extent(curve),
         isoperimetric_q=q,
     )

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import crossings as cx
 from . import curves as cv
-from .diagnostics import DiagnosticsRecord, compute_record
+from .diagnostics import DiagnosticsRecord, compute_record, loop_split
 from .errors import (
     AreaNotDecreasing,
     DegenerateTangent,
@@ -167,34 +167,26 @@ def step(
 
 
 class _CrossingTracker:
-    """Cheap |A| and crossing-count measurements between snapshots.
+    """Cheap area_total and crossing-count measurements between snapshots.
 
     A single self-intersection moves only a few segments between checks, so
     it is searched for in a window around its last known segment pair; a full
     scan is the fallback.  Embedded curves short-circuit to |signed area|.
+    The area follows `compute_record`'s rule, so the run's area stop compares
+    like with like.  The tracker starts from the initial snapshot's record.
     """
 
-    def __init__(self, curve: cv.PlaneCurve, window: int = 12):
-        self.window = window
-        found = cx.find_self_intersections(curve)
-        self.embedded = len(found) == 0
-        self.segments = found[0].segments if len(found) == 1 else None
+    def __init__(self, record: DiagnosticsRecord):
+        self.embedded = record.crossing_count == 0
+        self.segments = record.crossing_segments if record.crossing_count == 1 else None
 
     def measure(self, curve: cv.PlaneCurve) -> tuple[float, int]:
-        if self.embedded:
-            return abs(cv.signed_area(curve)), 0
-        if self.segments is not None:
-            hit = cx.find_crossing_near(curve, self.segments, self.window)
-            if hit is not None:
-                self.segments = hit.segments
-                a1, a2 = cx.loop_areas(curve, hit)
-                return a1 + a2, 1
-        found = cx.find_self_intersections(curve)
-        if len(found) == 0:
-            return abs(cv.signed_area(curve)), 0
-        self.segments = found[0].segments
-        a1, a2 = cx.loop_areas(curve, found[0])
-        return a1 + a2, len(found)
+        found = []
+        if not self.embedded:
+            hit = self.segments and cx.find_crossing_near(curve, self.segments)
+            found = [hit] if hit else cx.find_self_intersections(curve)
+            self.segments = found[0].segments if len(found) == 1 else None
+        return loop_split(curve, found)[2], len(found)
 
 
 def run(
@@ -217,8 +209,7 @@ def run(
     state = FlowState(curve=initial, t=0.0, step=0)
     first_record = compute_record(initial, 0.0)
     area0 = first_record.area_total
-    had_crossing = first_record.crossing_count >= 1
-    tracker = _CrossingTracker(initial)
+    tracker = _CrossingTracker(first_record)
 
     states = [state]
     records = [first_record]
@@ -234,7 +225,7 @@ def run(
             if area < config.stop_area_frac * area0:
                 stop_reason = "area"
                 break
-            if had_crossing and n_cross == 0:
+            if not tracker.embedded and n_cross == 0:
                 stop_reason = "topology"
                 break
         if t_end is not None and state.t >= t_end - 1e-15:

@@ -125,10 +125,9 @@ def _snapshot_taus(traj: Trajectory) -> tuple[np.ndarray, float, float]:
 def crossing_angles(traj: Trajectory) -> np.ndarray:
     """Interior crossing angle per snapshot (NaN where crossings != 1)."""
     out = np.full(len(traj.states), np.nan)
-    for k, state in enumerate(traj.states):
-        found = cx.find_self_intersections(state.curve)
-        if len(found) == 1:
-            out[k] = cx.crossing_interior_angle(state.curve, found[0])
+    for k, (state, rec) in enumerate(zip(traj.states, traj.records)):
+        if rec.crossing_count == 1:
+            out[k] = cx.crossing_interior_angle(state.curve, rec.crossing_segments)
     return out
 
 
@@ -313,12 +312,12 @@ def isoperimetric_report(traj: Trajectory, m: float, alpha: float) -> Report:
             f"tau0={tau0:.6g}, osc theta(tau0)={osc0:.6g}")
     rep.add("alpha_below_threshold", alpha, float(threshold), bool(alpha < threshold))
 
-    q_vals = np.array([r.length for r in recs]) / np.sqrt(taus)
+    lengths = np.array([r.length for r in recs])
+    q_vals = lengths / np.sqrt(taus)
     rep.add("q = L/sqrt(tau) range", [float(q_vals.min()), float(q_vals.max())],
             None, None, "recorded, not asserted")
 
     mins = np.array([theta_min(s.curve) for s in traj.states])
-    lengths = np.array([r.length for r in recs])
     worst = None
     pairs = 0
     ok = True
@@ -354,11 +353,9 @@ def symmetry_collapse_check(traj: Trajectory) -> Report:
     ratio = cv.diameter(last) / d0
     rep.add("final_diameter_ratio", float(ratio), None, None)
 
-    xs = []
-    for state in traj.states:
-        found = cx.find_self_intersections(state.curve)
-        xs.append(found[0].point[0] if len(found) == 1 else np.nan)
-    xs = np.array(xs)
+    xs = np.array([
+        r.crossing_point[0] if r.crossing_count == 1 else np.nan for r in traj.records
+    ])
     if np.any(np.isnan(xs)):
         rep.add("crossing_x_drift", None, None, None,
                 "skipped: crossing not unique on some snapshot")

@@ -20,6 +20,7 @@ import numpy as np
 from . import contact
 from .curves import curve_from_csv, curve_to_csv
 from .diagnostics import DiagnosticsRecord, compute_record
+from .errors import RowCountMismatch
 from .flow import FlowConfig, FlowState, Trajectory
 
 
@@ -91,14 +92,19 @@ def save_lifted_run(
 
 
 def append_margin_column(run_dir: str | Path, margins: np.ndarray) -> Path:
-    """Rewrite diagnostics.csv with a reaper_margin column appended."""
-    run_dir = Path(run_dir)
-    path = run_dir / "diagnostics.csv"
+    """Rewrite diagnostics.csv with a last reaper_margin column.
+
+    A reaper_margin column left by an earlier comparison is replaced, not
+    repeated.  Raises RowCountMismatch unless there is one margin per row.
+    """
+    path = Path(run_dir) / "diagnostics.csv"
     lines = path.read_text().strip().split("\n")
     if len(lines) - 1 != len(margins):
-        raise ValueError(
+        raise RowCountMismatch(
             f"{len(margins)} margins for {len(lines) - 1} diagnostics rows"
         )
+    if lines[0].endswith(",reaper_margin"):
+        lines = [line.rsplit(",", 1)[0] for line in lines]
     out = [lines[0] + ",reaper_margin"]
     out += [line + f",{m:.17g}" for line, m in zip(lines[1:], margins)]
     path.write_text("\n".join(out) + "\n")

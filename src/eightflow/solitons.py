@@ -20,11 +20,11 @@ rectangle (-inf, 0] x [-C0 tau0, C0 tau0].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .curves import PlaneCurve
+from .curves import PlaneCurve, translate, x_extent
 from .errors import Extinct, InvalidCurve, NotInsideReaper, OutOfDomain
 from .flow import Trajectory
 
@@ -132,7 +132,7 @@ def shrinking_circle(r0: float, t: float) -> float:
 
 @dataclass(frozen=True)
 class BarrierComparison:
-    """Outcome of a matched grim-reaper comparison over half the remaining time."""
+    """Outcome of a grim-reaper comparison over half the reaper's time scale."""
 
     reaper: GrimReaper
     t_offset: float
@@ -143,6 +143,37 @@ class BarrierComparison:
     initial_contained: bool
 
 
+def barrier_comparison(traj: Trajectory, reaper: GrimReaper) -> BarrierComparison:
+    """Run a grim-reaper barrier comparison against a trajectory.
+
+    The whole trajectory is translated so the initial rightmost point sits at
+    x = 0, the reaper clock starts at -tau0/2 at the first snapshot, and
+    margins are collected through `reaper_barrier_check` over the snapshots of
+    the following tau0/2 of flow time.  Raises NotInsideReaper when the
+    initial snapshot is not strictly inside the reaper region.
+    """
+    t_offset = float(traj.times[0]) + 0.5 * reaper.tau0
+    keep = int(np.searchsorted(traj.times, t_offset + 1e-12, side="right"))
+    shift = -float(traj.states[0].curve.x.max())
+    window = replace(
+        traj,
+        states=[replace(s, curve=translate(s.curve, (shift, 0.0)))
+                for s in traj.states[:keep]],
+        records=traj.records[:keep],
+    )
+    return BarrierComparison(
+        reaper=reaper,
+        t_offset=t_offset,
+        times=window.times,
+        margins=reaper_barrier_check(window, reaper, t_offset),
+        push=push_distance(reaper.c0, reaper.tau0),
+        final_rightmost_x=float(window.states[-1].curve.x.max()),
+        initial_contained=rectangle_containment(
+            window.states[0].curve, reaper.c0, reaper.tau0
+        ),
+    )
+
+
 def matched_barrier_comparison(
     traj: Trajectory, t_max_estimate: float
 ) -> BarrierComparison:
@@ -151,41 +182,11 @@ def matched_barrier_comparison(
     With ell the x-projection length and tau the remaining time at the first
     snapshot, the matched reaper has C0 = 8 pi / ell and tau0 = tau; its
     rectangle has half-height 8 pi tau / ell, which bounds the loop height
-    of an area-collapsing figure-eight.  The whole trajectory is translated
-    so the initial rightmost point sits at x = 0, the reaper clock starts at
-    -tau0/2, and margins are collected over the snapshots of the following
-    tau0/2 of flow time.
+    of an area-collapsing figure-eight.  The comparison itself is
+    `barrier_comparison`.
     """
-    from .curves import translate, x_extent  # local import avoids a cycle
-
-    t_first = float(traj.times[0])
-    tau0 = t_max_estimate - t_first
+    tau0 = t_max_estimate - float(traj.times[0])
     if tau0 <= 0:
         raise InvalidCurve("extinction estimate precedes the first snapshot")
-    ell = x_extent(traj.states[0].curve)
-    reaper = GrimReaper(c0=8.0 * np.pi / ell, tau0=tau0)
-    shift = -float(traj.states[0].curve.x.max())
-
-    t_stop = t_first + 0.5 * tau0
-    t_offset = t_first + 0.5 * tau0
-    states = [s for s in traj.states if s.t <= t_stop + 1e-12]
-    curves = [translate(s.curve, (shift, 0.0)) for s in states]
-    times = np.array([s.t for s in states])
-
-    contained = rectangle_containment(curves[0], reaper.c0, reaper.tau0)
-    margins = np.array([
-        reaper_margins(c, reaper, t - t_offset) for c, t in zip(curves, times)
-    ])
-    if not margins[0] > 0.0:
-        raise NotInsideReaper(
-            f"initial margin {margins[0]:.6g} is not strictly positive"
-        )
-    return BarrierComparison(
-        reaper=reaper,
-        t_offset=t_offset,
-        times=times,
-        margins=margins,
-        push=push_distance(reaper.c0, reaper.tau0),
-        final_rightmost_x=float(curves[-1].x.max()),
-        initial_contained=contained,
-    )
+    reaper = GrimReaper(c0=8.0 * np.pi / x_extent(traj.states[0].curve), tau0=tau0)
+    return barrier_comparison(traj, reaper)

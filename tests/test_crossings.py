@@ -162,7 +162,7 @@ class TestInteriorAngle:
     def test_lemniscate_right_angle(self):
         curve = make_bernoulli_lemniscate(1.0, 256)
         crossing = find_self_intersections(curve)[0]
-        assert abs(crossing_interior_angle(curve, crossing) - np.pi / 2) < 1e-2
+        assert abs(crossing_interior_angle(curve, crossing.segments) - np.pi / 2) < 1e-2
 
     def test_gerono_eight_analytic_angle(self):
         # Gerono-style eight x = cos u, y = rho sin u cos u crosses itself at
@@ -172,5 +172,5 @@ class TestInteriorAngle:
         u = 2 * np.pi * np.arange(256) / 256
         curve = PlaneCurve(np.column_stack([np.cos(u), rho * np.sin(u) * np.cos(u)]))
         crossing = find_self_intersections(curve)[0]
-        angle = crossing_interior_angle(curve, crossing)
+        angle = crossing_interior_angle(curve, crossing.segments)
         assert abs(angle - np.pi / 3) < 1e-3

@@ -35,6 +35,20 @@ class TestValidation:
         with pytest.raises(ValueError):
             curve.points[0, 0] = 5.0
 
+    def test_float64_samples_adopted_in_place(self):
+        u = 2 * np.pi * np.arange(32) / 32
+        pts = np.column_stack([np.cos(u), np.sin(u)])
+        curve = PlaneCurve(pts)
+        assert not curve.points.flags.writeable
+        assert np.shares_memory(pts, curve.points)
+        assert not pts.flags.writeable
+        # Other input is converted to a new array; the caller's stays writable.
+        pts32 = pts.astype(np.float32)
+        curve = PlaneCurve(pts32)
+        assert not curve.points.flags.writeable
+        assert not np.shares_memory(pts32, curve.points)
+        assert pts32.flags.writeable
+
     def test_degenerate_tangent_zigzag(self):
         # Alternating two points: valid segments, but the wide stencils cancel.
         pts = np.tile([[0.0, 0.0], [1.0, 1.0]], (16, 1))

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import measured_radius
-from eightflow.curves import curve_length, segment_lengths
+from eightflow.crossings import find_self_intersections
+from eightflow.curves import PlaneCurve, curve_length, segment_lengths
+from eightflow.diagnostics import compute_record
 from eightflow.errors import (
     AreaNotDecreasing,
     MaxStepsExceeded,
@@ -15,12 +17,13 @@ from eightflow.flow import (
     FlowConfig,
     FlowState,
     Trajectory,
+    _CrossingTracker,
     csf_velocity,
     estimate_extinction_time,
     run,
     step,
 )
-from eightflow.shapes import make_circle, make_ellipse
+from eightflow.shapes import make_bernoulli_lemniscate, make_circle, make_ellipse
 from eightflow.solitons import shrinking_circle
 
 
@@ -273,3 +276,32 @@ class TestConvergenceOrder:
             errors[n] = abs(measured_radius(traj.states[-1].curve)
                             - shrinking_circle(1.0, 0.2))
         assert errors[64] / errors[128] >= 3.0
+
+
+def lissajous(k: int, n: int = 256) -> PlaneCurve:
+    """(sin u, sin(k u + 0.3)): k - 1 self-intersections for odd k."""
+    u = 2 * np.pi * np.arange(n) / n
+    return PlaneCurve(np.column_stack([np.sin(u), np.sin(k * u + 0.3)]))
+
+
+class TestCrossingTracker:
+    @pytest.mark.parametrize("curve, crossings", [
+        (make_circle(1.0, 256), 0),
+        (make_bernoulli_lemniscate(1.0, 256), 1),
+        (lissajous(3), 2),
+        (lissajous(5), 4),
+    ])
+    def test_area_matches_record(self, curve, crossings):
+        # The run's area stop compares tracker areas with the first record's.
+        rec = compute_record(curve, 0.0)
+        assert rec.crossing_count == crossings
+        assert _CrossingTracker(rec).measure(curve) == (rec.area_total, crossings)
+
+    def test_record_keeps_the_scanned_crossing(self):
+        curve = make_bernoulli_lemniscate(1.0, 256)
+        (crossing,) = find_self_intersections(curve)
+        rec = compute_record(curve, 0.0)
+        assert rec.crossing_segments == crossing.segments
+        assert rec.crossing_point == tuple(crossing.point)
+        rec = compute_record(make_circle(1.0, 64), 0.0)
+        assert rec.crossing_segments is None and rec.crossing_point is None

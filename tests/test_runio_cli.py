@@ -1,13 +1,15 @@
 """Run directory persistence and the command-line interface."""
 
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from eightflow import runio
+from eightflow import runio, solitons
 from eightflow.cli import main
+from eightflow.errors import RowCountMismatch, ValidationError
 from eightflow.flow import FlowConfig, run
 from eightflow.shapes import make_bernoulli_lemniscate
 
@@ -20,6 +22,29 @@ def small_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("runs") / "lem"
     runio.save_run(traj, out)
     return traj, out
+
+
+@pytest.fixture(scope="module")
+def stored_reaper_run(tmp_path_factory):
+    """A stored lemniscate run deep enough for the matched reaper comparison."""
+    run_dir = tmp_path_factory.mktemp("runs") / "cmp"
+    assert main(["evolve", "--generator", "lemniscate", "--n", "128",
+                 "--out-dir", str(run_dir), "--stop-area-frac", "0.05",
+                 "--cfl", "0.2", "--times",
+                 ",".join(str(t) for t in np.arange(0.005, 0.12, 0.005))]) == 0
+    return run_dir
+
+
+@pytest.fixture
+def reaper_run(stored_reaper_run, tmp_path):
+    """A fresh copy of the stored run; compare-reaper rewrites its diagnostics."""
+    return shutil.copytree(stored_reaper_run, tmp_path / "cmp")
+
+
+def margin_column(run_dir) -> np.ndarray:
+    lines = (run_dir / "diagnostics.csv").read_text().splitlines()
+    assert lines[0].split(",").count("reaper_margin") == 1
+    return np.array([float(line.rsplit(",", 1)[1]) for line in lines[1:]])
 
 
 class TestRunIO:
@@ -112,16 +137,54 @@ class TestCLI:
         assert code == 1
         assert "NotBalanced" in capsys.readouterr().err
 
-    def test_compare_reaper_appends_margin(self, tmp_path, capsys):
-        run_dir = tmp_path / "cmp"
-        assert main(["evolve", "--generator", "lemniscate", "--n", "128",
-                     "--out-dir", str(run_dir), "--stop-area-frac", "0.05",
-                     "--cfl", "0.2", "--times",
-                     ",".join(str(t) for t in np.arange(0.005, 0.12, 0.005))]) == 0
-        assert main(["compare-reaper", str(run_dir)]) == 0
-        header = (run_dir / "diagnostics.csv").read_text().splitlines()[0]
+    def test_compare_reaper_appends_margin(self, reaper_run, capsys):
+        assert main(["compare-reaper", str(reaper_run)]) == 0
+        header = (reaper_run / "diagnostics.csv").read_text().splitlines()[0]
         assert header.endswith(",reaper_margin")
         assert "all_positive=True" in capsys.readouterr().out
+
+    def test_compare_reaper_explicit_parameters(self, reaper_run, capsys):
+        traj = runio.load_run(reaper_run)
+        reaper = solitons.GrimReaper(c0=30.0, tau0=0.05)
+        cmp_ = solitons.barrier_comparison(traj, reaper)
+        assert 1 < len(cmp_.margins) < len(traj.states)
+        assert main(["compare-reaper", str(reaper_run),
+                     "--c0", "30", "--tau0", "0.05"]) == 0
+        out = capsys.readouterr().out
+        assert "matched reaper" not in out
+        assert f"push_distance={cmp_.push:.7g}" in out
+        padded = np.full(len(traj.states), np.nan)
+        padded[:len(cmp_.margins)] = cmp_.margins
+        np.testing.assert_array_equal(margin_column(reaper_run), padded)
+
+    @pytest.mark.parametrize("flag", [["--c0", "30"], ["--tau0", "0.05"]])
+    def test_compare_reaper_needs_both_parameters(self, reaper_run, capsys, flag):
+        before = (reaper_run / "diagnostics.csv").read_bytes()
+        assert main(["compare-reaper", str(reaper_run), *flag]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ERROR ValidationError")
+        assert (reaper_run / "diagnostics.csv").read_bytes() == before
+
+    def test_compare_reaper_twice_keeps_one_column(self, reaper_run):
+        assert main(["compare-reaper", str(reaper_run)]) == 0
+        first = (reaper_run / "diagnostics.csv").read_bytes()
+        assert main(["compare-reaper", str(reaper_run)]) == 0
+        assert (reaper_run / "diagnostics.csv").read_bytes() == first
+        assert main(["compare-reaper", str(reaper_run),
+                     "--c0", "30", "--tau0", "0.05"]) == 0
+        margins = margin_column(reaper_run)
+        assert np.isnan(margins[-1])
+
+    def test_margin_row_count_mismatch(self, reaper_run, capsys):
+        rows = len(runio.load_run(reaper_run).states)
+        with pytest.raises(RowCountMismatch):
+            runio.append_margin_column(reaper_run, np.zeros(rows + 1))
+        assert issubclass(RowCountMismatch, ValidationError)
+        path = reaper_run / "diagnostics.csv"
+        path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
+        assert main(["compare-reaper", str(reaper_run)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ERROR RowCountMismatch")
 
     def test_runspec_file_with_flag_override(self, tmp_path):
         spec = {
