@@ -43,15 +43,20 @@ _GENERATORS = {
     "asymmetric-eight": lambda a: make_asymmetric_eight(a.ratio, a.n),
 }
 
+# Generator parameters and their defaults, for the CLI flags and for RunSpec
+# generators that leave a parameter out.
+_GENERATOR_DEFAULTS = {"a": 1.0, "b": 1.0, "r": 1.0, "ratio": 1.5, "n": 256}
+_GENERATOR_HELP = {"a": "scale / semi-axis", "b": "ellipse minor semi-axis",
+                   "r": "circle radius", "ratio": "eight loop ratio",
+                   "n": "sample count"}
+
 
 def _add_generator_args(parser: argparse.ArgumentParser, flag: str) -> None:
     """The generator choice (positional or `--generator`) and its parameters."""
     parser.add_argument(flag, choices=sorted(_GENERATORS))
-    parser.add_argument("--a", type=float, default=1.0, help="scale / semi-axis")
-    parser.add_argument("--b", type=float, default=1.0, help="ellipse minor semi-axis")
-    parser.add_argument("--r", type=float, default=1.0, help="circle radius")
-    parser.add_argument("--ratio", type=float, default=1.5, help="eight loop ratio")
-    parser.add_argument("--n", type=int, default=256, help="sample count")
+    for name, default in _GENERATOR_DEFAULTS.items():
+        parser.add_argument(f"--{name}", type=type(default), default=default,
+                            help=_GENERATOR_HELP[name])
 
 
 def _print_record(rec) -> None:
@@ -103,9 +108,7 @@ def _run_spec(spec: dict) -> tuple[Trajectory, Path]:
         name = gen.pop("name", None)
         if name not in _GENERATORS:
             raise ValidationError(f"unknown generator {name!r}")
-        params = {"a": 1.0, "b": 1.0, "r": 1.0, "ratio": 1.5, "n": 256}
-        params.update(gen)
-        curve = _GENERATORS[name](argparse.Namespace(**params))
+        curve = _GENERATORS[name](argparse.Namespace(**{**_GENERATOR_DEFAULTS, **gen}))
 
     flow_kind = spec.get("flow", "csf")
     config = _config_from(spec.get("config") or {})
@@ -169,8 +172,8 @@ def cmd_evolve(args) -> int:
         base["curve_file"] = args.curve
         base.pop("generator", None)
     if args.generator:
-        base["generator"] = {"name": args.generator, "a": args.a, "b": args.b,
-                             "r": args.r, "ratio": args.ratio, "n": args.n}
+        base["generator"] = {"name": args.generator,
+                             **{k: getattr(args, k) for k in _GENERATOR_DEFAULTS}}
         base.pop("curve_file", None)
     if args.flow:
         base["flow"] = args.flow
@@ -193,7 +196,7 @@ def cmd_evolve(args) -> int:
     _print_record(traj.records[-1])
     print(f"stop_reason={traj.stop_reason}")
     if base.get("generator", {}).get("name") == "circle" and traj.stop_reason == "time":
-        r0 = base["generator"].get("r", 1.0)
+        r0 = base["generator"].get("r", _GENERATOR_DEFAULTS["r"])
         exact = solitons.shrinking_circle(r0, traj.times[-1])
         pts = traj.states[-1].curve.points
         measured = float(np.linalg.norm(pts - pts.mean(axis=0), axis=1).mean())

@@ -238,17 +238,11 @@ def legendrian_variation(
 
 def space_curve_to_csv(curve: SpaceCurve, path) -> None:
     u = np.arange(curve.n) * curve.du
+    rows = "".join(f"{ui:.17g},{x:.17g},{y:.17g},{z:.17g}\n"
+                   for ui, (x, y, z) in zip(u.tolist(), curve.points.tolist()))
     with open(path, "w") as fh:
-        fh.write("u,x,y,z\n")
-        for ui, (x, y, z) in zip(u, curve.points):
-            fh.write(f"{ui:.17g},{x:.17g},{y:.17g},{z:.17g}\n")
+        fh.write("u,x,y,z\n" + rows)
 
 
 def space_curve_from_csv(path) -> SpaceCurve:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header.split(",")[:4] != ["u", "x", "y", "z"]:
-            raise InvalidCurve(f"unexpected 3D curve CSV header: {header!r}")
-        rows = [line.split(",") for line in fh if line.strip()]
-    pts = np.array([[float(r[1]), float(r[2]), float(r[3])] for r in rows])
-    return SpaceCurve(pts)
+    return SpaceCurve(cv.read_curve_csv(path, ["u", "x", "y", "z"]))

@@ -5,6 +5,14 @@ the continuous curve's crossing point is recovered to O(h^2), which is
 sufficient for every monitor built on top.  Near-coincident hits from
 adjacent segment pairs (a crossing landing on or next to a shared vertex)
 are merged into a single reported crossing.
+
+The full scan finds its candidate pairs with a sort-and-sweep broad phase
+(Bentley & Ottmann, IEEE Trans. Comput. C-28, 1979): the segments' padded
+x-intervals are sorted once, and each segment's run of overlapping
+successors is read off with a binary search.  That costs O(N log N + K),
+where K is the number of pairs whose x-intervals overlap, instead of the
+N(N-3)/2 pairs of an all-pairs list.  On the lemniscate about 1.5N
+non-adjacent pairs survive the sweep (380 of 32,384 at N=256).
 """
 
 from __future__ import annotations
@@ -116,17 +124,50 @@ def _merge_hits(curve: PlaneCurve, ii, jj, t, v, points) -> list[Crossing]:
     return crossings
 
 
+def _x_overlap_pairs(curve: PlaneCurve) -> tuple[np.ndarray, np.ndarray]:
+    """Non-adjacent segment pairs (i, j), i < j, whose padded x-intervals overlap.
+
+    The intervals [min x, max x + pad] use the pad of the bounding-box
+    prefilter, so exactly the pairs that pass its x test are returned, sorted
+    by (i, j) as an all-pairs list would order them.
+    """
+    n = curve.n
+    x = curve.points[:, 0]
+    x_next = cyclic_next(x)
+    lo = np.minimum(x, x_next)
+    hi = np.maximum(x, x_next) + 1e-12 * curve_length(curve)
+    order = np.argsort(lo, kind="stable")
+    starts = lo[order]
+    # The segment at sorted position p overlaps exactly the later positions
+    # p+1 .. stop[p]-1: each of those starts at or after its own start.
+    stop = np.searchsorted(starts, hi[order], side="right")
+    first = np.arange(1, n + 1)
+    counts = stop - first
+    offsets = np.cumsum(counts) - counts
+    partner = np.arange(counts.sum()) + np.repeat(first - offsets, counts)
+    a = np.repeat(order, counts)
+    b = order[partner]
+    ii = np.minimum(a, b)
+    jj = np.maximum(a, b)
+    gap = jj - ii
+    # Drop adjacent pairs and the wrap-around pair (0, N-1).
+    keep = (gap >= 2) & (gap != n - 1)
+    keys = np.sort(ii[keep] * n + jj[keep])
+    return keys // n, keys % n
+
+
 def find_self_intersections(curve: PlaneCurve) -> list[Crossing]:
     """All transversal intersections of non-adjacent segments, each once.
+
+    Candidate pairs come from a sort-and-sweep over the segments' x-intervals
+    (see the module docstring): O(N log N + K) for K x-overlapping pairs.
+    The survivors reach the exact intersection test in (i, j) order, so the
+    result does not depend on how the candidates were found.
 
     Raises TangentialCrossing when two segments overlap collinearly; such a
     configuration is flagged rather than resolved.
     """
-    n = curve.n
-    ii, jj = np.triu_indices(n, k=2)
-    # Exclude the wrap-around adjacency (segment N-1 touches segment 0).
-    keep = ~((ii == 0) & (jj == n - 1))
-    hits = _candidate_hits(curve, ii[keep], jj[keep])
+    hits = _candidate_hits(curve, *_x_overlap_pairs(curve))
     return _merge_hits(curve, *hits)
 
 
@@ -137,7 +178,7 @@ def find_crossing_near(
 
     Scans pairs within `window` segments of (i, j); returns None when that
     neighborhood holds no crossing (caller should fall back to a full scan).
-    Much cheaper than the all-pairs search while a crossing drifts slowly.
+    Much cheaper than the full scan while a crossing drifts slowly.
     """
     n = curve.n
     i0, j0 = seg_pair

@@ -234,7 +234,7 @@ def inflection_count(curve: PlaneCurve, tol: float | None = None) -> int:
     if not np.any(opaque):
         raise AllFlat(f"all {curve.n} curvature samples below threshold {tol:.3e}")
     signs = np.sign(kappa[opaque])
-    return int(np.count_nonzero(signs != np.roll(signs, 1)))
+    return int(np.count_nonzero(signs[1:] != signs[:-1])) + int(signs[0] != signs[-1])
 
 
 def resample_arclength(curve: PlaneCurve, n_out: int | None = None) -> PlaneCurve:
@@ -288,24 +288,38 @@ def scale(curve: PlaneCurve, factor: float) -> PlaneCurve:
 
 # ---------------------------------------------------------------------------
 # Serialization: CSV with header u,x,y, or JSON {"n": N, "points": [[x,y],..]}.
-# Values are written with 17 significant digits so round trips are lossless
-# well beyond the required 15.
+# Values are written with 17 significant digits, so a round trip returns the
+# same float64 values; the file is written in one call and read back with
+# numpy's C parser, which rounds exactly like float().
 
 def curve_to_csv(curve: PlaneCurve, path: str | Path) -> None:
+    rows = "".join(f"{u:.17g},{x:.17g},{y:.17g}\n"
+                   for u, (x, y) in zip(curve.u.tolist(), curve.points.tolist()))
     with open(path, "w") as fh:
-        fh.write("u,x,y\n")
-        for u, (x, y) in zip(curve.u, curve.points):
-            fh.write(f"{u:.17g},{x:.17g},{y:.17g}\n")
+        fh.write("u,x,y\n" + rows)
+
+
+def read_curve_csv(path: str | Path, names: list[str]) -> np.ndarray:
+    """The sample columns (all but u) of a curve CSV whose header starts with `names`.
+
+    Raises InvalidCurve on a wrong header and on a row that is short or not
+    numeric.
+    """
+    with open(path) as fh:
+        header = fh.readline().strip()
+        if header.split(",")[:len(names)] != names:
+            raise InvalidCurve(
+                f"unexpected curve CSV header {header!r}, expected {','.join(names)}"
+            )
+        try:
+            return np.loadtxt(fh, delimiter=",", usecols=tuple(range(1, len(names))),
+                              ndmin=2)
+        except ValueError as exc:
+            raise InvalidCurve(f"malformed row in {path}: {exc}") from None
 
 
 def curve_from_csv(path: str | Path) -> PlaneCurve:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header.split(",")[:3] != ["u", "x", "y"]:
-            raise InvalidCurve(f"unexpected curve CSV header: {header!r}")
-        rows = [line.split(",") for line in fh if line.strip()]
-    pts = np.array([[float(r[1]), float(r[2])] for r in rows])
-    return PlaneCurve(pts)
+    return PlaneCurve(read_curve_csv(path, ["u", "x", "y"]))
 
 
 def curve_to_json(curve: PlaneCurve, path: str | Path) -> None:

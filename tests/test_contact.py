@@ -5,7 +5,7 @@ import pytest
 
 from eightflow import contact
 from eightflow.curves import curve_length, signed_area, total_curvature, translate
-from eightflow.errors import NotBalanced
+from eightflow.errors import InvalidCurve, NotBalanced
 from eightflow.flow import FlowConfig, FlowState, csf_velocity, run
 from eightflow.shapes import make_bernoulli_lemniscate, make_circle
 
@@ -198,4 +198,14 @@ class TestSerialization3D:
         path = tmp_path / "curve3.csv"
         contact.space_curve_to_csv(lifted, path)
         back = contact.space_curve_from_csv(path)
-        assert np.abs(back.points - lifted.points).max() < 1e-15
+        np.testing.assert_array_equal(back.points, lifted.points)
+        again = tmp_path / "again.csv"
+        contact.space_curve_to_csv(back, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("text", ["u,x,y,z\n0,1,2\n", "u,x,y\n0,1,2\n"])
+    def test_malformed_file_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(InvalidCurve):
+            contact.space_curve_from_csv(path)

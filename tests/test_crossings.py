@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from eightflow.crossings import (
     Crossing,
+    _candidate_hits,
+    _merge_hits,
     crossing_interior_angle,
     find_self_intersections,
     loop_areas,
@@ -40,6 +44,85 @@ def brute_force_crossing_points(curve, slack=1e-9, merge_tol=None):
         if not any(np.hypot(*(p - q)) <= merge_tol for q in merged):
             merged.append(p)
     return merged
+
+
+def all_pairs_scan(curve):
+    """Reference scan over every non-adjacent pair i < j, in (i, j) order."""
+    n = curve.n
+    ii, jj = np.triu_indices(n, k=2)
+    keep = ~((ii == 0) & (jj == n - 1))
+    return _merge_hits(curve, *_candidate_hits(curve, ii[keep], jj[keep]))
+
+
+def scan_outcome(scan, curve):
+    """(segments, point) of every crossing, or the TangentialCrossing message."""
+    try:
+        return [(c.segments, c.point) for c in scan(curve)]
+    except TangentialCrossing as exc:
+        return str(exc)
+
+
+def densify(corners, per_edge):
+    """Closed polyline through `corners` with `per_edge` samples on each edge."""
+    pts = []
+    for k in range(len(corners)):
+        a = np.asarray(corners[k], dtype=float)
+        b = np.asarray(corners[(k + 1) % len(corners)], dtype=float)
+        for s in np.linspace(0, 1, per_edge, endpoint=False):
+            pts.append(a + s * (b - a))
+    return np.array(pts)
+
+
+@st.composite
+def random_polylines(draw, coordinate):
+    """Closed polylines of 16, 17, 40 or 64 random vertices; most cross many times."""
+    n = draw(st.sampled_from([16, 17, 40, 64]))
+    pts = draw(st.lists(st.tuples(coordinate, coordinate), min_size=n, max_size=n))
+    try:
+        return PlaneCurve(np.array(pts, dtype=float))
+    except Exception:
+        assume(False)
+
+
+# Grid coordinates tie x-starts and make vertical and axis-aligned segments,
+# including collinear overlaps, which both scans must flag identically.
+grid = st.integers(-4, 4).map(float)
+unit = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+class TestSweep:
+    @settings(max_examples=60, deadline=None)
+    @given(random_polylines(unit))
+    def test_matches_all_pairs_random(self, curve):
+        self.assert_same(curve)
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_polylines(grid))
+    def test_matches_all_pairs_tied_x(self, curve):
+        self.assert_same(curve)
+
+    @settings(max_examples=30, deadline=None)
+    @given(random_polylines(st.one_of(grid, unit)))
+    def test_matches_all_pairs_mixed(self, curve):
+        self.assert_same(curve)
+
+    @staticmethod
+    def assert_same(curve):
+        swept = scan_outcome(find_self_intersections, curve)
+        reference = scan_outcome(all_pairs_scan, curve)
+        if isinstance(reference, str):
+            assert swept == reference
+            return
+        assert [seg for seg, _ in swept] == [seg for seg, _ in reference]
+        for (_, p), (_, q) in zip(swept, reference):
+            assert np.array_equal(p, q)
+
+    def test_matches_all_pairs_lissajous(self):
+        u = 2 * np.pi * np.arange(256) / 256
+        for k in (3, 5, 7):
+            curve = PlaneCurve(np.column_stack([np.sin(u), np.sin(k * u + 0.3)]))
+            assert len(find_self_intersections(curve)) > 1
+            TestSweep.assert_same(curve)
 
 
 class TestFinder:
@@ -107,17 +190,19 @@ class TestFinder:
             for c in found:
                 assert min(np.hypot(*(c.point - q)) for q in oracle) < 1e-9
 
-    def test_tangential_overlap_flagged(self):
-        # Out, pause on a spike, and retrace along the same line segment.
-        pts = [(0.0, 0.0), (4.0, 0.0), (4.0, 1.0), (3.0, 1.0), (3.0, 0.0),
+    # Out, pause on a spike, and retrace along the same line segment.
+    RETRACE = [(0.0, 0.0), (4.0, 0.0), (4.0, 1.0), (3.0, 1.0), (3.0, 0.0),
                (1.0, 0.0), (1.0, 2.0), (0.5, 2.5), (0.0, 2.0)]
-        dense = []
-        for k in range(len(pts)):
-            a = np.array(pts[k])
-            b = np.array(pts[(k + 1) % len(pts)])
-            for s in np.linspace(0, 1, 3, endpoint=False):
-                dense.append(a + s * (b - a))
-        curve = PlaneCurve(np.array(dense))
+
+    def test_tangential_overlap_flagged(self):
+        curve = PlaneCurve(densify(self.RETRACE, 3))
+        with pytest.raises(TangentialCrossing):
+            find_self_intersections(curve)
+
+    def test_vertical_overlap_flagged(self):
+        # The same retrace turned vertical: the overlapping segments have
+        # zero-width x-intervals that start at the same x.
+        curve = PlaneCurve(densify([(y, x) for x, y in self.RETRACE], 3))
         with pytest.raises(TangentialCrossing):
             find_self_intersections(curve)
 

@@ -252,6 +252,21 @@ class TestInflections:
         kappa = cv.curvature(curve)
         assert cv.inflection_count(curve, tol=0.05 * np.abs(kappa).max()) == 2
 
+    def test_matches_roll_reference_at_every_start(self):
+        # Moving sample 0 around the curve puts a sign change on the wrap
+        # pair at some starts; the sliced count must keep the wrap term.
+        lemniscate = make_bernoulli_lemniscate(1.0, 64).points
+        u = 2 * np.pi * np.arange(64) / 64
+        wavy = np.column_stack([np.cos(u) + 0.3 * np.cos(3 * u),
+                                np.sin(u) + 0.3 * np.sin(3 * u)])
+        for base in (lemniscate, wavy):
+            for k in range(64):
+                curve = PlaneCurve(np.roll(base, k, axis=0))
+                kappa = cv.curvature(curve)
+                signs = np.sign(kappa[np.abs(kappa) >= 1e-6 * np.abs(kappa).max()])
+                expected = int(np.count_nonzero(signs != np.roll(signs, 1)))
+                assert cv.inflection_count(curve) == expected > 0
+
 
 class TestResample:
     def test_circle_uniform(self):
@@ -288,7 +303,10 @@ class TestSerialization:
         path = tmp_path / "curve.csv"
         cv.curve_to_csv(curve, path)
         back = cv.curve_from_csv(path)
-        assert np.abs(back.points - curve.points).max() < 1e-15
+        np.testing.assert_array_equal(back.points, curve.points)
+        again = tmp_path / "again.csv"
+        cv.curve_to_csv(back, again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_json_round_trip(self, tmp_path):
         curve = make_ellipse(2.0, 1.0, 64)
@@ -301,4 +319,11 @@ class TestSerialization:
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(InvalidCurve):
+            cv.curve_from_csv(path)
+
+    @pytest.mark.parametrize("row", ["0,1", "0,1,abc", "0,,2"])
+    def test_csv_malformed_row(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text("u,x,y\n" + row + "\n")
+        with pytest.raises(InvalidCurve, match="malformed row"):
             cv.curve_from_csv(path)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from eightflow import runio, solitons
-from eightflow.cli import main
+from eightflow.cli import _GENERATORS, main
 from eightflow.errors import RowCountMismatch, ValidationError
 from eightflow.flow import FlowConfig, run
 from eightflow.shapes import make_bernoulli_lemniscate
@@ -56,7 +56,7 @@ class TestRunIO:
         assert len(back.states) == len(traj.states)
         for a, b in zip(traj.states, back.states):
             assert a.t == b.t
-            assert np.abs(a.curve.points - b.curve.points).max() < 1e-15
+            np.testing.assert_array_equal(a.curve.points, b.curve.points)
 
     def test_diagnostics_columns(self, small_run):
         _, out = small_run
@@ -235,6 +235,28 @@ class TestCLI:
         path.write_text(json.dumps(spec))
         assert main(["evolve", "--spec", str(path)]) == 1
         assert "ERROR ValidationError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("generator", sorted(_GENERATORS))
+    def test_spec_generator_defaults_match_flags(self, tmp_path, generator):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"generator": {"name": generator},
+                                         "t_end": 1e-6,
+                                         "out_dir": str(tmp_path / "spec")}))
+        assert main(["evolve", "--spec", str(spec_path)]) == 0
+        assert main(["evolve", "--generator", generator, "--t-end", "1e-6",
+                     "--out-dir", str(tmp_path / "flags")]) == 0
+        first = Path("snapshots") / "snap_0000.csv"
+        assert (tmp_path / "spec" / first).read_bytes() == \
+               (tmp_path / "flags" / first).read_bytes()
+
+    def test_evolve_malformed_curve_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "short_row.csv"
+        path.write_text("u,x,y\n0,1\n")
+        assert main(["evolve", "--curve", str(path),
+                     "--out-dir", str(tmp_path / "never")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ERROR InvalidCurve:")
+        assert not (tmp_path / "never").exists()
 
     def test_missing_run_dir_exits_3(self, tmp_path, capsys):
         assert main(["lift", str(tmp_path / "no_such_run")]) == 3
