@@ -237,8 +237,7 @@ def cmd_compare_reaper(args) -> int:
         reaper = solitons.GrimReaper(c0=args.c0, tau0=args.tau0)
         cmp_ = solitons.barrier_comparison(traj, reaper)
     else:
-        est = estimate_extinction_time(traj)
-        t_max = 0.5 * (est.bracket_low + est.bracket_high)
+        t_max = estimate_extinction_time(traj).t_max
         cmp_ = solitons.matched_barrier_comparison(traj, t_max)
         print(f"matched reaper: C0={cmp_.reaper.c0:.6g} tau0={cmp_.reaper.tau0:.6g} "
               f"rectangle_contained={cmp_.initial_contained}")

@@ -40,7 +40,8 @@ class SpaceCurve:
     """Closed curve in R^3 whose planar projection is immersed.
 
     Carries no Legendrian guarantee by itself: `legendrian_residual` measures
-    the violation, `lift` constructs curves satisfying it to round-off.
+    the violation, `lift` constructs curves satisfying it to round-off.  The
+    projection built to validate the samples is kept for `project`.
     """
 
     points: np.ndarray
@@ -51,9 +52,10 @@ class SpaceCurve:
             raise InvalidCurve(f"expected an (N, 3) point array, got shape {pts.shape}")
         if not np.isfinite(pts).all():
             raise InvalidCurve("curve samples must be finite")
-        cv.PlaneCurve(pts[:, :2])  # validates the projection invariants
-        pts.flags.writeable = False
+        plane = cv.PlaneCurve(pts[:, :2])  # validates the projection invariants
+        pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "_plane", plane)
 
     @property
     def n(self) -> int:
@@ -70,14 +72,18 @@ class SpaceCurve:
 
 def project(curve: SpaceCurve) -> cv.PlaneCurve:
     """Drop the z coordinate; no Legendrian condition is used or checked."""
-    return cv.PlaneCurve(curve.points[:, :2])
+    return curve._plane
 
 
-def _height_increments(plane: cv.PlaneCurve) -> np.ndarray:
-    """Trapezoidal increments of integral(y x_u du) per segment."""
-    x_u = cv.stencil(plane.points[:, 0], plane.du, second=False).d1
-    w = plane.y * x_u
-    return 0.5 * plane.du * (w + cv.cyclic_next(w))
+def _transport(w: np.ndarray, du: float) -> tuple[np.ndarray, np.ndarray]:
+    """Trapezoidal transport of w du: (increment per segment, sum before each node)."""
+    increments = 0.5 * du * (w + cv.cyclic_next(w))
+    return increments, np.concatenate([[0.0], np.cumsum(increments[:-1])])
+
+
+def _height_transport(plane: cv.PlaneCurve) -> tuple[np.ndarray, np.ndarray]:
+    """`_transport` of y x_u, the height a Legendrian lift gains."""
+    return _transport(plane.y * plane.jet.d1[:, 0], plane.du)
 
 
 def legendrian_residual_profile(curve: SpaceCurve) -> np.ndarray:
@@ -88,8 +94,7 @@ def legendrian_residual_profile(curve: SpaceCurve) -> np.ndarray:
     approximates |z_u - y x_u| at the segment midpoint.  The wrap-around
     entry sees any overall non-periodicity of z.
     """
-    plane = project(curve)
-    inc = _height_increments(plane)
+    inc, _ = _height_transport(project(curve))
     dz = cv.cyclic_next(curve.z) - curve.z
     return np.abs(dz - inc) / curve.du
 
@@ -106,7 +111,7 @@ def legendrian_residual(curve: SpaceCurve) -> float:
 def lift_defect(plane: cv.PlaneCurve) -> float:
     """Holonomy of the height transport around the curve: equals the
     discrete quadrature of integral(y x_u du) = -signed_area exactly."""
-    return float(_height_increments(plane).sum())
+    return float(_height_transport(plane)[0].sum())
 
 
 def lift(
@@ -126,9 +131,8 @@ def lift(
         raise NotBalanced(
             f"signed area {area:.6g} exceeds {_BALANCE_AREA_TOL:g} * L^2", area
         )
-    inc = _height_increments(plane)
-    z = z_base + np.concatenate([[0.0], np.cumsum(inc[:-1])])
-    return SpaceCurve(np.column_stack([plane.points, z]))
+    _, z = _height_transport(plane)
+    return SpaceCurve(np.column_stack([plane.points, z_base + z]))
 
 
 def lift_trajectory(traj: Trajectory, z_base: float = 0.0) -> list[SpaceCurve]:
@@ -163,11 +167,8 @@ def legendrian_angle(state: FlowState) -> np.ndarray:
         raise NotBalanced(
             f"total turning {turning:.6g} exceeds {_BALANCE_TURNING_TOL:g}", turning
         )
-    jet = cv.stencil(curve.points, curve.du)
-    w = jet.kappa * np.sqrt(jet.g2)
-    # Trapezoidal cumulative sum, matching the height-transport quadrature.
-    increments = 0.5 * curve.du * (w + cv.cyclic_next(w))
-    cum = np.concatenate([[0.0], np.cumsum(increments[:-1])])
+    jet = curve.jet
+    _, cum = _transport(jet.kappa * np.sqrt(jet.g2), curve.du)
     x_t0 = csf_velocity(curve)[0, 0]
     return -curve.y[0] * x_t0 + cum
 
@@ -178,7 +179,7 @@ def contact_frame(curve: SpaceCurve) -> tuple[np.ndarray, np.ndarray, np.ndarray
     For a Legendrian curve the triple is g-orthonormal with eta(T) = 0; the
     z-components encode the contact twisting (X = d/dx + y d/dz).
     """
-    d1, _, g2, _ = cv.stencil(curve.points[:, :2], curve.du, second=False)
+    d1, _, g2, _ = project(curve).jet
     x_u, y_u = d1.T
     g = np.sqrt(g2)
     y = curve.points[:, 1]
@@ -221,10 +222,10 @@ def legendrian_variation(
     f = np.asarray(f, dtype=float)
     if f.shape != (curve.n,):
         raise InvalidCurve(f"scalar field shape {f.shape} != ({curve.n},)")
-    d1, _, g2, _ = cv.stencil(curve.points[:, :2], curve.du, second=False)
+    d1, _, g2, _ = project(curve).jet
     x_u, y_u = d1.T
     g = np.sqrt(g2)
-    phi = np.zeros_like(f) if omit_normal_term else cv.stencil(f, curve.du, second=False).d1 / g
+    phi = np.zeros_like(f) if omit_normal_term else cv.stencil(f, curve.du).d1 / g
     y = curve.points[:, 1]
     velocity = np.column_stack([
         -phi * y_u / g,

@@ -27,6 +27,8 @@ from .errors import InvalidSplit, TangentialCrossing
 # Parameter slack for the in-segment test; intersections this close to a
 # segment end still count, and the cluster merge removes duplicates.
 _PARAM_SLACK = 1e-9
+# Half-width, in segments, of the window `find_crossing_near` searches.
+_NEAR_WINDOW = 12
 
 
 @dataclass(frozen=True)
@@ -171,19 +173,17 @@ def find_self_intersections(curve: PlaneCurve) -> list[Crossing]:
     return _merge_hits(curve, *hits)
 
 
-def find_crossing_near(
-    curve: PlaneCurve, seg_pair: tuple[int, int], window: int = 12
-) -> Crossing | None:
+def find_crossing_near(curve: PlaneCurve, seg_pair: tuple[int, int]) -> Crossing | None:
     """Search for a single crossing near a previously known segment pair.
 
-    Scans pairs within `window` segments of (i, j); returns None when that
-    neighborhood holds no crossing (caller should fall back to a full scan).
-    Much cheaper than the full scan while a crossing drifts slowly.
+    Scans pairs within `_NEAR_WINDOW` segments of (i, j); returns None when
+    that neighborhood holds no crossing (caller should fall back to a full
+    scan).  Much cheaper than the full scan while a crossing drifts slowly.
     """
     n = curve.n
     i0, j0 = seg_pair
-    a = (i0 + np.arange(-window, window + 1)) % n
-    b = (j0 + np.arange(-window, window + 1)) % n
+    a = (i0 + np.arange(-_NEAR_WINDOW, _NEAR_WINDOW + 1)) % n
+    b = (j0 + np.arange(-_NEAR_WINDOW, _NEAR_WINDOW + 1)) % n
     ii, jj = np.meshgrid(a, b, indexing="ij")
     ii, jj = ii.ravel(), jj.ravel()
     lo = np.minimum(ii, jj)

@@ -41,8 +41,9 @@ class PlaneCurve:
 
     The samples are frozen at construction.  A float64 C-contiguous array is
     adopted without a copy, so the caller's array becomes read-only too; any
-    other input is converted to a new array first.  All operations on curves
-    are pure functions, so curve values are safe to share across threads.
+    other input is converted to a new array first.  The `jet` is computed on
+    first use and kept, read-only too.  Curve values are safe to share across
+    threads: a concurrent first use of `jet` computes identical values twice.
     """
 
     points: np.ndarray
@@ -64,10 +65,11 @@ class PlaneCurve:
                 "immersion violated: shortest segment "
                 f"{seg.min():.3e} vs length {total:.3e}"
             )
-        pts.flags.writeable = False
-        seg.flags.writeable = False
+        pts.setflags(write=False)
+        seg.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "_seg_lengths", seg)
+        object.__setattr__(self, "_jet", None)
 
     @property
     def n(self) -> int:
@@ -89,6 +91,16 @@ class PlaneCurve:
     def u(self) -> np.ndarray:
         return np.arange(self.n) * self.du
 
+    @property
+    def jet(self) -> Jet:
+        """`stencil` of the samples, computed on first use and kept read-only."""
+        if self._jet is None:
+            jet = stencil(self.points, self.du)
+            for values in jet:
+                values.setflags(write=False)
+            object.__setattr__(self, "_jet", jet)
+        return self._jet
+
 
 def cyclic_next(values: np.ndarray) -> np.ndarray:
     """values[i+1] for every i (mod N) along axis 0, like np.roll(values, -1, 0)."""
@@ -96,54 +108,52 @@ def cyclic_next(values: np.ndarray) -> np.ndarray:
 
 
 class Jet(NamedTuple):
-    """One `stencil` evaluation; fields it does not compute are None."""
+    """One `stencil` evaluation; g2 and kappa are None for 1-D values."""
 
     d1: np.ndarray
-    d2: np.ndarray | None
+    d2: np.ndarray
     g2: np.ndarray | None
     kappa: np.ndarray | None
 
 
-def stencil(values: np.ndarray, du: float, *, second: bool = True) -> Jet:
+def stencil(values: np.ndarray, du: float) -> Jet:
     """4th-order periodic central differences along axis 0.
 
     `values` is 1-D or an (N, 2) point array.  It is padded once with two
     ghost rows at each end, so the four shifted copies are slices of one
-    array.  d2 is computed only with `second`.  For a point array the jet
-    also carries g2 = x_u^2 + y_u^2 and, with `second`, the signed
-    curvature; DegenerateTangent is raised where g2 falls below the floor.
+    array.  For a point array the jet also carries g2 = x_u^2 + y_u^2 and
+    the signed curvature; DegenerateTangent is raised where g2 falls below
+    the floor.
     """
     ext = np.concatenate((values[-2:], values, values[:2]))
     m2, m1, p1, p2 = ext[:-4], ext[1:-3], ext[3:-1], ext[4:]
     d1 = (-p2 + 8.0 * p1 - 8.0 * m1 + m2) / (12.0 * du)
-    d2 = g2 = kappa = None
-    if second:
-        d2 = (-p2 + 16.0 * p1 - 30.0 * values + 16.0 * m1 - m2) / (12.0 * du * du)
+    d2 = (-p2 + 16.0 * p1 - 30.0 * values + 16.0 * m1 - m2) / (12.0 * du * du)
+    g2 = kappa = None
     if values.ndim == 2:
         x_u, y_u = d1.T
         g2 = x_u * x_u + y_u * y_u
         g2_min = g2.min()
         if g2_min < _TANGENT_FLOOR:
             raise DegenerateTangent(f"parameter speed collapsed to {g2_min:.3e}")
-        if second:
-            kappa = (x_u * d2[:, 1] - y_u * d2[:, 0]) / g2 ** 1.5
+        kappa = (x_u * d2[:, 1] - y_u * d2[:, 0]) / g2 ** 1.5
     return Jet(d1, d2, g2, kappa)
 
 
 def derivatives(curve: PlaneCurve) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(x_u, y_u, x_uu, y_uu) at every sample; DegenerateTangent if the speed collapses."""
-    d1, d2, _, _ = stencil(curve.points, curve.du)
+    d1, d2, _, _ = curve.jet
     return d1[:, 0], d1[:, 1], d2[:, 0], d2[:, 1]
 
 
 def speed_squared(curve: PlaneCurve) -> np.ndarray:
     """x_u^2 + y_u^2; raises DegenerateTangent if any sample is unusable."""
-    return stencil(curve.points, curve.du, second=False).g2
+    return curve.jet.g2
 
 
 def curvature(curve: PlaneCurve) -> np.ndarray:
     """Signed curvature at every sample; orientation-equivariant."""
-    return stencil(curve.points, curve.du).kappa
+    return curve.jet.kappa
 
 
 def segment_lengths(curve: PlaneCurve) -> np.ndarray:
@@ -163,7 +173,7 @@ def signed_area(curve: PlaneCurve) -> float:
     quadrature form is kept because the contact lift integrates exactly the
     same sum, making its periodicity defect identically -signed_area.
     """
-    x_u = stencil(curve.points[:, 0], curve.du, second=False).d1
+    x_u = curve.jet.d1[:, 0]
     return float(-(curve.y * x_u).sum() * curve.du)
 
 
@@ -175,7 +185,7 @@ def shoelace_area(points: np.ndarray) -> float:
 
 def total_curvature(curve: PlaneCurve) -> float:
     """Integral of kappa ds; equals 2*pi*(turning number) up to quadrature error."""
-    jet = stencil(curve.points, curve.du)
+    jet = curve.jet
     return float((jet.kappa * np.sqrt(jet.g2)).sum() * curve.du)
 
 
@@ -186,7 +196,7 @@ def tangent_angle(curve: PlaneCurve) -> np.ndarray:
     stay below pi; entry N closes the loop, so theta[N] - theta[0] is the
     total discrete turning (2*pi times the turning number).
     """
-    d1 = stencil(curve.points, curve.du, second=False).d1
+    d1 = curve.jet.d1
     raw = np.arctan2(d1[:, 1], d1[:, 0])
     jumps = np.diff(np.concatenate([raw, raw[:1]]))
     jumps = (jumps + np.pi) % TWO_PI - np.pi

@@ -5,8 +5,9 @@ The workhorse is curve shortening flow, where each point moves with velocity
     (x_t, y_t) = kappa * (-y_u, x_u) / sqrt(x_u^2 + y_u^2),
 
 i.e. speed kappa along the left normal.  The same stepper drives the other
-length gradient flows, which differ only in their signed normal speed and in
-the stiffness law for the stable step size.
+length gradient flows, which differ only in their signed normal speed
+`speed_fn(curve)` and in the stiffness law for the stable step size; speed
+and stepper read one cached stencil jet per stage, `curve.jet`.
 
 Scheme: explicit 2nd-order Runge-Kutta (Heun) with dt = cfl * h_min^2 for
 second-order flows (h_min = shortest segment), dt = cfl4 * h_min^4 for the
@@ -41,33 +42,30 @@ from .errors import (
     StepRejected,
 )
 
-# Signed normal speed given the curve and its precomputed curvature.
-SpeedFn = Callable[[cv.PlaneCurve, np.ndarray], np.ndarray]
+# Signed normal speed of a curve; derivatives come from `curve.jet`.
+SpeedFn = Callable[[cv.PlaneCurve], np.ndarray]
 
 TWO_PI = 2.0 * np.pi
 _MAX_HALVINGS = 8
 
 
-def csf_speed(curve: cv.PlaneCurve, kappa: np.ndarray) -> np.ndarray:
-    """Normal speed of curve shortening flow: the curvature itself."""
-    return kappa
+# Normal speed of curve shortening flow: the curvature itself.
+csf_speed = cv.curvature
 
 
 def csf_velocity(curve: cv.PlaneCurve) -> np.ndarray:
     """Pointwise planar velocity kappa * N of curve shortening flow."""
-    return _stage_velocity(curve, csf_speed)[0]
+    return _stage_velocity(curve, csf_speed)
 
 
-def _stage_velocity(
-    curve: cv.PlaneCurve, speed_fn: SpeedFn
-) -> tuple[np.ndarray, np.ndarray]:
-    """One evaluation of (velocity, kappa) from a single stencil jet."""
-    d1, _, g2, kappa = cv.stencil(curve.points, curve.du)
-    factor = speed_fn(curve, kappa) / np.sqrt(g2)
+def _stage_velocity(curve: cv.PlaneCurve, speed_fn: SpeedFn) -> np.ndarray:
+    """Planar velocity speed_fn(curve) * N from the curve's jet."""
+    d1, _, g2, _ = curve.jet
+    factor = speed_fn(curve) / np.sqrt(g2)
     velocity = np.empty_like(d1)
     np.multiply(-d1[:, 1], factor, out=velocity[:, 0])
     np.multiply(d1[:, 0], factor, out=velocity[:, 1])
-    return velocity, kappa
+    return velocity
 
 
 @dataclass(frozen=True)
@@ -131,8 +129,8 @@ def step(
     """
     curve = state.curve
     h_min = float(cv.segment_lengths(curve).min())
-    k1, kappa = _stage_velocity(curve, speed_fn)
-    kappa_h = np.abs(kappa).max() * h_min
+    k1 = _stage_velocity(curve, speed_fn)
+    kappa_h = np.abs(curve.jet.kappa).max() * h_min
     if kappa_h > config.stop_kappa_h:
         raise SingularityReached(
             "curvature", f"max|kappa|*h = {kappa_h:.3g} at t = {state.t:.6g}"
@@ -150,7 +148,7 @@ def step(
     for _ in range(_MAX_HALVINGS + 1):
         try:
             mid = cv.PlaneCurve(curve.points + dt * k1)
-            k2, _ = _stage_velocity(mid, speed_fn)
+            k2 = _stage_velocity(mid, speed_fn)
             new_curve = cv.PlaneCurve(curve.points + 0.5 * dt * (k1 + k2))
             break
         except (InvalidCurve, DegenerateTangent):
@@ -274,6 +272,11 @@ class ExtinctionEstimate:
     bracket_low: float
     bracket_high: float
     slope: float
+
+    @property
+    def t_max(self) -> float:
+        """The bracket's midpoint, the extinction time the monitors use."""
+        return 0.5 * (self.bracket_low + self.bracket_high)
 
 
 def estimate_extinction_time(traj: Trajectory) -> ExtinctionEstimate:

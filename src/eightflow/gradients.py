@@ -99,31 +99,25 @@ def arclength_second_derivative(field: ArclengthField) -> ArclengthField:
     return ArclengthField(_d2_ds2(field.values, field.spacing), field.spacing)
 
 
-def curve_diffusion_speed(curve: cv.PlaneCurve, kappa: np.ndarray | None = None) -> np.ndarray:
+def curve_diffusion_speed(curve: cv.PlaneCurve) -> np.ndarray:
     """Normal speed -kappa_ss of the L^2 gradient flow (curve diffusion).
 
     The divergence form makes the quadrature of the speed vanish exactly,
     the discrete face of signed-area conservation.
     """
-    if kappa is None:
-        kappa = cv.curvature(curve)
-    return -_d2_ds2(kappa, cv.segment_lengths(curve))
+    return -_d2_ds2(cv.curvature(curve), cv.segment_lengths(curve))
 
 
-def h1_gradient(
-    curve: cv.PlaneCurve, kappa: np.ndarray | None = None
-) -> tuple[ArclengthField, np.ndarray]:
+def h1_gradient(curve: cv.PlaneCurve) -> tuple[ArclengthField, np.ndarray]:
     """Solve (I - d^2/ds^2) zeta = kappa_s; return (zeta, normal speed -zeta_s).
 
     The cyclic tridiagonal system is solved directly; the solve residual must
     come out below 1e-8 (it cannot fail for positive spacing, checked
     defensively).
     """
-    if kappa is None:
-        kappa = cv.curvature(curve)
     b = cv.segment_lengths(curve)
     a = _neighbours(b)[0]
-    kappa_s = _d_ds(kappa, b)
+    kappa_s = _d_ds(cv.curvature(curve), b)
     w = 0.5 * (a + b)
     lower = -1.0 / (a * w)
     upper = -1.0 / (b * w)
@@ -143,10 +137,9 @@ def h1_weak_form_defect(curve: cv.PlaneCurve) -> float:
     summation by parts against the divergence-form solve is exact; the defect
     is therefore at the level of the solve residual.
     """
-    kappa = cv.curvature(curve)
     spacing = cv.segment_lengths(curve)
-    kappa_s = arclength_derivative(ArclengthField(kappa, spacing)).values
-    zeta_field, _ = h1_gradient(curve, kappa)
+    kappa_s = _d_ds(cv.curvature(curve), spacing)
+    zeta_field, _ = h1_gradient(curve)
     zeta = zeta_field.values
     w = zeta_field.weights
     lhs = float((zeta * kappa_s * w).sum())
@@ -155,14 +148,8 @@ def h1_weak_form_defect(curve: cv.PlaneCurve) -> float:
     return abs(lhs - rhs)
 
 
-def indefinite_speed(curve: cv.PlaneCurve, kappa: np.ndarray | None = None) -> np.ndarray:
-    """Normal speed of the indefinite-metric gradient flow: kappa itself.
-
-    Identical, as an operator, to the curve shortening speed.
-    """
-    if kappa is None:
-        kappa = cv.curvature(curve)
-    return kappa
+# The indefinite-metric gradient flow moves with the curve shortening speed kappa.
+indefinite_speed = csf_speed
 
 
 def evolve_gradient_flow(
@@ -183,9 +170,9 @@ def evolve_gradient_flow(
     if flow_kind == "diffusion":
         speed_fn, dt_law = curve_diffusion_speed, "h4"
     elif flow_kind == "h1":
-        speed_fn, dt_law = (lambda c, k: h1_gradient(c, k)[1]), "h2"
+        speed_fn, dt_law = (lambda c: h1_gradient(c)[1]), "h2"
     elif flow_kind == "indefinite":
-        speed_fn, dt_law = csf_speed, "h2"
+        speed_fn, dt_law = indefinite_speed, "h2"
     else:
         raise InvalidCurve(f"unknown flow kind {flow_kind!r}; pick from {FLOW_KINDS}")
     return run(

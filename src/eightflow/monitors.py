@@ -112,14 +112,13 @@ def _json_default(v):
 def _snapshot_taus(traj: Trajectory) -> tuple[np.ndarray, float, float]:
     """(tau per snapshot, t_max midpoint, bracket width); validates resolution."""
     est = estimate_extinction_time(traj)
-    t_max = 0.5 * (est.bracket_low + est.bracket_high)
     width = est.bracket_high - est.bracket_low
-    remaining = t_max - traj.times[0]
+    remaining = est.t_max - traj.times[0]
     if width > 0.2 * remaining:
         raise ExtinctionUnresolved(
             f"extinction bracket width {width:.3g} exceeds 20% of remaining {remaining:.3g}"
         )
-    return t_max - traj.times, t_max, width
+    return est.t_max - traj.times, est.t_max, width
 
 
 def crossing_angles(traj: Trajectory) -> np.ndarray:

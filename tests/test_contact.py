@@ -80,6 +80,10 @@ class TestProjection:
         dev = np.abs(again.points - lifted.points).max()
         assert dev < 1e-8 * curve_length(contact.project(lifted))
 
+    def test_projection_kept(self, lifted_lemniscate):
+        _, lifted = lifted_lemniscate
+        assert contact.project(lifted) is contact.project(lifted)
+
     def test_projection_of_non_legendrian(self):
         u = 2 * np.pi * np.arange(64) / 64
         curve = contact.SpaceCurve(np.column_stack([np.cos(u), np.sin(u), np.cos(3 * u)]))

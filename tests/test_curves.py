@@ -104,10 +104,6 @@ class TestStencil:
         jet = cv.stencil(pts, du)
         for got, want in zip(jet, (d1, d2, g2, kappa)):
             assert np.array_equal(got, want)
-        first = cv.stencil(pts, du, second=False)
-        assert np.array_equal(first.d1, d1)
-        assert np.array_equal(first.g2, g2)
-        assert first.d2 is None and first.kappa is None
 
     @pytest.mark.parametrize("n", [16, 17, 256, 512])
     def test_one_dimensional_matches_roll_reference(self, n):
@@ -119,7 +115,6 @@ class TestStencil:
             assert np.array_equal(jet.d1, d1)
             assert np.array_equal(jet.d2, d2)
             assert jet.g2 is None and jet.kappa is None
-            assert np.array_equal(cv.stencil(values, du, second=False).d1, d1)
 
     @pytest.mark.parametrize("n", [16, 17, 256, 512])
     def test_segment_lengths_match_roll_norm(self, n):
@@ -127,7 +122,8 @@ class TestStencil:
         old = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
         assert np.array_equal(cv.segment_lengths(PlaneCurve(pts)), old)
 
-    @pytest.mark.parametrize("fn", [cv.curvature, cv.speed_squared, cv.tangent_angle])
+    @pytest.mark.parametrize(
+        "fn", [cv.curvature, cv.speed_squared, cv.tangent_angle, cv.signed_area])
     def test_degenerate_tangent_below_floor(self, fn):
         # The parameter speed of a circle of radius r is r, so g2 = r^2
         # straddles the 1e-24 floor between these two radii.
@@ -136,6 +132,43 @@ class TestStencil:
             fn(make_circle(1e-13, 64))
         with pytest.raises(DegenerateTangent):
             fn(PlaneCurve(np.tile([[0.0, 0.0], [1.0, 1.0]], (16, 1))))
+
+
+class TestJet:
+    @pytest.mark.parametrize("n", [16, 17, 256, 512])
+    def test_cached_and_equal_to_stencil(self, n):
+        curve = PlaneCurve(wobbly_points(n, seed=n))
+        assert curve.jet is curve.jet
+        for got, want in zip(curve.jet, cv.stencil(curve.points, curve.du)):
+            assert np.array_equal(got, want)
+
+    def test_read_only(self):
+        curve = make_ellipse(2.0, 1.0, 64)
+        assert not any(values.flags.writeable for values in curve.jet)
+        with pytest.raises(ValueError):
+            cv.curvature(curve)[0] = 0.0
+        with pytest.raises(ValueError):
+            cv.derivatives(curve)[2][0] = 0.0
+
+    def test_degenerate_jet_not_kept(self):
+        curve = make_circle(1e-13, 64)
+        for _ in range(2):
+            with pytest.raises(DegenerateTangent):
+                curve.jet
+
+    def test_compute_record_evaluates_one_stencil(self, monkeypatch):
+        from eightflow.diagnostics import compute_record
+        curve = make_bernoulli_lemniscate(1.0, 256)
+        calls = []
+        original = cv.stencil
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cv, "stencil", counting)
+        compute_record(curve, 0.0)
+        assert len(calls) == 1
 
 
 class TestCurvature:

@@ -118,7 +118,7 @@ class TestStep:
     def test_step_rejected_after_halvings(self):
         config = FlowConfig()
         state = FlowState(curve=make_circle(1.0, 64), t=0.0, step=0)
-        bad_speed = lambda curve, kappa: np.full(curve.n, np.nan)
+        bad_speed = lambda curve: np.full(curve.n, np.nan)
         with pytest.raises(StepRejected):
             step(state, config, speed_fn=bad_speed)
 

@@ -209,7 +209,7 @@ class TestEvolve:
             from eightflow import gradients
             speed_fn = {
                 "diffusion": gradients.curve_diffusion_speed,
-                "h1": lambda c, k: gradients.h1_gradient(c, k)[1],
+                "h1": lambda c: gradients.h1_gradient(c)[1],
                 "indefinite": gradients.indefinite_speed,
             }[kind]
             for _ in range(150):
