@@ -108,8 +108,8 @@ def curve_diffusion_speed(curve: cv.PlaneCurve) -> np.ndarray:
     return -_d2_ds2(cv.curvature(curve), cv.segment_lengths(curve))
 
 
-def h1_gradient(curve: cv.PlaneCurve) -> tuple[ArclengthField, np.ndarray]:
-    """Solve (I - d^2/ds^2) zeta = kappa_s; return (zeta, normal speed -zeta_s).
+def _h1_solve(curve: cv.PlaneCurve) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(spacing, kappa_s, zeta) of the solve (I - d^2/ds^2) zeta = kappa_s.
 
     The cyclic tridiagonal system is solved directly; the solve residual must
     come out below 1e-8 (it cannot fail for positive spacing, checked
@@ -127,6 +127,12 @@ def h1_gradient(curve: cv.PlaneCurve) -> tuple[ArclengthField, np.ndarray]:
     residual = np.abs(zeta - _d2_ds2(zeta, b) - kappa_s).max()
     if residual > _H1_RESIDUAL_TOL * max(1.0, np.abs(kappa_s).max()):
         raise SolveFailed(f"h1 solve residual {residual:.3e} above tolerance")
+    return b, kappa_s, zeta
+
+
+def h1_gradient(curve: cv.PlaneCurve) -> tuple[ArclengthField, np.ndarray]:
+    """Solve (I - d^2/ds^2) zeta = kappa_s; return (zeta, normal speed -zeta_s)."""
+    b, _, zeta = _h1_solve(curve)
     return ArclengthField(zeta, b), -_d_ds(zeta, b)
 
 
@@ -137,11 +143,8 @@ def h1_weak_form_defect(curve: cv.PlaneCurve) -> float:
     summation by parts against the divergence-form solve is exact; the defect
     is therefore at the level of the solve residual.
     """
-    spacing = cv.segment_lengths(curve)
-    kappa_s = _d_ds(cv.curvature(curve), spacing)
-    zeta_field, _ = h1_gradient(curve)
-    zeta = zeta_field.values
-    w = zeta_field.weights
+    spacing, kappa_s, zeta = _h1_solve(curve)
+    w = ArclengthField(zeta, spacing).weights
     lhs = float((zeta * kappa_s * w).sum())
     staggered = (cv.cyclic_next(zeta) - zeta) ** 2 / spacing
     rhs = float((zeta * zeta * w).sum() + staggered.sum())

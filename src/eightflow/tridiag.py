@@ -2,7 +2,9 @@
 
 Sherman-Morrison reduction of the two corner entries to a rank-one update
 over a plain tridiagonal solve, done in banded form via LAPACK.  O(N) cost,
-exact up to round-off for diagonally dominant systems.
+exact up to round-off for diagonally dominant systems.  The right-hand side
+is one column (N,) or k columns (N, k); the columns share one banded solve,
+with the Sherman-Morrison column appended last.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ def solve_cyclic(
 
         A[i, i-1 mod N] = lower[i],  A[i, i] = diag[i],  A[i, i+1 mod N] = upper[i].
 
-    lower[0] and upper[N-1] are the cyclic corner entries.
+    lower[0] and upper[N-1] are the cyclic corner entries.  `rhs` is (N,) or
+    (N, k), and x has the same shape.
     """
     lower = np.asarray(lower, dtype=float)
     diag = np.asarray(diag, dtype=float)
@@ -51,10 +54,11 @@ def solve_cyclic(
         y = solve_banded((1, 1), ab, np.column_stack([rhs, u]))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
         raise SolveFailed(str(exc)) from exc
-    x0, q = y[:, 0], y[:, 1]
+    x0, q = y[:, :-1], y[:, -1]
     # v = (1, 0, ..., 0, alpha/gamma)
     denom = 1.0 + q[0] + (alpha / gamma) * q[-1]
     if denom == 0.0 or not np.isfinite(denom):
         raise SolveFailed("singular rank-one correction in cyclic solve")
     factor = (x0[0] + (alpha / gamma) * x0[-1]) / denom
-    return x0 - factor * q
+    x = x0 - factor * q[:, None]
+    return x[:, 0] if rhs.ndim == 1 else x

@@ -40,21 +40,47 @@ def arclength_positions(curve):
     return np.concatenate([[0.0], np.cumsum(seg[:-1])])
 
 
+def random_cyclic_system(rng, n):
+    """(lower, diag, upper, dense) of a diagonally dominant cyclic system."""
+    lower = rng.uniform(-1, 0, n)
+    upper = rng.uniform(-1, 0, n)
+    diag = 3.0 + rng.uniform(0, 1, n)
+    dense = np.zeros((n, n))
+    for i in range(n):
+        dense[i, i] = diag[i]
+        dense[i, (i - 1) % n] = lower[i]
+        dense[i, (i + 1) % n] = upper[i]
+    return lower, diag, upper, dense
+
+
 class TestCyclicTridiagonal:
     def test_against_dense_solve(self):
         rng = np.random.default_rng(3)
         for n in (8, 64, 257):
-            lower = rng.uniform(-1, 0, n)
-            upper = rng.uniform(-1, 0, n)
-            diag = 3.0 + rng.uniform(0, 1, n)
+            lower, diag, upper, dense = random_cyclic_system(rng, n)
             rhs = rng.standard_normal(n)
-            dense = np.zeros((n, n))
-            for i in range(n):
-                dense[i, i] = diag[i]
-                dense[i, (i - 1) % n] = lower[i]
-                dense[i, (i + 1) % n] = upper[i]
             x = solve_cyclic(lower, diag, upper, rhs)
             assert np.abs(x - np.linalg.solve(dense, rhs)).max() < 1e-11
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_multi_column_against_dense_solve(self, k):
+        rng = np.random.default_rng(k)
+        for n in (8, 64, 257):
+            lower, diag, upper, dense = random_cyclic_system(rng, n)
+            rhs = rng.standard_normal((n, k))
+            x = solve_cyclic(lower, diag, upper, rhs)
+            assert x.shape == (n, k)
+            assert np.abs(x - np.linalg.solve(dense, rhs)).max() < 1e-11
+
+    def test_one_column_bitwise_equal_to_two_dimensional(self):
+        rng = np.random.default_rng(5)
+        for n in (3, 16, 17, 256, 512):
+            lower, diag, upper, _ = random_cyclic_system(rng, n)
+            rhs = rng.standard_normal((n, 3))
+            x = solve_cyclic(lower, diag, upper, rhs)
+            for k in range(3):
+                assert solve_cyclic(lower, diag, upper, rhs[:, k]).tobytes() \
+                    == x[:, k].tobytes()
 
     def test_too_small_system(self):
         with pytest.raises(SolveFailed):

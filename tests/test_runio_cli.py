@@ -1,12 +1,16 @@
 """Run directory persistence and the command-line interface."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eightflow
 from eightflow import runio, solitons
 from eightflow.cli import _GENERATORS, main
 from eightflow.errors import RowCountMismatch, ValidationError
@@ -261,3 +265,17 @@ class TestCLI:
     def test_missing_run_dir_exits_3(self, tmp_path, capsys):
         assert main(["lift", str(tmp_path / "no_such_run")]) == 3
         assert capsys.readouterr().err.startswith("ERROR FileNotFoundError")
+
+
+class TestImportGraph:
+    def test_cli_import_skips_scipy_interpolate_and_special(self):
+        # Each costs import time and resident memory in every CLI process.
+        src = str(Path(eightflow.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = ("import sys, eightflow.cli; "
+                "print(sorted(m for m in ('scipy.interpolate', 'scipy.special') "
+                "if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
