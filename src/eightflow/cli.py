@@ -27,7 +27,7 @@ from .curves import (
 )
 from .diagnostics import compute_record
 from .errors import EightflowError, ValidationError
-from .flow import FlowConfig, Trajectory, estimate_extinction_time, run
+from .flow import FlowConfig, Trajectory, checked_numbers, estimate_extinction_time, run
 from .gradients import FLOW_KINDS, evolve_gradient_flow
 from .shapes import (
     make_asymmetric_eight,
@@ -49,6 +49,9 @@ _GENERATOR_DEFAULTS = {"a": 1.0, "b": 1.0, "r": 1.0, "ratio": 1.5, "n": 256}
 _GENERATOR_HELP = {"a": "scale / semi-axis", "b": "ellipse minor semi-axis",
                    "r": "circle radius", "ratio": "eight loop ratio",
                    "n": "sample count"}
+# `evolve` flags that override one RunSpec's values; none applies to several.
+_RUN_FLAGS = ("curve", "generator", "flow", "out_dir", "times", "t_end",
+              *(f.name for f in fields(FlowConfig)), "monitors")
 
 
 def _add_generator_args(parser: argparse.ArgumentParser, flag: str) -> None:
@@ -86,12 +89,15 @@ def _load_curve(path: str) -> PlaneCurve:
     return curve_from_csv(path)
 
 
-def _config_from(values: dict) -> FlowConfig:
-    allowed = {f.name for f in fields(FlowConfig)}
-    unknown = set(values) - allowed
-    if unknown:
-        raise ValidationError(f"unknown FlowConfig fields: {sorted(unknown)}")
-    return FlowConfig(**values)
+def _read_spec(path: str) -> dict:
+    """One RunSpec file: a JSON object, or ValidationError."""
+    try:
+        spec = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ValidationError(f"RunSpec {path} is not JSON: {exc}") from exc
+    if not isinstance(spec, dict):
+        raise ValidationError(f"RunSpec {path} is not a JSON object")
+    return spec
 
 
 def _evolve_one(spec: dict) -> Path:
@@ -104,14 +110,16 @@ def _run_spec(spec: dict) -> tuple[Trajectory, Path]:
     if spec.get("curve_file"):
         curve = _load_curve(spec["curve_file"])
     else:
-        gen = dict(spec.get("generator") or {})
-        name = gen.pop("name", None)
+        gen = spec.get("generator") or {}
+        name = gen.get("name") if isinstance(gen, dict) else None
         if name not in _GENERATORS:
             raise ValidationError(f"unknown generator {name!r}")
-        curve = _GENERATORS[name](argparse.Namespace(**{**_GENERATOR_DEFAULTS, **gen}))
+        params = {k: v for k, v in gen.items() if k != "name"}
+        checked_numbers(params, _GENERATOR_DEFAULTS, "generator parameter")
+        curve = _GENERATORS[name](argparse.Namespace(**{**_GENERATOR_DEFAULTS, **params}))
 
     flow_kind = spec.get("flow", "csf")
-    config = _config_from(spec.get("config") or {})
+    config = FlowConfig.from_dict(spec.get("config") or {})
     times = spec.get("output_times") or ()
     t_end = spec.get("t_end")
     out_dir = spec.get("out_dir")
@@ -152,9 +160,11 @@ def cmd_evolve(args) -> int:
     base: dict = {}
     spec_files = args.spec or []
     if len(spec_files) > 1:
-        if args.curve or args.out_dir:
-            raise ValidationError("--curve/--out-dir cannot combine with multiple specs")
-        specs = [json.loads(Path(p).read_text()) for p in spec_files]
+        given = [name for name in _RUN_FLAGS if getattr(args, name) is not None]
+        if given:
+            flags = ", ".join("--" + name.replace("_", "-") for name in given)
+            raise ValidationError(f"{flags} cannot combine with multiple specs")
+        specs = [_read_spec(p) for p in spec_files]
         jobs = max(1, args.jobs)
         if jobs > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -165,7 +175,7 @@ def cmd_evolve(args) -> int:
                 print(f"run complete: {_evolve_one(spec)}")
         return 0
     if spec_files:
-        base = json.loads(Path(spec_files[0]).read_text())
+        base = _read_spec(spec_files[0])
 
     # Flags override file values.
     if args.curve:

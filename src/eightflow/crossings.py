@@ -4,7 +4,7 @@ Crossings are exact segment-segment intersections of the discrete polyline;
 the continuous curve's crossing point is recovered to O(h^2), which is
 sufficient for every monitor built on top.  Near-coincident hits from
 adjacent segment pairs (a crossing landing on or next to a shared vertex)
-are merged into a single reported crossing.
+are merged into one crossing: a segment pair and a point.
 
 The full scan finds its candidate pairs with a sort-and-sweep broad phase
 (Bentley & Ottmann, IEEE Trans. Comput. C-28, 1979): the segments' padded
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import PlaneCurve, curve_length, cyclic_next, shoelace_area
-from .errors import InvalidSplit, TangentialCrossing
+from .errors import TangentialCrossing
 
 # Parameter slack for the in-segment test; intersections this close to a
 # segment end still count, and the cluster merge removes duplicates.
@@ -38,19 +38,12 @@ class Crossing:
     segments: indices (i, j) of the two polyline segments that intersect,
         i < j; segment k runs from sample k to sample k+1 mod N.
     point: planar coordinates of the intersection.
-    split: the two parameter arcs (vertex index arrays) forming the two
-        loops; together they partition range(N).
+
+    The two loops are the vertices i+1, ..., j and j+1, ..., i (mod N).
     """
 
     segments: tuple[int, int]
     point: np.ndarray
-    split: tuple[np.ndarray, np.ndarray]
-
-
-def _arc_indices(start: int, stop: int, n: int) -> np.ndarray:
-    """Vertex indices start+1, ..., stop (cyclic, inclusive)."""
-    length = (stop - start) % n
-    return (start + 1 + np.arange(length)) % n
 
 
 def _candidate_hits(curve: PlaneCurve, ii: np.ndarray, jj: np.ndarray):
@@ -103,7 +96,6 @@ def _merge_hits(curve: PlaneCurve, ii, jj, t, v, points) -> list[Crossing]:
     """Collapse near-coincident hits into one Crossing each."""
     if len(ii) == 0:
         return []
-    n = curve.n
     # Interiority score: hits nearest their segment midpoints represent a
     # merged cluster best.
     score = np.abs(t - 0.5) + np.abs(v - 0.5)
@@ -117,11 +109,7 @@ def _merge_hits(curve: PlaneCurve, ii, jj, t, v, points) -> list[Crossing]:
         if any(np.hypot(*(p - q)) <= merge_tol for q in kept_points):
             continue
         kept_points.append(p)
-        i = int(ii[k])
-        j = int(jj[k])
-        arc1 = _arc_indices(i, j, n)
-        arc2 = _arc_indices(j, i, n)
-        crossings.append(Crossing(segments=(i, j), point=p.copy(), split=(arc1, arc2)))
+        crossings.append(Crossing(segments=(int(ii[k]), int(jj[k])), point=p.copy()))
     crossings.sort(key=lambda c: c.segments)
     return crossings
 
@@ -177,8 +165,8 @@ def find_crossing_near(curve: PlaneCurve, seg_pair: tuple[int, int]) -> Crossing
     """Search for a single crossing near a previously known segment pair.
 
     Scans pairs within `_NEAR_WINDOW` segments of (i, j); returns None when
-    that neighborhood holds no crossing (caller should fall back to a full
-    scan).  Much cheaper than the full scan while a crossing drifts slowly.
+    that neighborhood holds no crossing.  No cheaper than the swept full scan
+    and unused by the run; kept for the benchmark, which looks it up by name.
     """
     n = curve.n
     i0, j0 = seg_pair
@@ -211,23 +199,20 @@ def _collinear_overlap(p1, p2, q1, q2) -> bool:
 def loop_areas(curve: PlaneCurve, crossing: Crossing) -> tuple[float, float]:
     """Unsigned shoelace areas (A1, A2) of the two loops at the crossing.
 
-    Each loop polygon is the crossing point followed by its arc's vertices.
+    Each loop polygon is the crossing point followed by its loop's vertices.
     A1 + A2 is the total enclosed area; for a figure-eight the signed area is
     their difference, up to orientation.
     """
-    arc1, arc2 = crossing.split
-    merged = np.sort(np.concatenate([arc1, arc2]))
-    if len(merged) != curve.n or (merged != np.arange(curve.n)).any():
-        raise InvalidSplit("crossing arcs do not partition the sample indices")
     a1, a2 = loop_signed_areas(curve, crossing)
     return abs(a1), abs(a2)
 
 
 def loop_signed_areas(curve: PlaneCurve, crossing: Crossing) -> tuple[float, float]:
     """Signed shoelace areas of the two loops (orientation preserved)."""
-    arc1, arc2 = crossing.split
-    poly1 = np.vstack([crossing.point, curve.points[arc1]])
-    poly2 = np.vstack([crossing.point, curve.points[arc2]])
+    i, j = crossing.segments
+    pts = curve.points
+    poly1 = np.vstack([crossing.point, pts[i + 1:j + 1]])
+    poly2 = np.vstack([crossing.point, pts[j + 1:], pts[:i + 1]])
     return shoelace_area(poly1), shoelace_area(poly2)
 
 

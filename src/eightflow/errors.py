@@ -30,10 +30,6 @@ class TangentialCrossing(NumericalError):
     """Two polyline segments overlap collinearly; crossing is flagged, not resolved."""
 
 
-class InvalidSplit(ValidationError):
-    """A crossing's arcs do not partition the sample indices."""
-
-
 class AllFlat(NumericalError):
     """Every curvature sample is below the inflection-counting threshold."""
 

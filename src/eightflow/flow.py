@@ -18,14 +18,14 @@ the image of the flow but keeps nodes from clustering at high curvature.
 Stopping is two-fold: the resolution criterion max|kappa| * h_min >
 stop_kappa_h is checked before every step (curvature blows up at the
 singular time and the mesh cannot follow it); the area criterion
-|A| < stop_area_frac * |A|_0 and loss of the tracked self-intersection are
+|A| < stop_area_frac * |A|_0 and the loss of every self-intersection are
 checked at the remesh cadence by the run loop, which owns the initial-area
 reference.  No attempt is made to continue past a topology change.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -40,6 +40,7 @@ from .errors import (
     MaxStepsExceeded,
     SingularityReached,
     StepRejected,
+    ValidationError,
 )
 
 # Signed normal speed of a curve; derivatives come from `curve.jet`.
@@ -68,6 +69,20 @@ def _stage_velocity(curve: cv.PlaneCurve, speed_fn: SpeedFn) -> np.ndarray:
     return velocity
 
 
+def checked_numbers(values, defaults: dict, what: str) -> dict:
+    """`values` if it is a dict of known parameters, each a number of its
+    default's type (an int may stand for a float); else ValidationError."""
+    if not isinstance(values, dict):
+        raise ValidationError(f"{what}s must be a JSON object, not {values!r}")
+    for name, value in values.items():
+        if name not in defaults:
+            raise ValidationError(f"unknown {what} {name!r}")
+        kind = type(defaults[name])
+        if isinstance(value, bool) or not isinstance(value, (kind, int)):
+            raise ValidationError(f"{what} {name!r} must be {kind.__name__}, not {value!r}")
+    return values
+
+
 @dataclass(frozen=True)
 class FlowConfig:
     """Stability and stopping knobs shared by all flow kinds."""
@@ -88,6 +103,12 @@ class FlowConfig:
             raise InvalidCurve(f"stop_area_frac {self.stop_area_frac} outside (0, 1)")
         if self.remesh_every < 1 or self.max_steps < 1:
             raise InvalidCurve("remesh_every and max_steps must be >= 1")
+
+    @classmethod
+    def from_dict(cls, values) -> FlowConfig:
+        """The config of a JSON object of field values (see `checked_numbers`)."""
+        defaults = {f.name: f.default for f in fields(cls)}
+        return cls(**checked_numbers(values, defaults, "FlowConfig field"))
 
 
 @dataclass(frozen=True)
@@ -164,29 +185,6 @@ def step(
     return FlowState(curve=new_curve, t=state.t + dt, step=new_step)
 
 
-class _CrossingTracker:
-    """Cheap area_total and crossing-count measurements between snapshots.
-
-    A single self-intersection moves only a few segments between checks, so
-    it is searched for in a window around its last known segment pair; a full
-    scan is the fallback.  Embedded curves short-circuit to |signed area|.
-    The area follows `compute_record`'s rule, so the run's area stop compares
-    like with like.  The tracker starts from the initial snapshot's record.
-    """
-
-    def __init__(self, record: DiagnosticsRecord):
-        self.embedded = record.crossing_count == 0
-        self.segments = record.crossing_segments if record.crossing_count == 1 else None
-
-    def measure(self, curve: cv.PlaneCurve) -> tuple[float, int]:
-        found = []
-        if not self.embedded:
-            hit = self.segments and cx.find_crossing_near(curve, self.segments)
-            found = [hit] if hit else cx.find_self_intersections(curve)
-            self.segments = found[0].segments if len(found) == 1 else None
-        return loop_split(curve, found)[2], len(found)
-
-
 def run(
     initial: cv.PlaneCurve,
     config: FlowConfig,
@@ -207,23 +205,24 @@ def run(
     state = FlowState(curve=initial, t=0.0, step=0)
     first_record = compute_record(initial, 0.0)
     area0 = first_record.area_total
-    tracker = _CrossingTracker(first_record)
+    embedded = first_record.crossing_count == 0
 
     states = [state]
     records = [first_record]
     pending = sorted({float(t) for t in output_times if t > 0})
     stop_reason = None
     # Area/topology checks are cheap; keep a floor on their cadence even when
-    # remeshing is effectively disabled.
+    # remeshing is effectively disabled.  compute_record's scan and area rule
+    # keep the stop like with like; an embedded run skips the scan.
     check_every = max(1, min(config.remesh_every, 64))
 
     while stop_reason is None:
         if state.step % check_every == 0:
-            area, n_cross = tracker.measure(state.curve)
-            if area < config.stop_area_frac * area0:
+            found = [] if embedded else cx.find_self_intersections(state.curve)
+            if loop_split(state.curve, found)[2] < config.stop_area_frac * area0:
                 stop_reason = "area"
                 break
-            if not tracker.embedded and n_cross == 0:
+            if not embedded and not found:
                 stop_reason = "topology"
                 break
         if t_end is not None and state.t >= t_end - 1e-15:

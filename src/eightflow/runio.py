@@ -20,7 +20,7 @@ import numpy as np
 from . import contact
 from .curves import curve_from_csv, curve_to_csv
 from .diagnostics import DiagnosticsRecord, compute_record
-from .errors import RowCountMismatch
+from .errors import RowCountMismatch, ValidationError
 from .flow import FlowConfig, FlowState, Trajectory
 
 
@@ -48,20 +48,31 @@ def save_run(traj: Trajectory, run_dir: str | Path) -> Path:
 
 
 def load_run(run_dir: str | Path) -> Trajectory:
+    """The trajectory of a stored run; its records are recomputed.
+
+    Raises ValidationError when metadata.json is not JSON or lacks a key, or
+    when its config is not a valid FlowConfig.
+    """
     run_dir = Path(run_dir)
-    with open(run_dir / "metadata.json") as fh:
-        meta = json.load(fh)
+    path = run_dir / "metadata.json"
+    try:
+        meta = json.loads(path.read_text())
+        snapshots = list(zip(meta["snapshot_times"], meta["snapshot_steps"]))
+        stop_reason, flow_kind = meta["stop_reason"], meta["flow_kind"]
+        config = FlowConfig.from_dict(meta["config"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValidationError(f"malformed {path}: {exc!r}") from exc
     states = []
-    for k, (t, step) in enumerate(zip(meta["snapshot_times"], meta["snapshot_steps"])):
+    for k, (t, step) in enumerate(snapshots):
         curve = curve_from_csv(run_dir / "snapshots" / f"snap_{k:04d}.csv")
         states.append(FlowState(curve=curve, t=t, step=step))
     records = [compute_record(s.curve, s.t) for s in states]
     return Trajectory(
         states=states,
         records=records,
-        stop_reason=meta["stop_reason"],
-        config=FlowConfig(**meta["config"]),
-        flow_kind=meta["flow_kind"],
+        stop_reason=stop_reason,
+        config=config,
+        flow_kind=flow_kind,
         unreached_outputs=meta.get("unreached_outputs", []),
     )
 

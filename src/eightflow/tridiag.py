@@ -1,16 +1,16 @@
 """Cyclic (periodic) tridiagonal direct solver.
 
 Sherman-Morrison reduction of the two corner entries to a rank-one update
-over a plain tridiagonal solve, done in banded form via LAPACK.  O(N) cost,
-exact up to round-off for diagonally dominant systems.  The right-hand side
-is one column (N,) or k columns (N, k); the columns share one banded solve,
+over a plain tridiagonal solve, done by LAPACK's dgtsv.  O(N) cost, exact up
+to round-off for diagonally dominant systems.  The right-hand side is one
+column (N,) or k columns (N, k); the columns share one tridiagonal solve,
 with the Sherman-Morrison column appended last.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .errors import SolveFailed
 
@@ -23,7 +23,8 @@ def solve_cyclic(
         A[i, i-1 mod N] = lower[i],  A[i, i] = diag[i],  A[i, i+1 mod N] = upper[i].
 
     lower[0] and upper[N-1] are the cyclic corner entries.  `rhs` is (N,) or
-    (N, k), and x has the same shape.
+    (N, k), and x has the same shape.  Raises SolveFailed on a non-finite
+    entry in the system or the solution.
     """
     lower = np.asarray(lower, dtype=float)
     diag = np.asarray(diag, dtype=float)
@@ -32,6 +33,9 @@ def solve_cyclic(
     n = diag.size
     if n < 3:
         raise SolveFailed("cyclic tridiagonal system needs at least 3 unknowns")
+    if not (np.isfinite(lower).all() and np.isfinite(diag).all()
+            and np.isfinite(upper).all() and np.isfinite(rhs).all()):
+        raise SolveFailed("non-finite entry in cyclic tridiagonal system")
 
     alpha = lower[0]      # A[0, n-1]
     beta = upper[-1]      # A[n-1, 0]
@@ -41,19 +45,13 @@ def solve_cyclic(
     d_mod[0] -= gamma
     d_mod[-1] -= alpha * beta / gamma
 
-    ab = np.zeros((3, n))
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = d_mod
-    ab[2, :-1] = lower[1:]
-
     u = np.zeros(n)
     u[0] = gamma
     u[-1] = beta
 
-    try:
-        y = solve_banded((1, 1), ab, np.column_stack([rhs, u]))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        raise SolveFailed(str(exc)) from exc
+    *_, y, info = dgtsv(lower[1:], d_mod, upper[:-1], np.column_stack([rhs, u]))
+    if info != 0:
+        raise SolveFailed(f"tridiagonal solve failed (LAPACK info {info})")
     x0, q = y[:, :-1], y[:, -1]
     # v = (1, 0, ..., 0, alpha/gamma)
     denom = 1.0 + q[0] + (alpha / gamma) * q[-1]
@@ -61,4 +59,6 @@ def solve_cyclic(
         raise SolveFailed("singular rank-one correction in cyclic solve")
     factor = (x0[0] + (alpha / gamma) * x0[-1]) / denom
     x = x0 - factor * q[:, None]
+    if not np.isfinite(x).all():
+        raise SolveFailed("non-finite solution of cyclic tridiagonal system")
     return x[:, 0] if rhs.ndim == 1 else x

@@ -6,7 +6,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eightflow.crossings import (
-    Crossing,
     _candidate_hits,
     _merge_hits,
     crossing_interior_angle,
@@ -14,8 +13,8 @@ from eightflow.crossings import (
     loop_areas,
     loop_signed_areas,
 )
-from eightflow.curves import PlaneCurve, signed_area
-from eightflow.errors import InvalidSplit, TangentialCrossing
+from eightflow.curves import PlaneCurve, shoelace_area, signed_area
+from eightflow.errors import TangentialCrossing
 from eightflow.shapes import make_bernoulli_lemniscate, make_circle
 
 
@@ -151,12 +150,6 @@ class TestFinder:
             b = curve.points[(seg + 1) % curve.n]
             assert dist_to_segment(crossing.point, a, b) < tol
 
-    def test_split_partitions_indices(self):
-        curve = make_bernoulli_lemniscate(1.0, 128)
-        crossing = find_self_intersections(curve)[0]
-        merged = np.sort(np.concatenate(crossing.split))
-        assert np.array_equal(merged, np.arange(128))
-
     def test_hand_built_bowtie_matches_oracle(self):
         # Bowtie quadrilateral, densified to satisfy the sample-count floor.
         corners = np.array([[0.0, 0.0], [2.0, 1.0], [2.0, 0.0], [0.0, 1.0]])
@@ -226,15 +219,26 @@ class TestLoops:
         a1, a2 = loop_areas(curve, crossing)
         assert abs((a1 + a2) - 4.0) < 8e-6
 
-    def test_invalid_split_rejected(self):
-        curve = make_circle(1.0, 64)
-        bogus = Crossing(
-            segments=(0, 5),
-            point=np.array([0.0, 0.0]),
-            split=(np.arange(1, 6), np.arange(6, 20)),
-        )
-        with pytest.raises(InvalidSplit):
-            loop_areas(curve, bogus)
+    @pytest.mark.parametrize("end", ["first", "last"])
+    def test_loops_across_the_index_wrap(self, end):
+        # Roll the samples until a crossing segment is 0 or N-1, so the
+        # second loop's vertex run wraps past the last index.  At N=250 the
+        # crossing is inside both segments, not on a sample, so dropping or
+        # repeating a loop vertex changes the areas.
+        base = make_bernoulli_lemniscate(1.0, 250)
+        i, j = find_self_intersections(base)[0].segments
+        shift = -i if end == "first" else base.n - 1 - j
+        curve = PlaneCurve(np.roll(base.points, shift, axis=0))
+        (crossing,) = find_self_intersections(curve)
+        i, j = crossing.segments
+        assert (i == 0) if end == "first" else (j == curve.n - 1)
+        n = curve.n
+        arcs = [np.arange(i + 1, j + 1), (j + 1 + np.arange((i - j) % n)) % n]
+        assert sorted(np.concatenate(arcs)) == list(range(n))
+        expected = [shoelace_area(np.vstack([crossing.point, curve.points[arc]]))
+                    for arc in arcs]
+        assert list(loop_signed_areas(curve, crossing)) == expected
+        assert loop_areas(curve, crossing) == tuple(abs(a) for a in expected)
 
     def test_signed_loop_areas_sum_to_signed_area(self):
         curve = make_bernoulli_lemniscate(1.0, 256)

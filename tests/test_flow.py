@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import measured_radius
+from eightflow import flow
 from eightflow.crossings import find_self_intersections
 from eightflow.curves import PlaneCurve, curve_length, segment_lengths
-from eightflow.diagnostics import compute_record
+from eightflow.diagnostics import compute_record, loop_split
 from eightflow.errors import (
     AreaNotDecreasing,
     MaxStepsExceeded,
@@ -17,7 +18,6 @@ from eightflow.flow import (
     FlowConfig,
     FlowState,
     Trajectory,
-    _CrossingTracker,
     csf_velocity,
     estimate_extinction_time,
     run,
@@ -285,17 +285,29 @@ def lissajous(k: int, n: int = 256) -> PlaneCurve:
 
 
 class TestCrossingTracker:
+    """The run's area and topology check at its cadence."""
+
     @pytest.mark.parametrize("curve, crossings", [
         (make_circle(1.0, 256), 0),
         (make_bernoulli_lemniscate(1.0, 256), 1),
         (lissajous(3), 2),
         (lissajous(5), 4),
     ])
-    def test_area_matches_record(self, curve, crossings):
-        # The run's area stop compares tracker areas with the first record's.
+    def test_area_matches_record(self, monkeypatch, curve, crossings):
+        # The run's area stop compares its check's area with the first record's.
+        checks = []
+
+        def spy(snapshot, found):
+            split = loop_split(snapshot, found)
+            checks.append((split[2], len(found)))
+            return split
+
+        monkeypatch.setattr(flow, "loop_split", spy)
         rec = compute_record(curve, 0.0)
+        traj = run(curve, FlowConfig(), t_end=0.0)
+        assert traj.stop_reason == "time"
         assert rec.crossing_count == crossings
-        assert _CrossingTracker(rec).measure(curve) == (rec.area_total, crossings)
+        assert checks == [(rec.area_total, crossings)]
 
     def test_record_keeps_the_scanned_crossing(self):
         curve = make_bernoulli_lemniscate(1.0, 256)

@@ -86,6 +86,24 @@ class TestCyclicTridiagonal:
         with pytest.raises(SolveFailed):
             solve_cyclic(np.ones(2), np.ones(2), np.ones(2), np.ones(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("which", range(4))
+    def test_non_finite_entry_rejected(self, which, bad):
+        rng = np.random.default_rng(11)
+        lower, diag, upper, _ = random_cyclic_system(rng, 16)
+        system = [lower, diag, upper, rng.standard_normal(16)]
+        system[which][5] = bad
+        with pytest.raises(SolveFailed, match="non-finite entry"):
+            solve_cyclic(*system)
+
+    def test_overflowing_solution_rejected(self):
+        # A residual test cannot catch this: comparisons with NaN are False.
+        rng = np.random.default_rng(12)
+        lower, diag, upper, _ = random_cyclic_system(rng, 16)
+        tiny = 1e-300
+        with pytest.raises(SolveFailed, match="non-finite solution"):
+            solve_cyclic(tiny * lower, tiny * diag, tiny * upper, np.full(16, 1e10))
+
 
 class TestArclengthDerivative:
     def test_constant_field_zero(self):

@@ -89,6 +89,27 @@ class TestRunIO:
         assert (out / "snapshots" / "snap_0000.csv").read_text().startswith("u,x,y,z")
 
 
+class TestMalformedMetadata:
+    @pytest.mark.parametrize("damage", ["not-json", "no-snapshot-steps", "unknown-config-field"])
+    def test_rejected(self, small_run, tmp_path, capsys, damage):
+        run_dir = shutil.copytree(small_run[1], tmp_path / "run")
+        path = run_dir / "metadata.json"
+        meta = json.loads(path.read_text())
+        if damage == "no-snapshot-steps":
+            del meta["snapshot_steps"]
+        elif damage == "unknown-config-field":
+            meta["config"]["bogus"] = 1
+        path.write_text("{" if damage == "not-json" else json.dumps(meta))
+        with pytest.raises(ValidationError):
+            runio.load_run(run_dir)
+        for argv in (["lift", str(run_dir)],
+                     ["report", str(run_dir), "--monitor", "balanced"],
+                     ["compare-reaper", str(run_dir)]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("ERROR ValidationError:")
+
+
 class TestCLI:
     def test_generate_and_reload(self, tmp_path):
         out = tmp_path / "lem.csv"
@@ -252,6 +273,37 @@ class TestCLI:
         first = Path("snapshots") / "snap_0000.csv"
         assert (tmp_path / "spec" / first).read_bytes() == \
                (tmp_path / "flags" / first).read_bytes()
+
+    @pytest.mark.parametrize("text", [
+        "{not json",                                                  # not JSON
+        "[1, 2]",                                                     # not an object
+        '{"generator": {"name": "circle", "n": "64"}}',               # string n
+        '{"generator": {"name": "circle"}, "config": {"cfl": "0.1"}}',  # string cfl
+        '{"generator": {"name": "circle", "bogus": 3}}',              # unknown key
+    ], ids=["not-json", "not-object", "string-n", "string-cfl", "unknown-generator-key"])
+    def test_malformed_spec_exits_1(self, tmp_path, capsys, text):
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        out = tmp_path / "never"
+        assert main(["evolve", "--spec", str(path), "--t-end", "1e-6",
+                     "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ERROR ValidationError:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--cfl", "0.05"], ["--flow", "h1"],
+                                       ["--monitors", "balanced"], ["--t-end", "1"]])
+    def test_run_flags_with_several_specs_exit_1(self, tmp_path, capsys, flags):
+        specs = []
+        for k in range(2):
+            path = tmp_path / f"spec{k}.json"
+            path.write_text(json.dumps({"generator": {"name": "circle", "n": 64},
+                                        "t_end": 1e-6, "out_dir": str(tmp_path / f"job{k}")}))
+            specs.append(str(path))
+        assert main(["evolve", "--spec", *specs, *flags]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"ERROR ValidationError: {flags[0]} cannot combine with multiple specs"]
+        assert not (tmp_path / "job0").exists()
 
     def test_evolve_malformed_curve_exits_1(self, tmp_path, capsys):
         path = tmp_path / "short_row.csv"

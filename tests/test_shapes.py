@@ -81,13 +81,13 @@ class TestAsymmetricEight:
         crossing = find_self_intersections(curve)[0]
         kappa = curvature(curve)
         # Both curvature sign changes sit in one arc: the other loop is convex.
+        i, j = crossing.segments
         changes = []
-        for arc in crossing.split:
-            signs = np.sign(kappa[arc])
+        for arc in (kappa[i + 1:j + 1], np.concatenate([kappa[j + 1:], kappa[:i + 1]])):
+            signs = np.sign(arc)
             changes.append(int(np.count_nonzero(signs[1:] != signs[:-1])))
         assert sorted(changes) == [0, 2]
         # Crossing-passage curvature is nonzero (no double inflection there).
-        i, j = crossing.segments
         assert abs(kappa[i]) > 0.05 and abs(kappa[j]) > 0.05
 
     def test_ratio_bounds(self):
