@@ -59,7 +59,6 @@ from .shapes import (
 )
 from .monitors import (
     ALPHA0,
-    CollapseReport,
     Report,
     balanced_invariant_report,
     collapse_report,

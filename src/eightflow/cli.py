@@ -49,9 +49,24 @@ _GENERATOR_DEFAULTS = {"a": 1.0, "b": 1.0, "r": 1.0, "ratio": 1.5, "n": 256}
 _GENERATOR_HELP = {"a": "scale / semi-axis", "b": "ellipse minor semi-axis",
                    "r": "circle radius", "ratio": "eight loop ratio",
                    "n": "sample count"}
+_FLOW_DEFAULTS = {f.name: f.default for f in fields(FlowConfig)}
 # `evolve` flags that override one RunSpec's values; none applies to several.
 _RUN_FLAGS = ("curve", "generator", "flow", "out_dir", "times", "t_end",
-              *(f.name for f in fields(FlowConfig)), "monitors")
+              *_FLOW_DEFAULTS, "monitors")
+# RunSpec numbers outside the generator and the config, each with a value of
+# its type for `checked_numbers`.
+_SPEC_NUMBERS = {"t_end": 1.0, "M": 1.0, "alpha": 0.01}
+
+# Monitor reports by name; each reads its parameters from a RunSpec or from
+# the `report` flags.
+_MONITORS = {
+    "balanced": lambda traj, p: monitors.balanced_invariant_report(traj),
+    "collapse": lambda traj, p: monitors.collapse_report(
+        traj, p.get("alphas") or (0.005, 0.01, 0.0144)),
+    "isoperimetric": lambda traj, p: monitors.isoperimetric_report(
+        traj, p.get("M", 1.0), p.get("alpha", 0.01)),
+    "symmetry": lambda traj, p: monitors.symmetry_collapse_check(traj),
+}
 
 
 def _add_generator_args(parser: argparse.ArgumentParser, flag: str) -> None:
@@ -100,6 +115,45 @@ def _read_spec(path: str) -> dict:
     return spec
 
 
+def _check_spec(spec: dict) -> FlowConfig:
+    """The RunSpec's FlowConfig, once every value of the spec has been checked
+    to be usable and out_dir to hold no earlier run; else ValidationError."""
+    out_dir = spec.get("out_dir")
+    if not out_dir or not isinstance(out_dir, str):
+        raise ValidationError(f"RunSpec needs an out_dir path, not {out_dir!r}")
+    if (Path(out_dir) / "metadata.json").exists():
+        raise ValidationError(f"{out_dir} already holds a run; choose a new out_dir")
+    if spec.get("curve_file"):
+        if not isinstance(spec["curve_file"], str):
+            raise ValidationError(f"curve_file must be a path, not {spec['curve_file']!r}")
+    else:
+        gen = spec.get("generator") or {}
+        name = gen.get("name") if isinstance(gen, dict) else None
+        if not isinstance(name, str) or name not in _GENERATORS:
+            raise ValidationError(f"unknown generator {name!r}")
+        params = {k: v for k, v in gen.items() if k != "name"}
+        checked_numbers(params, _GENERATOR_DEFAULTS, "generator parameter")
+    if spec.get("flow", "csf") not in ("csf",) + FLOW_KINDS:
+        raise ValidationError(f"unknown flow kind {spec['flow']!r}")
+    # A null t_end means no end time; M and alpha have no such reading.
+    numbers = {k: v for k, v in spec.items()
+               if k in ("M", "alpha") or (k == "t_end" and v is not None)}
+    checked_numbers(numbers, _SPEC_NUMBERS, "RunSpec value")
+    for key in ("output_times", "alphas"):
+        values = spec.get(key) or []
+        if not isinstance(values, list):
+            raise ValidationError(f"RunSpec {key} must be a list of numbers, not {values!r}")
+        checked_numbers(dict(enumerate(values)), dict.fromkeys(range(len(values)), 1.0),
+                        f"{key} entry")
+    names = spec.get("monitors") or []
+    if not isinstance(names, list) or not all(
+            isinstance(name, str) and name in _MONITORS for name in names):
+        raise ValidationError(
+            f"RunSpec monitors must be a list of names from {sorted(_MONITORS)}, "
+            f"not {names!r}")
+    return FlowConfig.from_dict(spec.get("config") or {})
+
+
 def _evolve_one(spec: dict) -> Path:
     """Run one RunSpec dictionary; returns the run directory."""
     return _run_spec(spec)[1]
@@ -107,65 +161,46 @@ def _evolve_one(spec: dict) -> Path:
 
 def _run_spec(spec: dict) -> tuple[Trajectory, Path]:
     """Run, save and monitor one RunSpec; returns (trajectory, run directory)."""
+    config = _check_spec(spec)
     if spec.get("curve_file"):
         curve = _load_curve(spec["curve_file"])
     else:
-        gen = spec.get("generator") or {}
-        name = gen.get("name") if isinstance(gen, dict) else None
-        if name not in _GENERATORS:
-            raise ValidationError(f"unknown generator {name!r}")
-        params = {k: v for k, v in gen.items() if k != "name"}
-        checked_numbers(params, _GENERATOR_DEFAULTS, "generator parameter")
-        curve = _GENERATORS[name](argparse.Namespace(**{**_GENERATOR_DEFAULTS, **params}))
+        params = dict(spec["generator"])
+        make = _GENERATORS[params.pop("name")]
+        curve = make(argparse.Namespace(**{**_GENERATOR_DEFAULTS, **params}))
 
     flow_kind = spec.get("flow", "csf")
-    config = FlowConfig.from_dict(spec.get("config") or {})
     times = spec.get("output_times") or ()
     t_end = spec.get("t_end")
-    out_dir = spec.get("out_dir")
-    if not out_dir:
-        raise ValidationError("RunSpec needs an out_dir")
-
+    out_dir = spec["out_dir"]
     if flow_kind == "csf":
         traj = run(curve, config, times, t_end=t_end)
-    elif flow_kind in FLOW_KINDS:
-        traj = evolve_gradient_flow(curve, flow_kind, config, times, t_end=t_end)
     else:
-        raise ValidationError(f"unknown flow kind {flow_kind!r}")
+        traj = evolve_gradient_flow(curve, flow_kind, config, times, t_end=t_end)
 
     runio.save_run(traj, out_dir)
     for monitor in spec.get("monitors") or []:
-        rep = _run_monitor(traj, monitor, spec)
+        rep = _MONITORS[monitor](traj, spec)
         path = Path(out_dir) / f"report_{monitor}.json"
         path.write_text(rep.to_json() + "\n")
     return traj, Path(out_dir)
 
 
-def _run_monitor(traj, name: str, params: dict) -> monitors.Report:
-    if name == "balanced":
-        return monitors.balanced_invariant_report(traj)
-    if name == "collapse":
-        alphas = params.get("alphas") or (0.005, 0.01, 0.0144)
-        return monitors.collapse_report(traj, alphas).to_report()
-    if name == "isoperimetric":
-        return monitors.isoperimetric_report(
-            traj, params.get("M", 1.0), params.get("alpha", 0.01)
-        )
-    if name == "symmetry":
-        return monitors.symmetry_collapse_check(traj)
-    raise ValidationError(f"unknown monitor {name!r}")
-
-
 def cmd_evolve(args) -> int:
     base: dict = {}
     spec_files = args.spec or []
+    if args.jobs < 1:
+        raise ValidationError(f"--jobs must be at least 1, not {args.jobs}")
     if len(spec_files) > 1:
         given = [name for name in _RUN_FLAGS if getattr(args, name) is not None]
         if given:
             flags = ", ".join("--" + name.replace("_", "-") for name in given)
             raise ValidationError(f"{flags} cannot combine with multiple specs")
         specs = [_read_spec(p) for p in spec_files]
-        jobs = max(1, args.jobs)
+        for spec in specs:
+            _check_spec(spec)
+        # A fork-started pool forks all its workers at the first submit.
+        jobs = min(args.jobs, len(specs))
         if jobs > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 for out in pool.map(_evolve_one, specs):
@@ -193,8 +228,8 @@ def cmd_evolve(args) -> int:
         base["output_times"] = [float(tok) for tok in args.times.split(",") if tok]
     if args.t_end is not None:
         base["t_end"] = args.t_end
-    config = dict(base.get("config") or {})
-    for name in (f.name for f in fields(FlowConfig)):
+    config = dict(checked_numbers(base.get("config") or {}, _FLOW_DEFAULTS, "FlowConfig field"))
+    for name in _FLOW_DEFAULTS:
         value = getattr(args, name)
         if value is not None:
             config[name] = value
@@ -231,7 +266,7 @@ def cmd_report(args) -> int:
     params = {"M": args.M, "alpha": args.alpha}
     if args.alphas:
         params["alphas"] = [float(tok) for tok in args.alphas.split(",") if tok]
-    rep = _run_monitor(traj, args.monitor, params)
+    rep = _MONITORS[args.monitor](traj, params)
     out = Path(args.out or Path(args.run_dir) / f"report_{args.monitor}.json")
     out.write_text(rep.to_json() + "\n")
     print(rep.to_text())
@@ -304,8 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="run a monitor over a stored run")
     p.add_argument("run_dir")
-    p.add_argument("--monitor", required=True,
-                   choices=("balanced", "collapse", "isoperimetric", "symmetry"))
+    p.add_argument("--monitor", required=True, choices=sorted(_MONITORS))
     p.add_argument("--M", type=float, default=1.0)
     p.add_argument("--alpha", type=float, default=0.01)
     p.add_argument("--alphas", help="comma-separated alphas for collapse")

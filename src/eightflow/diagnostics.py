@@ -16,7 +16,9 @@ class DiagnosticsRecord:
     self-intersection, |signed area| otherwise (see `loop_split`).
     crossing_point and crossing_segments (the intersecting segment pair, as in
     `crossings.Crossing`) describe the first crossing found and are None when
-    the curve has none.  isoperimetric_q is L^2 / area_total.
+    the curve has none.  isoperimetric_q is L^2 / area_total.  theta_min, the
+    minimum of the unwrapped tangent angle (not a CSV column), is comparable
+    across snapshots while node 0 stays materially anchored, as in the flows.
     """
 
     t: float
@@ -27,6 +29,7 @@ class DiagnosticsRecord:
     loop_a2: float
     total_curvature: float
     osc_theta: float
+    theta_min: float
     inflections: int
     crossing_count: int
     crossing_point: tuple[float, float] | None
@@ -70,6 +73,8 @@ def compute_record(curve: cv.PlaneCurve, t: float) -> DiagnosticsRecord:
     found = cx.find_self_intersections(curve)
     a1, a2, area_total = loop_split(curve, found)
     q = length**2 / area_total if area_total > 0 else float("inf")
+    theta = cv.tangent_angle(curve)
+    lowest = float(theta.min())
     return DiagnosticsRecord(
         t=t,
         length=length,
@@ -78,7 +83,8 @@ def compute_record(curve: cv.PlaneCurve, t: float) -> DiagnosticsRecord:
         loop_a1=a1,
         loop_a2=a2,
         total_curvature=cv.total_curvature(curve),
-        osc_theta=cv.osc_theta(curve),
+        osc_theta=float(theta.max() - lowest),
+        theta_min=lowest,
         inflections=cv.inflection_count(curve),
         crossing_count=len(found),
         crossing_point=tuple(map(float, found[0].point)) if found else None,
@@ -86,13 +92,3 @@ def compute_record(curve: cv.PlaneCurve, t: float) -> DiagnosticsRecord:
         x_extent=cv.x_extent(curve),
         isoperimetric_q=q,
     )
-
-
-def theta_min(curve: cv.PlaneCurve) -> float:
-    """Minimum of the unwrapped tangent angle.
-
-    Comparable across snapshots of one trajectory as long as the tangent
-    direction at node 0 evolves continuously (true for the flow engines,
-    which keep node 0 materially anchored).
-    """
-    return float(cv.tangent_angle(curve).min())

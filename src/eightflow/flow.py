@@ -101,6 +101,8 @@ class FlowConfig:
             raise InvalidCurve(f"cfl4 {self.cfl4} outside (0, 0.5]")
         if not 0.0 < self.stop_area_frac < 1.0:
             raise InvalidCurve(f"stop_area_frac {self.stop_area_frac} outside (0, 1)")
+        if not 0.0 < self.stop_kappa_h < np.inf:
+            raise InvalidCurve(f"stop_kappa_h {self.stop_kappa_h} is not finite and positive")
         if self.remesh_every < 1 or self.max_steps < 1:
             raise InvalidCurve("remesh_every and max_steps must be >= 1")
 
@@ -265,12 +267,10 @@ def run(
 
 @dataclass(frozen=True)
 class ExtinctionEstimate:
-    """Least-squares extinction time with the area-decay bracket."""
+    """The area-decay bracket of the extinction time."""
 
-    t_point: float
     bracket_low: float
     bracket_high: float
-    slope: float
 
     @property
     def t_max(self) -> float:
@@ -279,29 +279,22 @@ class ExtinctionEstimate:
 
 
 def estimate_extinction_time(traj: Trajectory) -> ExtinctionEstimate:
-    """Extrapolate |A| -> 0 linearly in t.
+    """Bracket the time at which |A| -> 0 from the last snapshot.
 
-    The point estimate comes from the least-squares slope of |A| vs t.  The
-    bracket reflects the admissible area-decay rates: a figure-eight loses
-    total area at a rate between 2*pi and 4*pi, so extinction lies within
-    [t + |A|/(4*pi), t + |A|/(2*pi)] of the last snapshot; an embedded curve
-    loses exactly 2*pi, pinning extinction at t + |A|/(2*pi).
+    A figure-eight loses total area at a rate between 2*pi and 4*pi, so
+    extinction lies within [t + |A|/(4*pi), t + |A|/(2*pi)] of the last
+    snapshot; an embedded curve loses exactly 2*pi, pinning extinction at
+    t + |A|/(2*pi).  Raises AreaNotDecreasing unless there are >= 2
+    snapshots and |A| decreases strictly between them.
     """
     areas = np.array([r.area_total for r in traj.records])
-    times = traj.times
     if len(areas) < 2 or (np.diff(areas) >= 0).any():
         raise AreaNotDecreasing("need >= 2 snapshots with strictly decreasing |A|")
-    slope, intercept = np.polyfit(times, areas, 1)
-    if slope >= 0:
-        raise AreaNotDecreasing(f"fitted area slope {slope:.3g} is not negative")
-    t_point = float(-intercept / slope)
-    t_last = float(times[-1])
+    t_last = float(traj.states[-1].t)
     a_last = float(areas[-1])
     upper = t_last + a_last / TWO_PI
     if traj.records[-1].crossing_count >= 1:
         lower = t_last + a_last / (2.0 * TWO_PI)
     else:
         lower = upper
-    return ExtinctionEstimate(
-        t_point=t_point, bracket_low=lower, bracket_high=upper, slope=float(slope)
-    )
+    return ExtinctionEstimate(bracket_low=lower, bracket_high=upper)

@@ -7,10 +7,9 @@ aligned text.  Quantities tied to the remaining time use
     tau = t_max - t,
 
 with t_max taken as the midpoint of the extinction bracket (the bracket
-low edge already lies beyond the last snapshot, so every tau is positive;
-the global least-squares point estimate can undershoot when the area decay
-steepens).  Asymptotic statements (limsup bounds as tau -> 0) are reported
-over the resolved range only, never asserted as limits.
+low edge already lies beyond the last snapshot, so every tau is positive).
+Asymptotic statements (limsup bounds as tau -> 0) are reported over the
+resolved range only, never asserted as limits.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import numpy as np
 
 from . import crossings as cx
 from . import curves as cv
-from .diagnostics import theta_min
 from .errors import ExtinctionUnresolved, OscBelowPi, ValidationError
 from .flow import Trajectory, estimate_extinction_time
 
@@ -37,6 +35,11 @@ ALPHA0 = -float(np.log1p(-C1)) / float(np.log(2.0))
 
 # Prefactor pi / (4 sqrt(3) ln 2) of the isoperimetric alpha threshold.
 THRESHOLD_PREFACTOR = float(np.pi / (4.0 * np.sqrt(3.0) * np.log(2.0)))
+
+COLLAPSE_CAVEAT = (
+    "the dyadic decay claim is asymptotic (tau -> 0); only the sup over "
+    "the resolved tau range is certified here"
+)
 
 
 @dataclass(frozen=True)
@@ -109,8 +112,8 @@ def _json_default(v):
     return str(v)
 
 
-def _snapshot_taus(traj: Trajectory) -> tuple[np.ndarray, float, float]:
-    """(tau per snapshot, t_max midpoint, bracket width); validates resolution."""
+def _snapshot_taus(traj: Trajectory) -> np.ndarray:
+    """tau = t_max - t per snapshot; raises if the bracket is too wide."""
     est = estimate_extinction_time(traj)
     width = est.bracket_high - est.bracket_low
     remaining = est.t_max - traj.times[0]
@@ -118,7 +121,7 @@ def _snapshot_taus(traj: Trajectory) -> tuple[np.ndarray, float, float]:
         raise ExtinctionUnresolved(
             f"extinction bracket width {width:.3g} exceeds 20% of remaining {remaining:.3g}"
         )
-    return est.t_max - traj.times, est.t_max, width
+    return est.t_max - traj.times
 
 
 def crossing_angles(traj: Trajectory) -> np.ndarray:
@@ -178,86 +181,47 @@ def balanced_invariant_report(traj: Trajectory) -> Report:
     return rep
 
 
-@dataclass
-class CollapseReport:
-    """Resolved-range view of the x-projection decay toward extinction.
+def collapse_report(traj: Trajectory, alphas=(0.005, 0.01, 0.0144)) -> Report:
+    """Collapse-rate monitor over a trajectory that ran near extinction.
 
-    sup_ratios[alpha] is the supremum of ell(tau)/tau^alpha over the
-    resolved snapshots; the dyadic limsup statement it probes is asymptotic,
-    so only this resolved-range sup is certified (see `note`).  Contraction
-    rows compare the measured per-halving factor ell(tau/2)/ell(tau) with
-    the bound 1 - c1 + c2 tau/ell^2 under both sign readings of c2.
+    For each alpha it reports the supremum of ell(tau)/tau^alpha over the
+    resolved snapshots, ell being the x-extent; the dyadic limsup statement
+    it probes is asymptotic, so only this resolved-range sup is certified
+    (COLLAPSE_CAVEAT).  Contraction rows compare the measured per-halving
+    factor ell(tau/2)/ell(tau) over each resolved tau -> tau/2 pair with the
+    bound 1 - c1 + c2 tau/ell^2 under both sign readings of c2.
     """
-
-    taus: np.ndarray
-    ells: np.ndarray
-    sup_ratios: dict[float, float]
-    alpha0: float
-    ell_monotone: bool
-    t_max: float
-    bracket_width: float
-    contraction: list[dict]
-    note: str = (
-        "the dyadic decay claim is asymptotic (tau -> 0); only the sup over "
-        "the resolved tau range is certified here"
-    )
-
-    def to_report(self) -> Report:
-        rep = Report("collapse rate")
-        rep.add("ell_monotone_nonincreasing", bool(self.ell_monotone), True,
-                bool(self.ell_monotone))
-        rep.add("alpha0", self.alpha0, None, None, "dyadic decay exponent bound")
-        for alpha, sup in self.sup_ratios.items():
-            rep.add(f"sup ell/tau^{alpha:g}", sup, None,
-                    bool(np.isfinite(sup)), "resolved range only")
-        both = [c for c in self.contraction if c["observed"] is not None]
-        if both:
-            ok_pen = all(c["observed"] <= c["bound_penalty"] for c in both)
-            ok_lit = all(c["observed"] <= c["bound_literal"] for c in both)
-            rep.add("contraction_bound_c2_penalty", ok_pen, True, None,
-                    "c2 = 16 pi |log cos(1/2)| added as penalty")
-            rep.add("contraction_bound_c2_literal", ok_lit, True, None,
-                    "c2 = 16 pi log cos(1/2) kept negative")
-            matching = ("penalty" if ok_pen else "") + ("+literal" if ok_lit else "")
-            rep.add("contraction_convention_matching", matching or "neither",
-                    None, None)
-        rep.add("asymptotic_caveat", self.note, None, None)
-        return rep
-
-
-def collapse_report(traj: Trajectory, alphas=(0.005, 0.01, 0.0144)) -> CollapseReport:
-    """Collapse-rate monitor over a trajectory that ran near extinction."""
-    taus, t_max, width = _snapshot_taus(traj)
+    taus = _snapshot_taus(traj)
     ells = np.array([r.x_extent for r in traj.records])
-    tol = 1e-8 * ells[0]
-    monotone = bool(np.all(np.diff(ells) <= tol))
+    monotone = bool(np.all(np.diff(ells) <= 1e-8 * ells[0]))
 
-    sups = {float(a): float(np.max(ells / taus**a)) for a in alphas}
+    rep = Report("collapse rate")
+    rep.add("ell_monotone_nonincreasing", monotone, True, monotone)
+    rep.add("alpha0", ALPHA0, None, None, "dyadic decay exponent bound")
+    for alpha in dict.fromkeys(map(float, alphas)):
+        sup = float(np.max(ells / taus**alpha))
+        rep.add(f"sup ell/tau^{alpha:g}", sup, None, bool(np.isfinite(sup)),
+                "resolved range only")
 
-    contraction: list[dict] = []
+    penalty, literal = [], []
     for j in range(len(taus)):
         ratio = taus / taus[j]
         k = int(np.argmin(np.abs(ratio - 0.5)))
         if not 0.4 <= ratio[k] <= 0.6 or k == j:
             continue
-        x = taus[j] / ells[j] ** 2
-        contraction.append({
-            "tau": float(taus[j]),
-            "observed": float(ells[k] / ells[j]),
-            "bound_penalty": float(1.0 - C1 + C2_PENALTY * x),
-            "bound_literal": float(1.0 - C1 + C2_LITERAL * x),
-        })
-
-    return CollapseReport(
-        taus=taus,
-        ells=ells,
-        sup_ratios=sups,
-        alpha0=ALPHA0,
-        ell_monotone=monotone,
-        t_max=t_max,
-        bracket_width=width,
-        contraction=contraction,
-    )
+        observed, x = ells[k] / ells[j], taus[j] / ells[j] ** 2
+        penalty.append(observed <= 1.0 - C1 + C2_PENALTY * x)
+        literal.append(observed <= 1.0 - C1 + C2_LITERAL * x)
+    if penalty:
+        ok_pen, ok_lit = all(penalty), all(literal)
+        rep.add("contraction_bound_c2_penalty", ok_pen, True, None,
+                "c2 = 16 pi |log cos(1/2)| added as penalty")
+        rep.add("contraction_bound_c2_literal", ok_lit, True, None,
+                "c2 = 16 pi log cos(1/2) kept negative")
+        matching = ("penalty" if ok_pen else "") + ("+literal" if ok_lit else "")
+        rep.add("contraction_convention_matching", matching or "neither", None, None)
+    rep.add("asymptotic_caveat", COLLAPSE_CAVEAT, None, None)
+    return rep
 
 
 def min_theta_bound(length: float, tau: float) -> float:
@@ -276,7 +240,7 @@ def isoperimetric_report(traj: Trajectory, m: float, alpha: float) -> Report:
     cross-checks the measured rise of min theta over each resolved tau ->
     tau/2 pair against the heat-kernel lower bound.
     """
-    taus, _, _ = _snapshot_taus(traj)
+    taus = _snapshot_taus(traj)
     recs = traj.records
     qs = np.array([r.isoperimetric_q for r in recs])
 
@@ -316,7 +280,7 @@ def isoperimetric_report(traj: Trajectory, m: float, alpha: float) -> Report:
     rep.add("q = L/sqrt(tau) range", [float(q_vals.min()), float(q_vals.max())],
             None, None, "recorded, not asserted")
 
-    mins = np.array([theta_min(s.curve) for s in traj.states])
+    mins = np.array([r.theta_min for r in recs])
     worst = None
     pairs = 0
     ok = True

@@ -366,13 +366,15 @@ class TestCollapseRateMonitor:
     def test_collapse_report(self, lemniscate_run):
         rep = monitors.collapse_report(lemniscate_run,
                                        alphas=(0.005, 0.01, 0.0144))
-        finite = all(np.isfinite(v) for v in rep.sup_ratios.values())
-        sups = ", ".join(f"alpha={a:g}: {v:.3f}"
-                         for a, v in rep.sup_ratios.items())
-        flagged = "asymptotic" in rep.note
+        rows = {c.name: c for c in rep.checks}
+        sup_rows = [c for c in rep.checks if c.name.startswith("sup ell/tau^")]
+        finite = len(sup_rows) == 3 and all(np.isfinite(c.value) for c in sup_rows)
+        sups = ", ".join(f"alpha={c.name.rsplit('^', 1)[1]}: {c.value:.3f}"
+                         for c in sup_rows)
+        flagged = "asymptotic" in rows["asymptotic_caveat"].value
         ok = record(
             "collapse-rate monitor",
-            rep.ell_monotone and finite and flagged,
+            rows["ell_monotone_nonincreasing"].passed and finite and flagged,
             f"ell monotone nonincreasing; finite sups ({sups}); "
             "asymptotic-only caveat flagged",
         )

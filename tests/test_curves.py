@@ -247,6 +247,16 @@ class TestTangentAngle:
         from eightflow.shapes import make_asymmetric_eight
         assert cv.osc_theta(make_asymmetric_eight(1.2, 256)) < 2 * np.pi
 
+    @pytest.mark.parametrize("make", [lambda: make_bernoulli_lemniscate(1.0, 256),
+                                      lambda: make_ellipse(2.0, 1.0, 64),
+                                      lambda: PlaneCurve(wobbly_points(97, seed=3))],
+                             ids=["lemniscate", "ellipse", "wobbly"])
+    def test_record_angles_from_one_tangent_angle(self, make):
+        from eightflow.diagnostics import compute_record
+        rec = compute_record(make(), 0.0)
+        assert rec.theta_min == cv.tangent_angle(make()).min()
+        assert rec.osc_theta == cv.osc_theta(make())
+
 
 class TestExtents:
     def test_circle(self):

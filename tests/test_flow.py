@@ -99,6 +99,13 @@ class TestConfig:
         with pytest.raises(InvalidCurve):
             FlowConfig(stop_area_frac=0.0)
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    def test_stop_kappa_h_finite_and_positive(self, value):
+        # A non-positive bound stops before the first step; nan or inf never stops.
+        from eightflow.errors import InvalidCurve
+        with pytest.raises(InvalidCurve):
+            FlowConfig(stop_kappa_h=value)
+
 
 class TestStep:
     def test_single_step_advances(self):
@@ -237,12 +244,18 @@ class TestExtinctionEstimate:
         traj = run(make_circle(1.0, 128), config,
                    output_times=np.arange(0.02, 0.4, 0.02))
         est = estimate_extinction_time(traj)
-        assert abs(est.t_point - 0.5) / 0.5 < 0.01
         assert est.bracket_low == est.bracket_high  # embedded: rate pinned
+        assert est.t_max == est.bracket_low
+        assert abs(est.t_max - 0.5) < 1e-5  # unit circle: A = pi - 2 pi t
 
     def test_lemniscate_slope_and_bracket(self, lemniscate_run):
         est = estimate_extinction_time(lemniscate_run)
-        assert -4 * np.pi <= est.slope <= -2 * np.pi
+        # The bracket edges extrapolate the last area at slopes -4*pi and -2*pi.
+        t_last = lemniscate_run.times[-1]
+        area = lemniscate_run.records[-1].area_total
+        assert est.bracket_low == pytest.approx(t_last + area / (4 * np.pi), rel=1e-15)
+        assert est.bracket_high == pytest.approx(t_last + area / (2 * np.pi), rel=1e-15)
+        assert est.t_max == 0.5 * (est.bracket_low + est.bracket_high)
         # A mid-run estimate must bracket the eventual termination time.
         k = len(lemniscate_run.states) // 2
         partial = Trajectory(

@@ -67,16 +67,26 @@ class TestCollapseReport:
         assert ALPHA0 == pytest.approx(0.014423, abs=1e-6)
 
     def test_lemniscate_report(self, lemniscate_run):
-        rep = collapse_report(lemniscate_run, alphas=(0.0, 0.005, 0.01, 0.0144))
-        assert rep.ell_monotone
-        assert np.all(np.diff(rep.taus) < 0)
+        alphas = (0.0, 0.005, 0.01, 0.0144)
+        rep = collapse_report(lemniscate_run, alphas=alphas)
+        assert check_by_name(rep, "ell_monotone_nonincreasing").passed
+        assert check_by_name(rep, "alpha0").value == ALPHA0
         # alpha = 0 makes the sup the largest resolved ell (the initial one).
-        assert rep.sup_ratios[0.0] == pytest.approx(float(rep.ells.max()))
-        for sup in rep.sup_ratios.values():
-            assert np.isfinite(sup)
-        assert "asymptotic" in rep.note
-        assert rep.contraction, "expected resolved tau -> tau/2 pairs"
-        text = rep.to_report().to_text()
+        ells = [r.x_extent for r in lemniscate_run.records]
+        assert check_by_name(rep, "sup ell/tau^0").value == pytest.approx(max(ells))
+        sups = [check_by_name(rep, f"sup ell/tau^{a:g}") for a in alphas]
+        for sup in sups:
+            assert np.isfinite(sup.value) and sup.passed
+            assert sup.note == "resolved range only"
+        names = [c.name for c in rep.checks]
+        assert names == ["ell_monotone_nonincreasing", "alpha0",
+                         *(c.name for c in sups),
+                         "contraction_bound_c2_penalty",
+                         "contraction_bound_c2_literal",
+                         "contraction_convention_matching",
+                         "asymptotic_caveat"], "expected resolved tau -> tau/2 pairs"
+        assert "asymptotic" in check_by_name(rep, "asymptotic_caveat").value
+        text = rep.to_text()
         assert "certified" in text or "resolved" in text
 
     def test_unresolved_extinction_rejected(self, lemniscate_run):
@@ -126,6 +136,24 @@ class TestIsoperimetricReport:
         )
         with pytest.raises(OscBelowPi):
             isoperimetric_report(traj, m=1.0, alpha=0.01)
+
+    def test_min_theta_read_from_records(self, lemniscate_run):
+        # Falling record minima with unchanged snapshot curves: only a report
+        # that reads the records sees the rise fall short of the bound.
+        doctored = []
+        for k, rec in enumerate(lemniscate_run.records):
+            d = rec.__dict__.copy()
+            d["theta_min"] -= k
+            doctored.append(DiagnosticsRecord(**d))
+        traj = Trajectory(
+            states=lemniscate_run.states,
+            records=doctored,
+            stop_reason="synthetic",
+            config=lemniscate_run.config,
+        )
+        rise = check_by_name(isoperimetric_report(traj, m=1.0, alpha=0.01),
+                             "min_theta_rise_vs_bound")
+        assert rise.passed is False and rise.value < 0
 
     def test_min_theta_bound_values(self):
         # Independent evaluation: (sqrt(pi)/4) * e^-1 = 0.44311346 * 0.36787944

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import eightflow
-from eightflow import runio, solitons
+from eightflow import cli, runio, solitons
 from eightflow.cli import _GENERATORS, main
 from eightflow.errors import RowCountMismatch, ValidationError
 from eightflow.flow import FlowConfig, run
@@ -304,6 +304,92 @@ class TestCLI:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"ERROR ValidationError: {flags[0]} cannot combine with multiple specs"]
         assert not (tmp_path / "job0").exists()
+
+    @pytest.mark.parametrize("entry", [
+        {"t_end": "0.01"},
+        {"output_times": "0.01"},
+        {"output_times": [0.01, "x"]},
+        {"config": [1, 2]},
+        {"out_dir": 5},
+        {"curve_file": 5},
+        {"M": "1"},
+        {"alphas": "0.01"},
+        {"monitors": "balanced"},
+    ], ids=["string-t_end", "string-output_times", "string-output_time",
+            "list-config", "number-out_dir", "number-curve_file", "string-M",
+            "string-alphas", "string-monitors"])
+    def test_bad_spec_value_exits_1_before_the_run(self, tmp_path, capsys, monkeypatch,
+                                                    entry):
+        monkeypatch.chdir(tmp_path)   # a number out_dir would be a relative path
+        spec = {"generator": {"name": "circle", "n": 64}, "t_end": 1e-6,
+                "out_dir": "never", **entry}
+        Path("spec.json").write_text(json.dumps(spec))
+        assert main(["evolve", "--spec", "spec.json"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ERROR ValidationError:")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
+    def test_out_dir_holding_a_run_refused_before_stepping(self, tmp_path, capsys,
+                                                           monkeypatch):
+        out = tmp_path / "run"
+        argv = ["evolve", "--generator", "circle", "--n", "64", "--t-end", "1e-6",
+                "--out-dir", str(out)]
+        assert main(argv) == 0
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "run", lambda *args, **kwargs: pytest.fail("stepped"))
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ERROR ValidationError:")
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+    def test_jobs_capped_at_spec_count(self, tmp_path, monkeypatch):
+        pools = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        specs = []
+        for k in range(2):
+            path = tmp_path / f"spec{k}.json"
+            path.write_text(json.dumps({"generator": {"name": "circle", "n": 64},
+                                        "t_end": 1e-6, "out_dir": str(tmp_path / f"job{k}")}))
+            specs.append(str(path))
+        assert main(["evolve", "--spec", *specs, "--jobs", "5"]) == 0
+        assert pools == [2]
+        assert (tmp_path / "job1" / "metadata.json").exists()
+
+    def test_several_specs_checked_before_any_run(self, tmp_path, capsys):
+        specs = []
+        for k, t_end in enumerate([1e-6, "1e-6"]):
+            path = tmp_path / f"spec{k}.json"
+            path.write_text(json.dumps({"generator": {"name": "circle", "n": 64},
+                                        "t_end": t_end, "out_dir": str(tmp_path / f"job{k}")}))
+            specs.append(str(path))
+        assert main(["evolve", "--spec", *specs]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ERROR ValidationError:")
+        assert not (tmp_path / "job0").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exit_1(self, tmp_path, capsys, jobs):
+        out = tmp_path / "never"
+        assert main(["evolve", "--generator", "circle", "--n", "64", "--t-end", "1e-6",
+                     "--out-dir", str(out), "--jobs", jobs]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"ERROR ValidationError: --jobs must be at least 1, not {jobs}"]
+        assert not out.exists()
 
     def test_evolve_malformed_curve_exits_1(self, tmp_path, capsys):
         path = tmp_path / "short_row.csv"
