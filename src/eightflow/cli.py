@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import fields
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from .curves import (
 )
 from .diagnostics import compute_record
 from .errors import EightflowError, ValidationError
-from .flow import FlowConfig, Trajectory, checked_numbers, estimate_extinction_time, run
+from .flow import FlowConfig, checked_numbers, estimate_extinction_time, run
 from .gradients import FLOW_KINDS, evolve_gradient_flow
 from .shapes import (
     make_asymmetric_eight,
@@ -77,8 +78,8 @@ def _add_generator_args(parser: argparse.ArgumentParser, flag: str) -> None:
                             help=_GENERATOR_HELP[name])
 
 
-def _print_record(rec) -> None:
-    print(
+def _record_line(rec) -> str:
+    return (
         f"t={rec.t:g} L={rec.length:.8g} A_signed={rec.area_signed:.8g} "
         f"A_total={rec.area_total:.8g} total_curvature={rec.total_curvature:.3g} "
         f"osc_theta={rec.osc_theta:.8g} inflections={rec.inflections} "
@@ -87,13 +88,21 @@ def _print_record(rec) -> None:
     )
 
 
+def _numbers(text: str, flag: str) -> list[float]:
+    """The numbers of a comma-separated list flag; else ValidationError."""
+    try:
+        return [float(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        raise ValidationError(f"{flag} must be comma-separated numbers, not {text!r}") from None
+
+
 def cmd_generate(args) -> int:
     curve = _GENERATORS[args.generator](args)
     if args.format == "json":
         curve_to_json(curve, args.out)
     else:
         curve_to_csv(curve, args.out)
-    _print_record(compute_record(curve, 0.0))
+    print(_record_line(compute_record(curve, 0.0)))
     print(f"wrote {args.out}")
     return 0
 
@@ -139,6 +148,8 @@ def _check_spec(spec: dict) -> FlowConfig:
     numbers = {k: v for k, v in spec.items()
                if k in ("M", "alpha") or (k == "t_end" and v is not None)}
     checked_numbers(numbers, _SPEC_NUMBERS, "RunSpec value")
+    if "t_end" in numbers and not 0.0 < numbers["t_end"] < np.inf:
+        raise ValidationError(f"t_end must be finite and positive, not {numbers['t_end']!r}")
     for key in ("output_times", "alphas"):
         values = spec.get(key) or []
         if not isinstance(values, list):
@@ -154,20 +165,15 @@ def _check_spec(spec: dict) -> FlowConfig:
     return FlowConfig.from_dict(spec.get("config") or {})
 
 
-def _evolve_one(spec: dict) -> Path:
-    """Run one RunSpec dictionary; returns the run directory."""
-    return _run_spec(spec)[1]
-
-
-def _run_spec(spec: dict) -> tuple[Trajectory, Path]:
-    """Run, save and monitor one RunSpec; returns (trajectory, run directory)."""
-    config = _check_spec(spec)
-    if spec.get("curve_file"):
+def _run_spec(spec: dict, config: FlowConfig) -> str:
+    """Run, save and monitor one RunSpec checked by `_check_spec`, which gave
+    `config`; returns the run's summary text."""
+    generator = None if spec.get("curve_file") else spec["generator"]
+    if generator is None:
         curve = _load_curve(spec["curve_file"])
     else:
-        params = dict(spec["generator"])
-        make = _GENERATORS[params.pop("name")]
-        curve = make(argparse.Namespace(**{**_GENERATOR_DEFAULTS, **params}))
+        make = _GENERATORS[generator["name"]]
+        curve = make(argparse.Namespace(**{**_GENERATOR_DEFAULTS, **generator}))
 
     flow_kind = spec.get("flow", "csf")
     times = spec.get("output_times") or ()
@@ -183,36 +189,20 @@ def _run_spec(spec: dict) -> tuple[Trajectory, Path]:
         rep = _MONITORS[monitor](traj, spec)
         path = Path(out_dir) / f"report_{monitor}.json"
         path.write_text(rep.to_json() + "\n")
-    return traj, Path(out_dir)
+
+    lines = [_record_line(traj.records[-1]), f"stop_reason={traj.stop_reason}"]
+    if generator and generator["name"] == "circle" and traj.stop_reason == "time":
+        r0 = generator.get("r", _GENERATOR_DEFAULTS["r"])
+        exact = solitons.shrinking_circle(r0, traj.times[-1])
+        pts = traj.states[-1].curve.points
+        measured = float(np.linalg.norm(pts - pts.mean(axis=0), axis=1).mean())
+        lines.append(f"shrinking_circle_check rel_error={abs(measured - exact) / exact:.3e}")
+    lines.append(f"run complete: {out_dir}")
+    return "\n".join(lines)
 
 
-def cmd_evolve(args) -> int:
-    base: dict = {}
-    spec_files = args.spec or []
-    if args.jobs < 1:
-        raise ValidationError(f"--jobs must be at least 1, not {args.jobs}")
-    if len(spec_files) > 1:
-        given = [name for name in _RUN_FLAGS if getattr(args, name) is not None]
-        if given:
-            flags = ", ".join("--" + name.replace("_", "-") for name in given)
-            raise ValidationError(f"{flags} cannot combine with multiple specs")
-        specs = [_read_spec(p) for p in spec_files]
-        for spec in specs:
-            _check_spec(spec)
-        # A fork-started pool forks all its workers at the first submit.
-        jobs = min(args.jobs, len(specs))
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for out in pool.map(_evolve_one, specs):
-                    print(f"run complete: {out}")
-        else:
-            for spec in specs:
-                print(f"run complete: {_evolve_one(spec)}")
-        return 0
-    if spec_files:
-        base = _read_spec(spec_files[0])
-
-    # Flags override file values.
+def _flag_spec(args, base: dict) -> dict:
+    """`base` with the evolve flags laid over it; flags override file values."""
     if args.curve:
         base["curve_file"] = args.curve
         base.pop("generator", None)
@@ -225,7 +215,7 @@ def cmd_evolve(args) -> int:
     if args.out_dir:
         base["out_dir"] = args.out_dir
     if args.times:
-        base["output_times"] = [float(tok) for tok in args.times.split(",") if tok]
+        base["output_times"] = _numbers(args.times, "--times")
     if args.t_end is not None:
         base["t_end"] = args.t_end
     config = dict(checked_numbers(base.get("config") or {}, _FLOW_DEFAULTS, "FlowConfig field"))
@@ -236,17 +226,28 @@ def cmd_evolve(args) -> int:
     base["config"] = config
     if args.monitors:
         base["monitors"] = [tok for tok in args.monitors.split(",") if tok]
+    return base
 
-    traj, out = _run_spec(base)
-    _print_record(traj.records[-1])
-    print(f"stop_reason={traj.stop_reason}")
-    if base.get("generator", {}).get("name") == "circle" and traj.stop_reason == "time":
-        r0 = base["generator"].get("r", _GENERATOR_DEFAULTS["r"])
-        exact = solitons.shrinking_circle(r0, traj.times[-1])
-        pts = traj.states[-1].curve.points
-        measured = float(np.linalg.norm(pts - pts.mean(axis=0), axis=1).mean())
-        print(f"shrinking_circle_check rel_error={abs(measured - exact) / exact:.3e}")
-    print(f"run complete: {out}")
+
+def cmd_evolve(args) -> int:
+    spec_files = args.spec or []
+    if args.jobs < 1:
+        raise ValidationError(f"--jobs must be at least 1, not {args.jobs}")
+    if len(spec_files) > 1:
+        given = [name for name in _RUN_FLAGS if getattr(args, name) is not None]
+        if given:
+            flags = ", ".join("--" + name.replace("_", "-") for name in given)
+            raise ValidationError(f"{flags} cannot combine with multiple specs")
+        specs = [_read_spec(p) for p in spec_files]
+    else:
+        specs = [_flag_spec(args, _read_spec(spec_files[0]) if spec_files else {})]
+    configs = [_check_spec(spec) for spec in specs]
+
+    # A fork-started pool forks all its workers at the first submit.
+    jobs = min(args.jobs, len(specs))
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        for summary in (pool.map if pool else map)(_run_spec, specs, configs):
+            print(summary)
     return 0
 
 
@@ -265,7 +266,7 @@ def cmd_report(args) -> int:
     traj = runio.load_run(args.run_dir)
     params = {"M": args.M, "alpha": args.alpha}
     if args.alphas:
-        params["alphas"] = [float(tok) for tok in args.alphas.split(",") if tok]
+        params["alphas"] = _numbers(args.alphas, "--alphas")
     rep = _MONITORS[args.monitor](traj, params)
     out = Path(args.out or Path(args.run_dir) / f"report_{args.monitor}.json")
     out.write_text(rep.to_json() + "\n")

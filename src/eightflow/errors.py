@@ -46,14 +46,6 @@ class StepRejected(NumericalError):
     """Time step kept violating immersion after the maximum number of halvings."""
 
 
-class SingularityReached(EightflowError):
-    """A stopping criterion fired; carries the reason ('area', 'curvature', ...)."""
-
-    def __init__(self, reason: str, message: str = ""):
-        super().__init__(message or reason)
-        self.reason = reason
-
-
 class MaxStepsExceeded(NumericalError):
     pass
 

@@ -15,12 +15,12 @@ fourth-order diffusion flow.  Every remesh_every accepted steps the curve is
 resampled to uniform arclength; tangential redistribution does not change
 the image of the flow but keeps nodes from clustering at high curvature.
 
-Stopping is two-fold: the resolution criterion max|kappa| * h_min >
-stop_kappa_h is checked before every step (curvature blows up at the
-singular time and the mesh cannot follow it); the area criterion
-|A| < stop_area_frac * |A|_0 and the loss of every self-intersection are
-checked at the remesh cadence by the run loop, which owns the initial-area
-reference.  No attempt is made to continue past a topology change.
+Every stop is decided by the run loop, which owns the initial-area
+reference: the area criterion |A| < stop_area_frac * |A|_0 and the loss of
+every self-intersection at the remesh cadence, the end time, and the
+resolution criterion max|kappa| * h_min > stop_kappa_h before every step
+(curvature blows up at the singular time and the mesh cannot follow it).
+No attempt is made to continue past a topology change.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .errors import (
     DegenerateTangent,
     InvalidCurve,
     MaxStepsExceeded,
-    SingularityReached,
     StepRejected,
     ValidationError,
 )
@@ -144,21 +143,15 @@ def step(
     dt_law: str = "h2",
     dt_cap: float | None = None,
 ) -> FlowState:
-    """One accepted explicit step (plus cadence remeshing).
+    """One accepted RK2 step, remeshed when its step number is a multiple of
+    remesh_every; it decides no stop, `run` does.
 
-    Raises SingularityReached when the curvature-resolution criterion fires
-    at the current state, StepRejected if the update keeps violating
-    immersion after 8 step halvings.
+    Raises StepRejected if the update keeps violating immersion after 8 step
+    halvings (and ValueError for a dt_law other than "h2" or "h4").
     """
     curve = state.curve
     h_min = float(cv.segment_lengths(curve).min())
     k1 = _stage_velocity(curve, speed_fn)
-    kappa_h = np.abs(curve.jet.kappa).max() * h_min
-    if kappa_h > config.stop_kappa_h:
-        raise SingularityReached(
-            "curvature", f"max|kappa|*h = {kappa_h:.3g} at t = {state.t:.6g}"
-        )
-
     if dt_law == "h2":
         dt = config.cfl * h_min**2
     elif dt_law == "h4":
@@ -199,10 +192,14 @@ def run(
 ) -> Trajectory:
     """Evolve until a stopping criterion fires, snapshotting at output_times.
 
-    Snapshots are taken at the first accepted step with t >= requested time
-    (the step size is capped so the step lands on the requested time; no
-    interpolation between steps).  The initial and final states are always
-    included.  Raises MaxStepsExceeded if the step budget runs out first.
+    Before each step the loop tests, in order: area and topology (at the
+    check cadence), t >= t_end, the step budget, and max|kappa| * h_min >
+    stop_kappa_h; the first that fires names the stop_reason ("area",
+    "topology", "time" or "curvature").  Snapshots are taken at the first
+    accepted step with t >= requested time (the step size is capped so the
+    step lands on the requested time; no interpolation between steps).  The
+    initial and final states are always included.  Raises MaxStepsExceeded
+    if the step budget runs out first.
     """
     state = FlowState(curve=initial, t=0.0, step=0)
     first_record = compute_record(initial, 0.0)
@@ -212,13 +209,12 @@ def run(
     states = [state]
     records = [first_record]
     pending = sorted({float(t) for t in output_times if t > 0})
-    stop_reason = None
     # Area/topology checks are cheap; keep a floor on their cadence even when
     # remeshing is effectively disabled.  compute_record's scan and area rule
     # keep the stop like with like; an embedded run skips the scan.
     check_every = max(1, min(config.remesh_every, 64))
 
-    while stop_reason is None:
+    while True:
         if state.step % check_every == 0:
             found = [] if embedded else cx.find_self_intersections(state.curve)
             if loop_split(state.curve, found)[2] < config.stop_area_frac * area0:
@@ -232,6 +228,10 @@ def run(
             break
         if state.step >= config.max_steps:
             raise MaxStepsExceeded(f"no stopping criterion after {state.step} steps")
+        curve = state.curve
+        if np.abs(curve.jet.kappa).max() * cv.segment_lengths(curve).min() > config.stop_kappa_h:
+            stop_reason = "curvature"
+            break
 
         caps = []
         if pending:
@@ -240,12 +240,7 @@ def run(
             caps.append(t_end - state.t)
         dt_cap = min(caps) if caps else None
 
-        try:
-            state = step(state, config, speed_fn=speed_fn, dt_law=dt_law, dt_cap=dt_cap)
-        except SingularityReached as exc:
-            stop_reason = exc.reason
-            break
-
+        state = step(state, config, speed_fn=speed_fn, dt_law=dt_law, dt_cap=dt_cap)
         if pending and state.t >= pending[0] - 1e-12:
             while pending and state.t >= pending[0] - 1e-12:
                 pending.pop(0)

@@ -50,14 +50,15 @@ def save_run(traj: Trajectory, run_dir: str | Path) -> Path:
 def load_run(run_dir: str | Path) -> Trajectory:
     """The trajectory of a stored run; its records are recomputed.
 
-    Raises ValidationError when metadata.json is not JSON or lacks a key, or
-    when its config is not a valid FlowConfig.
+    Raises ValidationError when metadata.json is not JSON or lacks a key,
+    when its snapshot times and steps differ in length, or when its config is
+    not a valid FlowConfig.
     """
     run_dir = Path(run_dir)
     path = run_dir / "metadata.json"
     try:
         meta = json.loads(path.read_text())
-        snapshots = list(zip(meta["snapshot_times"], meta["snapshot_steps"]))
+        snapshots = list(zip(meta["snapshot_times"], meta["snapshot_steps"], strict=True))
         stop_reason, flow_kind = meta["stop_reason"], meta["flow_kind"]
         config = FlowConfig.from_dict(meta["config"])
     except (ValueError, KeyError, TypeError) as exc:

@@ -11,7 +11,6 @@ from eightflow.diagnostics import compute_record, loop_split
 from eightflow.errors import (
     AreaNotDecreasing,
     MaxStepsExceeded,
-    SingularityReached,
     StepRejected,
 )
 from eightflow.flow import (
@@ -115,13 +114,6 @@ class TestStep:
         assert new.t > 0 and new.step == 1
         assert curve_length(new.curve) < curve_length(state.curve)
 
-    def test_kappa_h_stop(self):
-        config = FlowConfig(stop_kappa_h=1e-4)
-        state = FlowState(curve=make_circle(1.0, 64), t=0.0, step=0)
-        with pytest.raises(SingularityReached) as info:
-            step(state, config)
-        assert info.value.reason == "curvature"
-
     def test_step_rejected_after_halvings(self):
         config = FlowConfig()
         state = FlowState(curve=make_circle(1.0, 64), t=0.0, step=0)
@@ -176,6 +168,16 @@ class TestRunContract:
         config = FlowConfig(cfl=0.2, stop_area_frac=0.5)
         traj = run(make_circle(1.0, 64), config, output_times=[0.05, 9.0])
         assert traj.unreached_outputs == [9.0]
+
+    def test_kappa_h_stop(self):
+        # The curvature stop is run's: step itself takes the step.
+        config = FlowConfig(stop_kappa_h=1e-4)
+        circle = make_circle(1.0, 64)
+        traj = run(circle, config, output_times=[0.01])
+        assert traj.stop_reason == "curvature"
+        assert [s.step for s in traj.states] == [0]
+        assert traj.unreached_outputs == [0.01]
+        assert step(FlowState(curve=circle, t=0.0, step=0), config).step == 1
 
     def test_max_steps_exceeded(self):
         config = FlowConfig(cfl=0.2, stop_area_frac=0.01, max_steps=5)

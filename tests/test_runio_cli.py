@@ -45,6 +45,25 @@ def reaper_run(stored_reaper_run, tmp_path):
     return shutil.copytree(stored_reaper_run, tmp_path / "cmp")
 
 
+class InProcessPool:
+    """A stand-in for ProcessPoolExecutor that records its worker count and
+    maps in this process."""
+
+    workers: list[int] = []
+
+    def __init__(self, max_workers):
+        self.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
 def margin_column(run_dir) -> np.ndarray:
     lines = (run_dir / "diagnostics.csv").read_text().splitlines()
     assert lines[0].split(",").count("reaper_margin") == 1
@@ -90,13 +109,16 @@ class TestRunIO:
 
 
 class TestMalformedMetadata:
-    @pytest.mark.parametrize("damage", ["not-json", "no-snapshot-steps", "unknown-config-field"])
+    @pytest.mark.parametrize("damage", ["not-json", "no-snapshot-steps", "short-snapshot-steps",
+                                        "unknown-config-field"])
     def test_rejected(self, small_run, tmp_path, capsys, damage):
         run_dir = shutil.copytree(small_run[1], tmp_path / "run")
         path = run_dir / "metadata.json"
         meta = json.loads(path.read_text())
         if damage == "no-snapshot-steps":
             del meta["snapshot_steps"]
+        elif damage == "short-snapshot-steps":
+            meta["snapshot_steps"] = meta["snapshot_steps"][:1]
         elif damage == "unknown-config-field":
             meta["config"]["bogus"] = 1
         path.write_text("{" if damage == "not-json" else json.dumps(meta))
@@ -227,6 +249,26 @@ class TestCLI:
         assert override.exists()
         assert not Path(spec["out_dir"]).exists()
 
+    @pytest.mark.parametrize("pool", [False, True], ids=["serial", "pool"])
+    def test_several_specs_print_every_summary_in_order(self, tmp_path, capsys,
+                                                       monkeypatch, pool):
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(InProcessPool, "workers", [])
+        runs = [("circle", {"t_end": 1e-3}, "time"),
+                ("lemniscate", {"config": {"stop_area_frac": 0.9}}, "area")]
+        specs = []
+        for k, (name, extra, _) in enumerate(runs):
+            path = tmp_path / f"spec{k}.json"
+            path.write_text(json.dumps({"generator": {"name": name, "n": 64},
+                                        "out_dir": str(tmp_path / f"job{k}"), **extra}))
+            specs.append(str(path))
+        assert main(["evolve", "--spec", *specs, "--jobs", "2" if pool else "1"]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith(("stop_reason=", "run complete:"))]
+        assert lines == [f"stop_reason={runs[0][2]}", f"run complete: {tmp_path / 'job0'}",
+                         f"stop_reason={runs[1][2]}", f"run complete: {tmp_path / 'job1'}"]
+        assert InProcessPool.workers == ([2] if pool else [])
+
     def test_parallel_specs(self, tmp_path):
         specs = []
         for k in range(2):
@@ -307,6 +349,10 @@ class TestCLI:
 
     @pytest.mark.parametrize("entry", [
         {"t_end": "0.01"},
+        {"t_end": -1.0},
+        {"t_end": 0},
+        {"t_end": float("nan")},
+        {"t_end": float("inf")},
         {"output_times": "0.01"},
         {"output_times": [0.01, "x"]},
         {"config": [1, 2]},
@@ -315,7 +361,8 @@ class TestCLI:
         {"M": "1"},
         {"alphas": "0.01"},
         {"monitors": "balanced"},
-    ], ids=["string-t_end", "string-output_times", "string-output_time",
+    ], ids=["string-t_end", "negative-t_end", "zero-t_end", "nan-t_end", "inf-t_end",
+            "string-output_times", "string-output_time",
             "list-config", "number-out_dir", "number-curve_file", "string-M",
             "string-alphas", "string-monitors"])
     def test_bad_spec_value_exits_1_before_the_run(self, tmp_path, capsys, monkeypatch,
@@ -328,6 +375,33 @@ class TestCLI:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("ERROR ValidationError:")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
+    @pytest.mark.parametrize("t_end", ["-1", "nan"])
+    def test_bad_t_end_flag_exits_1(self, tmp_path, capsys, t_end):
+        out = tmp_path / "never"
+        assert main(["evolve", "--generator", "circle", "--n", "64", f"--t-end={t_end}",
+                     "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ERROR ValidationError: t_end")
+        assert not out.exists()
+
+    def test_non_number_in_times_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "never"
+        assert main(["evolve", "--generator", "circle", "--n", "64", "--t-end", "1e-3",
+                     "--times", "1e-4,x", "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["ERROR ValidationError: --times must be comma-separated numbers, "
+                       "not '1e-4,x'"]
+        assert not out.exists()
+
+    def test_non_number_in_alphas_exits_1(self, small_run, tmp_path, capsys):
+        out = tmp_path / "never.json"
+        assert main(["report", str(small_run[1]), "--monitor", "collapse",
+                     "--alphas", "0.01,x", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["ERROR ValidationError: --alphas must be comma-separated numbers, "
+                       "not '0.01,x'"]
+        assert not out.exists()
 
     def test_out_dir_holding_a_run_refused_before_stepping(self, tmp_path, capsys,
                                                            monkeypatch):
@@ -344,22 +418,8 @@ class TestCLI:
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
     def test_jobs_capped_at_spec_count(self, tmp_path, monkeypatch):
-        pools = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
         monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(InProcessPool, "workers", [])
         specs = []
         for k in range(2):
             path = tmp_path / f"spec{k}.json"
@@ -367,7 +427,7 @@ class TestCLI:
                                         "t_end": 1e-6, "out_dir": str(tmp_path / f"job{k}")}))
             specs.append(str(path))
         assert main(["evolve", "--spec", *specs, "--jobs", "5"]) == 0
-        assert pools == [2]
+        assert InProcessPool.workers == [2]
         assert (tmp_path / "job1" / "metadata.json").exists()
 
     def test_several_specs_checked_before_any_run(self, tmp_path, capsys):
