@@ -13,14 +13,13 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import contact, monitors, runio, solitons
 from .curves import (
-    PlaneCurve,
     curve_from_csv,
     curve_from_json,
     curve_to_csv,
@@ -28,7 +27,7 @@ from .curves import (
 )
 from .diagnostics import compute_record
 from .errors import EightflowError, ValidationError
-from .flow import FlowConfig, checked_numbers, estimate_extinction_time, run
+from .flow import FlowConfig, checked_numbers, checked_times, estimate_extinction_time, run
 from .gradients import FLOW_KINDS, evolve_gradient_flow
 from .shapes import (
     make_asymmetric_eight,
@@ -38,44 +37,102 @@ from .shapes import (
 )
 
 _GENERATORS = {
-    "lemniscate": lambda a: make_bernoulli_lemniscate(a.a, a.n),
-    "circle": lambda a: make_circle(a.r, a.n),
-    "ellipse": lambda a: make_ellipse(a.a, a.b, a.n),
-    "asymmetric-eight": lambda a: make_asymmetric_eight(a.ratio, a.n),
+    "lemniscate": lambda p: make_bernoulli_lemniscate(p["a"], p["n"]),
+    "circle": lambda p: make_circle(p["r"], p["n"]),
+    "ellipse": lambda p: make_ellipse(p["a"], p["b"], p["n"]),
+    "asymmetric-eight": lambda p: make_asymmetric_eight(p["ratio"], p["n"]),
 }
 
-# Generator parameters and their defaults, for the CLI flags and for RunSpec
-# generators that leave a parameter out.
+# Generator parameters and their defaults, for the `generate` flags and for
+# RunSpec generators that leave a parameter out.
 _GENERATOR_DEFAULTS = {"a": 1.0, "b": 1.0, "r": 1.0, "ratio": 1.5, "n": 256}
 _GENERATOR_HELP = {"a": "scale / semi-axis", "b": "ellipse minor semi-axis",
                    "r": "circle radius", "ratio": "eight loop ratio",
                    "n": "sample count"}
-_FLOW_DEFAULTS = {f.name: f.default for f in fields(FlowConfig)}
-# `evolve` flags that override one RunSpec's values; none applies to several.
-_RUN_FLAGS = ("curve", "generator", "flow", "out_dir", "times", "t_end",
-              *_FLOW_DEFAULTS, "monitors")
-# RunSpec numbers outside the generator and the config, each with a value of
-# its type for `checked_numbers`.
-_SPEC_NUMBERS = {"t_end": 1.0, "M": 1.0, "alpha": 0.01}
 
-# Monitor reports by name; each reads its parameters from a RunSpec or from
-# the `report` flags.
+# Monitor reports by name; each reads M, alpha and alphas from a RunSpec or
+# from the `report` flags.
 _MONITORS = {
     "balanced": lambda traj, p: monitors.balanced_invariant_report(traj),
-    "collapse": lambda traj, p: monitors.collapse_report(
-        traj, p.get("alphas") or (0.005, 0.01, 0.0144)),
-    "isoperimetric": lambda traj, p: monitors.isoperimetric_report(
-        traj, p.get("M", 1.0), p.get("alpha", 0.01)),
+    "collapse": lambda traj, p: monitors.collapse_report(traj, p.alphas),
+    "isoperimetric": lambda traj, p: monitors.isoperimetric_report(traj, p.M, p.alpha),
     "symmetry": lambda traj, p: monitors.symmetry_collapse_check(traj),
 }
+
+
+@dataclass(frozen=True)
+class RunSpec:
+    """One checked `evolve` run: the README's RunSpec keys, generator defaults
+    filled in, the FlowConfig built; M, alpha and alphas default `report` too."""
+
+    out_dir: str
+    curve_file: str | None = None
+    generator: dict | None = None
+    flow: str = "csf"
+    config: FlowConfig = FlowConfig()
+    output_times: tuple[float, ...] = ()
+    t_end: float | None = None
+    monitors: tuple[str, ...] = ()
+    M: float = 1.0
+    alpha: float = 0.01
+    alphas: tuple[float, ...] = (0.005, 0.01, 0.0144)
+
+    @classmethod
+    def from_dict(cls, spec: dict) -> RunSpec:
+        """The run a RunSpec JSON object describes, once every key is a field, every
+        value usable and out_dir free of an earlier run; else ValidationError."""
+        unknown = sorted(set(spec) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValidationError(f"unknown RunSpec key {unknown[0]!r}")
+        out_dir = spec.get("out_dir")
+        if not out_dir or not isinstance(out_dir, str):
+            raise ValidationError(f"RunSpec needs an out_dir path, not {out_dir!r}")
+        if (Path(out_dir) / "metadata.json").exists():
+            raise ValidationError(f"{out_dir} already holds a run; choose a new out_dir")
+        curve_file, gen = spec.get("curve_file") or None, spec.get("generator")
+        if curve_file is not None:
+            if not isinstance(curve_file, str):
+                raise ValidationError(f"curve_file must be a path, not {curve_file!r}")
+            if gen is not None:
+                raise ValidationError("RunSpec names both a curve_file and a generator")
+        else:
+            name = gen.get("name") if isinstance(gen, dict) else None
+            if not isinstance(name, str) or name not in _GENERATORS:
+                raise ValidationError(f"unknown generator {name!r}")
+            params = {k: v for k, v in gen.items() if k != "name"}
+            checked_numbers(params, _GENERATOR_DEFAULTS, "generator parameter")
+            gen = {"name": name, **_GENERATOR_DEFAULTS, **params}
+        flow = spec.get("flow", cls.flow)
+        if flow not in ("csf",) + FLOW_KINDS:
+            raise ValidationError(f"unknown flow kind {flow!r}")
+        checked_numbers({k: v for k, v in spec.items() if k in ("M", "alpha")},
+                        {"M": cls.M, "alpha": cls.alpha}, "RunSpec value")
+        # A null t_end means no end time.
+        t_end = None if spec.get("t_end") is None else checked_times([spec["t_end"]], "t_end")[0]
+        times, alphas = spec.get("output_times") or [], spec.get("alphas") or []
+        for key, values in (("output_times", times), ("alphas", alphas)):
+            if not isinstance(values, list):
+                raise ValidationError(f"RunSpec {key} must be a list of numbers, not {values!r}")
+        times = checked_times(times, "output time")
+        checked_numbers(dict(enumerate(alphas)), dict.fromkeys(range(len(alphas)), 1.0),
+                        "alphas entry")
+        names = spec.get("monitors") or []
+        if not isinstance(names, list) or not all(
+                isinstance(name, str) and name in _MONITORS for name in names):
+            raise ValidationError(
+                f"RunSpec monitors must be a list of names from {sorted(_MONITORS)}, "
+                f"not {names!r}")
+        return cls(**{**spec, "curve_file": curve_file, "generator": gen, "flow": flow,
+                      "config": FlowConfig.from_dict(spec.get("config") or {}),
+                      "output_times": tuple(times), "t_end": t_end, "monitors": tuple(names),
+                      "alphas": tuple(alphas) or cls.alphas})
 
 
 def _add_generator_args(parser: argparse.ArgumentParser, flag: str) -> None:
     """The generator choice (positional or `--generator`) and its parameters."""
     parser.add_argument(flag, choices=sorted(_GENERATORS))
     for name, default in _GENERATOR_DEFAULTS.items():
-        parser.add_argument(f"--{name}", type=type(default), default=default,
-                            help=_GENERATOR_HELP[name])
+        parser.add_argument(f"--{name}", type=type(default), help=_GENERATOR_HELP[name])
 
 
 def _record_line(rec) -> str:
@@ -88,16 +145,19 @@ def _record_line(rec) -> str:
     )
 
 
-def _numbers(text: str, flag: str) -> list[float]:
-    """The numbers of a comma-separated list flag; else ValidationError."""
-    try:
-        return [float(tok) for tok in text.split(",") if tok]
-    except ValueError:
-        raise ValidationError(f"{flag} must be comma-separated numbers, not {text!r}") from None
+def _listed(kind, flag: str):
+    """The argparse type of a comma-separated list of `kind`s; a malformed list
+    raises ValidationError, so `main` parses inside its error handling."""
+    def parse(s: str) -> list:
+        try:
+            return [kind(tok) for tok in s.split(",") if tok]
+        except ValueError:
+            raise ValidationError(f"{flag} must be comma-separated numbers, not {s!r}") from None
+    return parse
 
 
 def cmd_generate(args) -> int:
-    curve = _GENERATORS[args.generator](args)
+    curve = _GENERATORS[args.generator](vars(args))
     if args.format == "json":
         curve_to_json(curve, args.out)
     else:
@@ -105,12 +165,6 @@ def cmd_generate(args) -> int:
     print(_record_line(compute_record(curve, 0.0)))
     print(f"wrote {args.out}")
     return 0
-
-
-def _load_curve(path: str) -> PlaneCurve:
-    if path.endswith(".json"):
-        return curve_from_json(path)
-    return curve_from_csv(path)
 
 
 def _read_spec(path: str) -> dict:
@@ -124,129 +178,72 @@ def _read_spec(path: str) -> dict:
     return spec
 
 
-def _check_spec(spec: dict) -> FlowConfig:
-    """The RunSpec's FlowConfig, once every value of the spec has been checked
-    to be usable and out_dir to hold no earlier run; else ValidationError."""
-    out_dir = spec.get("out_dir")
-    if not out_dir or not isinstance(out_dir, str):
-        raise ValidationError(f"RunSpec needs an out_dir path, not {out_dir!r}")
-    if (Path(out_dir) / "metadata.json").exists():
-        raise ValidationError(f"{out_dir} already holds a run; choose a new out_dir")
-    if spec.get("curve_file"):
-        if not isinstance(spec["curve_file"], str):
-            raise ValidationError(f"curve_file must be a path, not {spec['curve_file']!r}")
+def _run_spec(spec: RunSpec) -> str:
+    """Run, save and monitor one RunSpec; returns the run's summary text."""
+    gen = spec.generator
+    if gen is not None:
+        curve = _GENERATORS[gen["name"]](gen)
     else:
-        gen = spec.get("generator") or {}
-        name = gen.get("name") if isinstance(gen, dict) else None
-        if not isinstance(name, str) or name not in _GENERATORS:
-            raise ValidationError(f"unknown generator {name!r}")
-        params = {k: v for k, v in gen.items() if k != "name"}
-        checked_numbers(params, _GENERATOR_DEFAULTS, "generator parameter")
-    if spec.get("flow", "csf") not in ("csf",) + FLOW_KINDS:
-        raise ValidationError(f"unknown flow kind {spec['flow']!r}")
-    # A null t_end means no end time; M and alpha have no such reading.
-    numbers = {k: v for k, v in spec.items()
-               if k in ("M", "alpha") or (k == "t_end" and v is not None)}
-    checked_numbers(numbers, _SPEC_NUMBERS, "RunSpec value")
-    if "t_end" in numbers and not 0.0 < numbers["t_end"] < np.inf:
-        raise ValidationError(f"t_end must be finite and positive, not {numbers['t_end']!r}")
-    for key in ("output_times", "alphas"):
-        values = spec.get(key) or []
-        if not isinstance(values, list):
-            raise ValidationError(f"RunSpec {key} must be a list of numbers, not {values!r}")
-        checked_numbers(dict(enumerate(values)), dict.fromkeys(range(len(values)), 1.0),
-                        f"{key} entry")
-    names = spec.get("monitors") or []
-    if not isinstance(names, list) or not all(
-            isinstance(name, str) and name in _MONITORS for name in names):
-        raise ValidationError(
-            f"RunSpec monitors must be a list of names from {sorted(_MONITORS)}, "
-            f"not {names!r}")
-    return FlowConfig.from_dict(spec.get("config") or {})
-
-
-def _run_spec(spec: dict, config: FlowConfig) -> str:
-    """Run, save and monitor one RunSpec checked by `_check_spec`, which gave
-    `config`; returns the run's summary text."""
-    generator = None if spec.get("curve_file") else spec["generator"]
-    if generator is None:
-        curve = _load_curve(spec["curve_file"])
+        read = curve_from_json if spec.curve_file.endswith(".json") else curve_from_csv
+        curve = read(spec.curve_file)
+    if spec.flow == "csf":
+        traj = run(curve, spec.config, spec.output_times, t_end=spec.t_end)
     else:
-        make = _GENERATORS[generator["name"]]
-        curve = make(argparse.Namespace(**{**_GENERATOR_DEFAULTS, **generator}))
+        traj = evolve_gradient_flow(curve, spec.flow, spec.config, spec.output_times,
+                                    t_end=spec.t_end)
 
-    flow_kind = spec.get("flow", "csf")
-    times = spec.get("output_times") or ()
-    t_end = spec.get("t_end")
-    out_dir = spec["out_dir"]
-    if flow_kind == "csf":
-        traj = run(curve, config, times, t_end=t_end)
-    else:
-        traj = evolve_gradient_flow(curve, flow_kind, config, times, t_end=t_end)
-
-    runio.save_run(traj, out_dir)
-    for monitor in spec.get("monitors") or []:
+    runio.save_run(traj, spec.out_dir)
+    for monitor in spec.monitors:
         rep = _MONITORS[monitor](traj, spec)
-        path = Path(out_dir) / f"report_{monitor}.json"
+        path = Path(spec.out_dir) / f"report_{monitor}.json"
         path.write_text(rep.to_json() + "\n")
 
     lines = [_record_line(traj.records[-1]), f"stop_reason={traj.stop_reason}"]
-    if generator and generator["name"] == "circle" and traj.stop_reason == "time":
-        r0 = generator.get("r", _GENERATOR_DEFAULTS["r"])
-        exact = solitons.shrinking_circle(r0, traj.times[-1])
+    if gen is not None and gen["name"] == "circle" and traj.stop_reason == "time":
+        exact = solitons.shrinking_circle(gen["r"], traj.times[-1])
         pts = traj.states[-1].curve.points
         measured = float(np.linalg.norm(pts - pts.mean(axis=0), axis=1).mean())
         lines.append(f"shrinking_circle_check rel_error={abs(measured - exact) / exact:.3e}")
-    lines.append(f"run complete: {out_dir}")
+    lines.append(f"run complete: {spec.out_dir}")
     return "\n".join(lines)
 
 
-def _flag_spec(args, base: dict) -> dict:
-    """`base` with the evolve flags laid over it; flags override file values."""
-    if args.curve:
-        base["curve_file"] = args.curve
-        base.pop("generator", None)
-    if args.generator:
-        base["generator"] = {"name": args.generator,
-                             **{k: getattr(args, k) for k in _GENERATOR_DEFAULTS}}
-        base.pop("curve_file", None)
-    if args.flow:
-        base["flow"] = args.flow
-    if args.out_dir:
-        base["out_dir"] = args.out_dir
-    if args.times:
-        base["output_times"] = _numbers(args.times, "--times")
-    if args.t_end is not None:
-        base["t_end"] = args.t_end
-    config = dict(checked_numbers(base.get("config") or {}, _FLOW_DEFAULTS, "FlowConfig field"))
-    for name in _FLOW_DEFAULTS:
-        value = getattr(args, name)
-        if value is not None:
-            config[name] = value
-    base["config"] = config
-    if args.monitors:
-        base["monitors"] = [tok for tok in args.monitors.split(",") if tok]
-    return base
+def _with_flags(args, spec: dict) -> dict:
+    """`spec`, a RunSpec file's object or {}, with the given evolve flags laid
+    over it.  Flags override file values, and `--curve` or `--generator`
+    replaces the file's curve source; `RunSpec.from_dict` checks the result."""
+    keys = {"curve": "curve_file", "times": "output_times", "generator": "name"}
+
+    def given(dests):
+        return {keys.get(d, d): getattr(args, d) for d in dests if getattr(args, d) is not None}
+
+    if args.curve is not None or args.generator is not None:
+        spec = {k: v for k, v in spec.items() if k not in ("curve_file", "generator")}
+    spec |= given(("curve", "flow", "out_dir", "times", "t_end", "monitors"))
+    for key, layer in (("generator", given(("generator", *_GENERATOR_DEFAULTS))),
+                       ("config", given(f.name for f in fields(FlowConfig)))):
+        base = spec.get(key) or {}
+        if layer:
+            # A base that is not an object stays, for from_dict to reject.
+            spec[key] = {**base, **layer} if isinstance(base, dict) else base
+    return spec
 
 
 def cmd_evolve(args) -> int:
-    spec_files = args.spec or []
     if args.jobs < 1:
         raise ValidationError(f"--jobs must be at least 1, not {args.jobs}")
-    if len(spec_files) > 1:
-        given = [name for name in _RUN_FLAGS if getattr(args, name) is not None]
-        if given:
-            flags = ", ".join("--" + name.replace("_", "-") for name in given)
-            raise ValidationError(f"{flags} cannot combine with multiple specs")
-        specs = [_read_spec(p) for p in spec_files]
-    else:
-        specs = [_flag_spec(args, _read_spec(spec_files[0]) if spec_files else {})]
-    configs = [_check_spec(spec) for spec in specs]
+    dicts = [_read_spec(path) for path in args.spec or []] or [{}]
+    given = [dest for dest, value in vars(args).items()
+             if value is not None and dest not in ("command", "fn", "spec", "jobs")]
+    if len(dicts) > 1 and given:
+        flags = ", ".join("--" + dest.replace("_", "-") for dest in given)
+        raise ValidationError(f"{flags} cannot combine with multiple specs")
+    specs = [RunSpec.from_dict(_with_flags(args, d)) for d in dicts]
 
     # A fork-started pool forks all its workers at the first submit.
     jobs = min(args.jobs, len(specs))
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        for summary in (pool.map if pool else map)(_run_spec, specs, configs):
+        for summary in (pool.map if pool else map)(_run_spec, specs):
             print(summary)
     return 0
 
@@ -264,10 +261,8 @@ def cmd_lift(args) -> int:
 
 def cmd_report(args) -> int:
     traj = runio.load_run(args.run_dir)
-    params = {"M": args.M, "alpha": args.alpha}
-    if args.alphas:
-        params["alphas"] = _numbers(args.alphas, "--alphas")
-    rep = _MONITORS[args.monitor](traj, params)
+    args.alphas = args.alphas or RunSpec.alphas
+    rep = _MONITORS[args.monitor](traj, args)
     out = Path(args.out or Path(args.run_dir) / f"report_{args.monitor}.json")
     out.write_text(rep.to_json() + "\n")
     print(rep.to_text())
@@ -311,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_generator_args(p, "generator")
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(fn=cmd_generate)
+    p.set_defaults(fn=cmd_generate, **_GENERATOR_DEFAULTS)
 
     p = sub.add_parser("evolve", help="run a flow and write a run directory")
     p.add_argument("--spec", nargs="*", help="RunSpec JSON file(s)")
@@ -321,15 +316,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_generator_args(p, "--generator")
     p.add_argument("--flow", choices=("csf",) + FLOW_KINDS)
     p.add_argument("--out-dir")
-    p.add_argument("--times", help="comma-separated snapshot times")
+    p.add_argument("--times", type=_listed(float, "--times"), help="comma-separated output times")
     p.add_argument("--t-end", type=float)
-    p.add_argument("--cfl", type=float)
-    p.add_argument("--cfl4", type=float)
-    p.add_argument("--remesh-every", type=int, dest="remesh_every")
-    p.add_argument("--stop-area-frac", type=float, dest="stop_area_frac")
-    p.add_argument("--stop-kappa-h", type=float, dest="stop_kappa_h")
-    p.add_argument("--max-steps", type=int, dest="max_steps")
-    p.add_argument("--monitors", help="comma-separated monitor names")
+    for f in fields(FlowConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default))
+    p.add_argument("--monitors", type=_listed(str, "--monitors"), help="comma-separated monitors")
     p.set_defaults(fn=cmd_evolve)
 
     p = sub.add_parser("lift", help="lift a run to Legendrian curves")
@@ -341,9 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="run a monitor over a stored run")
     p.add_argument("run_dir")
     p.add_argument("--monitor", required=True, choices=sorted(_MONITORS))
-    p.add_argument("--M", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=0.01)
-    p.add_argument("--alphas", help="comma-separated alphas for collapse")
+    p.add_argument("--M", type=float, default=RunSpec.M)
+    p.add_argument("--alpha", type=float, default=RunSpec.alpha)
+    p.add_argument("--alphas", type=_listed(float, "--alphas"), help="comma-separated alphas")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_report)
 
@@ -357,8 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except ValidationError as exc:
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)

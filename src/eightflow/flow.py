@@ -26,6 +26,7 @@ No attempt is made to continue past a topology change.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -80,6 +81,14 @@ def checked_numbers(values, defaults: dict, what: str) -> dict:
         if isinstance(value, bool) or not isinstance(value, (kind, int)):
             raise ValidationError(f"{what} {name!r} must be {kind.__name__}, not {value!r}")
     return values
+
+
+def checked_times(times, what: str) -> list[float]:
+    """The sorted distinct `times`, each a finite positive number; else ValidationError."""
+    for t in times:
+        if isinstance(t, bool) or not isinstance(t, Real) or not 0.0 < t < np.inf:
+            raise ValidationError(f"{what} must be finite and positive, not {t!r}")
+    return sorted({float(t) for t in times})
 
 
 @dataclass(frozen=True)
@@ -198,9 +207,10 @@ def run(
     "topology", "time" or "curvature").  Snapshots are taken at the first
     accepted step with t >= requested time (the step size is capped so the
     step lands on the requested time; no interpolation between steps).  The
-    initial and final states are always included.  Raises MaxStepsExceeded
-    if the step budget runs out first.
+    initial and final states are always included.  Raises ValidationError for
+    a bad output time, MaxStepsExceeded if the step budget runs out first.
     """
+    pending = checked_times(output_times, "output time")
     state = FlowState(curve=initial, t=0.0, step=0)
     first_record = compute_record(initial, 0.0)
     area0 = first_record.area_total
@@ -208,7 +218,6 @@ def run(
 
     states = [state]
     records = [first_record]
-    pending = sorted({float(t) for t in output_times if t > 0})
     # Area/topology checks are cheap; keep a floor on their cadence even when
     # remeshing is effectively disabled.  compute_record's scan and area rule
     # keep the stop like with like; an embedded run skips the scan.

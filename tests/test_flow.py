@@ -12,6 +12,7 @@ from eightflow.errors import (
     AreaNotDecreasing,
     MaxStepsExceeded,
     StepRejected,
+    ValidationError,
 )
 from eightflow.flow import (
     FlowConfig,
@@ -168,6 +169,12 @@ class TestRunContract:
         config = FlowConfig(cfl=0.2, stop_area_frac=0.5)
         traj = run(make_circle(1.0, 64), config, output_times=[0.05, 9.0])
         assert traj.unreached_outputs == [9.0]
+
+    @pytest.mark.parametrize("bad", [-0.005, 0, float("nan"), float("inf"), "0.01", True])
+    def test_bad_output_time_raises(self, bad):
+        # A time that cannot be a snapshot is refused, not silently dropped.
+        with pytest.raises(ValidationError, match="output time"):
+            run(make_circle(1.0, 64), FlowConfig(), output_times=[0.005, bad], t_end=0.01)
 
     def test_kappa_h_stop(self):
         # The curvature stop is run's: step itself takes the step.

@@ -316,6 +316,18 @@ class TestCLI:
         assert (tmp_path / "spec" / first).read_bytes() == \
                (tmp_path / "flags" / first).read_bytes()
 
+    def test_generator_flags_override_spec_generator(self, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"generator": {"name": "circle", "n": 64, "r": 1.0},
+                                         "t_end": 1e-6, "out_dir": str(tmp_path / "never")}))
+        out = tmp_path / "run"
+        assert main(["evolve", "--spec", str(spec_path), "--n", "128", "--r", "2",
+                     "--out-dir", str(out)]) == 0
+        for snap in (out / "snapshots").glob("snap_*.csv"):
+            xy = np.loadtxt(snap, delimiter=",", skiprows=1)[:, 1:]
+            assert xy.shape == (128, 2)
+            np.testing.assert_allclose(np.hypot(*xy.T), 2.0, rtol=1e-3)
+
     @pytest.mark.parametrize("text", [
         "{not json",                                                  # not JSON
         "[1, 2]",                                                     # not an object
@@ -334,7 +346,9 @@ class TestCLI:
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [["--cfl", "0.05"], ["--flow", "h1"],
-                                       ["--monitors", "balanced"], ["--t-end", "1"]])
+                                       ["--monitors", "balanced"], ["--t-end", "1"],
+                                       ["--n", "128"], ["--curve", "x.csv"],
+                                       ["--times", "0.01"]])
     def test_run_flags_with_several_specs_exit_1(self, tmp_path, capsys, flags):
         specs = []
         for k in range(2):
@@ -361,10 +375,18 @@ class TestCLI:
         {"M": "1"},
         {"alphas": "0.01"},
         {"monitors": "balanced"},
+        {"cfl": 0.01},
+        {"monitor": ["balanced"]},
+        {"output_times": [0.005, -0.005]},
+        {"output_times": [0]},
+        {"output_times": [float("nan")]},
+        {"curve_file": "circle.csv"},
     ], ids=["string-t_end", "negative-t_end", "zero-t_end", "nan-t_end", "inf-t_end",
             "string-output_times", "string-output_time",
             "list-config", "number-out_dir", "number-curve_file", "string-M",
-            "string-alphas", "string-monitors"])
+            "string-alphas", "string-monitors", "top-level-cfl", "misspelled-monitors",
+            "negative-output_time", "zero-output_time", "nan-output_time",
+            "curve_file-and-generator"])
     def test_bad_spec_value_exits_1_before_the_run(self, tmp_path, capsys, monkeypatch,
                                                     entry):
         monkeypatch.chdir(tmp_path)   # a number out_dir would be a relative path
@@ -384,6 +406,21 @@ class TestCLI:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("ERROR ValidationError: t_end")
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--times=-0.005,nan,0.005"],
+                                       ["--curve", "circle.csv", "--n", "128"]],
+                             ids=["bad-times", "curve-and-generator-parameter"])
+    def test_flag_that_cannot_apply_exits_1(self, tmp_path, capsys, monkeypatch, flags):
+        monkeypatch.chdir(tmp_path)
+        assert main(["generate", "circle", "--n", "64", "--out", "circle.csv"]) == 0
+        capsys.readouterr()
+        argv = ["evolve", "--t-end", "0.01", "--out-dir", "never", *flags]
+        if "--curve" not in flags:
+            argv += ["--generator", "circle", "--n", "64"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ERROR ValidationError:")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["circle.csv"]
 
     def test_non_number_in_times_exits_1(self, tmp_path, capsys):
         out = tmp_path / "never"
