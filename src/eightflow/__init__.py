@@ -16,6 +16,7 @@ from .curves import (
 )
 from .crossings import Crossing, crossing_interior_angle, find_self_intersections, loop_areas
 from .flow import (
+    Flow,
     FlowConfig,
     FlowState,
     Trajectory,
@@ -34,12 +35,12 @@ from .contact import (
     project,
 )
 from .gradients import (
+    FLOWS,
     ArclengthField,
     arclength_derivative,
     curve_diffusion_speed,
     evolve_gradient_flow,
     h1_gradient,
-    indefinite_speed,
 )
 from .solitons import (
     GrimReaper,

@@ -28,7 +28,7 @@ from .curves import (
 from .diagnostics import compute_record
 from .errors import EightflowError, ValidationError
 from .flow import FlowConfig, checked_numbers, checked_times, estimate_extinction_time, run
-from .gradients import FLOW_KINDS, evolve_gradient_flow
+from .gradients import FLOWS
 from .shapes import (
     make_asymmetric_eight,
     make_bernoulli_lemniscate,
@@ -58,6 +58,19 @@ _MONITORS = {
     "isoperimetric": lambda traj, p: monitors.isoperimetric_report(traj, p.M, p.alpha),
     "symmetry": lambda traj, p: monitors.symmetry_collapse_check(traj),
 }
+
+
+def _checked_monitor_values(p):
+    """`p`, a RunSpec or the `report` flags, once its M is a finite positive number
+    and its alpha and alphas entries finite non-negative numbers; else ValidationError."""
+    values = {"M": p.M, "alpha": p.alpha, **{f"alphas[{k}]": a for k, a in enumerate(p.alphas)}}
+    checked_numbers(values, dict.fromkeys(values, 1.0), "monitor value")
+    if not 0.0 < p.M < np.inf:
+        raise ValidationError(f"M {p.M!r} is not finite and positive")
+    for alpha in (p.alpha, *p.alphas):
+        if not 0.0 <= alpha < np.inf:
+            raise ValidationError(f"alpha {alpha!r} is not finite and non-negative")
+    return p
 
 
 @dataclass(frozen=True)
@@ -103,10 +116,8 @@ class RunSpec:
             checked_numbers(params, _GENERATOR_DEFAULTS, "generator parameter")
             gen = {"name": name, **_GENERATOR_DEFAULTS, **params}
         flow = spec.get("flow", cls.flow)
-        if flow not in ("csf",) + FLOW_KINDS:
+        if flow not in FLOWS:
             raise ValidationError(f"unknown flow kind {flow!r}")
-        checked_numbers({k: v for k, v in spec.items() if k in ("M", "alpha")},
-                        {"M": cls.M, "alpha": cls.alpha}, "RunSpec value")
         # A null t_end means no end time.
         t_end = None if spec.get("t_end") is None else checked_times([spec["t_end"]], "t_end")[0]
         times, alphas = spec.get("output_times") or [], spec.get("alphas") or []
@@ -114,18 +125,17 @@ class RunSpec:
             if not isinstance(values, list):
                 raise ValidationError(f"RunSpec {key} must be a list of numbers, not {values!r}")
         times = checked_times(times, "output time")
-        checked_numbers(dict(enumerate(alphas)), dict.fromkeys(range(len(alphas)), 1.0),
-                        "alphas entry")
         names = spec.get("monitors") or []
         if not isinstance(names, list) or not all(
                 isinstance(name, str) and name in _MONITORS for name in names):
             raise ValidationError(
                 f"RunSpec monitors must be a list of names from {sorted(_MONITORS)}, "
                 f"not {names!r}")
-        return cls(**{**spec, "curve_file": curve_file, "generator": gen, "flow": flow,
-                      "config": FlowConfig.from_dict(spec.get("config") or {}),
-                      "output_times": tuple(times), "t_end": t_end, "monitors": tuple(names),
-                      "alphas": tuple(alphas) or cls.alphas})
+        return _checked_monitor_values(cls(**{
+            **spec, "curve_file": curve_file, "generator": gen, "flow": flow,
+            "config": FlowConfig.from_dict(spec.get("config") or {}),
+            "output_times": tuple(times), "t_end": t_end, "monitors": tuple(names),
+            "alphas": tuple(alphas) or cls.alphas}))
 
 
 def _add_generator_args(parser: argparse.ArgumentParser, flag: str) -> None:
@@ -186,11 +196,7 @@ def _run_spec(spec: RunSpec) -> str:
     else:
         read = curve_from_json if spec.curve_file.endswith(".json") else curve_from_csv
         curve = read(spec.curve_file)
-    if spec.flow == "csf":
-        traj = run(curve, spec.config, spec.output_times, t_end=spec.t_end)
-    else:
-        traj = evolve_gradient_flow(curve, spec.flow, spec.config, spec.output_times,
-                                    t_end=spec.t_end)
+    traj = run(curve, spec.config, spec.output_times, flow=FLOWS[spec.flow], t_end=spec.t_end)
 
     runio.save_run(traj, spec.out_dir)
     for monitor in spec.monitors:
@@ -260,8 +266,9 @@ def cmd_lift(args) -> int:
 
 
 def cmd_report(args) -> int:
-    traj = runio.load_run(args.run_dir)
     args.alphas = args.alphas or RunSpec.alphas
+    _checked_monitor_values(args)
+    traj = runio.load_run(args.run_dir)
     rep = _MONITORS[args.monitor](traj, args)
     out = Path(args.out or Path(args.run_dir) / f"report_{args.monitor}.json")
     out.write_text(rep.to_json() + "\n")
@@ -314,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="parallel runs when several specs are given")
     p.add_argument("--curve", help="input curve file (csv or json)")
     _add_generator_args(p, "--generator")
-    p.add_argument("--flow", choices=("csf",) + FLOW_KINDS)
+    p.add_argument("--flow", choices=FLOWS)
     p.add_argument("--out-dir")
     p.add_argument("--times", type=_listed(float, "--times"), help="comma-separated output times")
     p.add_argument("--t-end", type=float)

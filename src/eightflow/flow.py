@@ -5,9 +5,9 @@ The workhorse is curve shortening flow, where each point moves with velocity
     (x_t, y_t) = kappa * (-y_u, x_u) / sqrt(x_u^2 + y_u^2),
 
 i.e. speed kappa along the left normal.  The same stepper drives the other
-length gradient flows, which differ only in their signed normal speed
-`speed_fn(curve)` and in the stiffness law for the stable step size; speed
-and stepper read one cached stencil jet per stage, `curve.jet`.
+length gradient flows.  A flow kind is one `Flow` value: its name, its signed
+normal speed `speed(curve)` and its order, which picks the stable step law;
+speed and stepper read one cached stencil jet per stage, `curve.jet`.
 
 Scheme: explicit 2nd-order Runge-Kutta (Heun) with dt = cfl * h_min^2 for
 second-order flows (h_min = shortest segment), dt = cfl4 * h_min^4 for the
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from numbers import Real
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -50,19 +50,28 @@ TWO_PI = 2.0 * np.pi
 _MAX_HALVINGS = 8
 
 
-# Normal speed of curve shortening flow: the curvature itself.
-csf_speed = cv.curvature
+class Flow(NamedTuple):
+    """A flow kind: its name, its signed normal speed, and its order, which
+    picks the step law dt = cfl4 * h_min^4 (fourth order) or cfl * h_min^2."""
+
+    kind: str
+    speed: SpeedFn
+    fourth_order: bool = False
+
+
+# Curve shortening flow: the normal speed is the curvature itself.
+CSF = Flow("csf", cv.curvature)
 
 
 def csf_velocity(curve: cv.PlaneCurve) -> np.ndarray:
     """Pointwise planar velocity kappa * N of curve shortening flow."""
-    return _stage_velocity(curve, csf_speed)
+    return _stage_velocity(curve, CSF.speed)
 
 
-def _stage_velocity(curve: cv.PlaneCurve, speed_fn: SpeedFn) -> np.ndarray:
-    """Planar velocity speed_fn(curve) * N from the curve's jet."""
+def _stage_velocity(curve: cv.PlaneCurve, speed: SpeedFn) -> np.ndarray:
+    """Planar velocity speed(curve) * N from the curve's jet."""
     d1, _, g2, _ = curve.jet
-    factor = speed_fn(curve) / np.sqrt(g2)
+    factor = speed(curve) / np.sqrt(g2)
     velocity = np.empty_like(d1)
     np.multiply(-d1[:, 1], factor, out=velocity[:, 0])
     np.multiply(d1[:, 0], factor, out=velocity[:, 1])
@@ -104,15 +113,15 @@ class FlowConfig:
 
     def __post_init__(self):
         if not 0.0 < self.cfl <= 0.5:
-            raise InvalidCurve(f"cfl {self.cfl} outside (0, 0.5]")
+            raise ValidationError(f"cfl {self.cfl} outside (0, 0.5]")
         if not 0.0 < self.cfl4 <= 0.5:
-            raise InvalidCurve(f"cfl4 {self.cfl4} outside (0, 0.5]")
+            raise ValidationError(f"cfl4 {self.cfl4} outside (0, 0.5]")
         if not 0.0 < self.stop_area_frac < 1.0:
-            raise InvalidCurve(f"stop_area_frac {self.stop_area_frac} outside (0, 1)")
+            raise ValidationError(f"stop_area_frac {self.stop_area_frac} outside (0, 1)")
         if not 0.0 < self.stop_kappa_h < np.inf:
-            raise InvalidCurve(f"stop_kappa_h {self.stop_kappa_h} is not finite and positive")
+            raise ValidationError(f"stop_kappa_h {self.stop_kappa_h} is not finite and positive")
         if self.remesh_every < 1 or self.max_steps < 1:
-            raise InvalidCurve("remesh_every and max_steps must be >= 1")
+            raise ValidationError("remesh_every and max_steps must be >= 1")
 
     @classmethod
     def from_dict(cls, values) -> FlowConfig:
@@ -148,32 +157,23 @@ def step(
     state: FlowState,
     config: FlowConfig,
     *,
-    speed_fn: SpeedFn = csf_speed,
-    dt_law: str = "h2",
-    dt_cap: float | None = None,
+    flow: Flow = CSF,
+    dt_cap: float = np.inf,
 ) -> FlowState:
-    """One accepted RK2 step, remeshed when its step number is a multiple of
-    remesh_every; it decides no stop, `run` does.
+    """One accepted RK2 step of `flow` with dt = min(its step law, dt_cap), remeshed
+    when its step number is a multiple of remesh_every; it decides no stop, `run` does.
 
-    Raises StepRejected if the update keeps violating immersion after 8 step
-    halvings (and ValueError for a dt_law other than "h2" or "h4").
+    Raises StepRejected if the update keeps violating immersion after 8 step halvings.
     """
     curve = state.curve
     h_min = float(cv.segment_lengths(curve).min())
-    k1 = _stage_velocity(curve, speed_fn)
-    if dt_law == "h2":
-        dt = config.cfl * h_min**2
-    elif dt_law == "h4":
-        dt = config.cfl4 * h_min**4
-    else:
-        raise ValueError(f"unknown dt law {dt_law!r}")
-    if dt_cap is not None and dt_cap > 0:
-        dt = min(dt, dt_cap)
+    k1 = _stage_velocity(curve, flow.speed)
+    dt = min(config.cfl4 * h_min**4 if flow.fourth_order else config.cfl * h_min**2, dt_cap)
 
     for _ in range(_MAX_HALVINGS + 1):
         try:
             mid = cv.PlaneCurve(curve.points + dt * k1)
-            k2 = _stage_velocity(mid, speed_fn)
+            k2 = _stage_velocity(mid, flow.speed)
             new_curve = cv.PlaneCurve(curve.points + 0.5 * dt * (k1 + k2))
             break
         except (InvalidCurve, DegenerateTangent):
@@ -194,12 +194,10 @@ def run(
     config: FlowConfig,
     output_times=(),
     *,
-    speed_fn: SpeedFn = csf_speed,
-    dt_law: str = "h2",
-    flow_kind: str = "csf",
+    flow: Flow = CSF,
     t_end: float | None = None,
 ) -> Trajectory:
-    """Evolve until a stopping criterion fires, snapshotting at output_times.
+    """Evolve `flow` until a stopping criterion fires, snapshotting at output_times.
 
     Before each step the loop tests, in order: area and topology (at the
     check cadence), t >= t_end, the step budget, and max|kappa| * h_min >
@@ -242,14 +240,10 @@ def run(
             stop_reason = "curvature"
             break
 
-        caps = []
-        if pending:
-            caps.append(pending[0] - state.t)
+        caps = [pending[0] - state.t] if pending else []
         if t_end is not None:
             caps.append(t_end - state.t)
-        dt_cap = min(caps) if caps else None
-
-        state = step(state, config, speed_fn=speed_fn, dt_law=dt_law, dt_cap=dt_cap)
+        state = step(state, config, flow=flow, dt_cap=min(caps, default=np.inf))
         if pending and state.t >= pending[0] - 1e-12:
             while pending and state.t >= pending[0] - 1e-12:
                 pending.pop(0)
@@ -259,14 +253,8 @@ def run(
     if states[-1].step != state.step:
         states.append(state)
         records.append(compute_record(state.curve, state.t))
-    return Trajectory(
-        states=states,
-        records=records,
-        stop_reason=stop_reason,
-        config=config,
-        flow_kind=flow_kind,
-        unreached_outputs=pending,
-    )
+    return Trajectory(states=states, records=records, stop_reason=stop_reason, config=config,
+                      flow_kind=flow.kind, unreached_outputs=pending)
 
 
 @dataclass(frozen=True)

@@ -25,13 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import curves as cv
-from .errors import InvalidCurve, SolveFailed
-from .flow import FlowConfig, Trajectory, csf_speed, run
+from .errors import InvalidCurve, SolveFailed, ValidationError
+from .flow import CSF, Flow, FlowConfig, Trajectory, run
 from .tridiag import solve_cyclic
 
 _H1_RESIDUAL_TOL = 1e-8
-
-FLOW_KINDS = ("diffusion", "h1", "indefinite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,8 +149,15 @@ def h1_weak_form_defect(curve: cv.PlaneCurve) -> float:
     return abs(lhs - rhs)
 
 
-# The indefinite-metric gradient flow moves with the curve shortening speed kappa.
-indefinite_speed = csf_speed
+# Every flow kind by name; the indefinite-metric flow moves with the curve
+# shortening speed kappa.  The lambdas look the speeds up at call time, so a
+# wrapper installed on `curve_diffusion_speed` or `h1_gradient` sees every call.
+FLOWS = {
+    "csf": CSF,
+    "diffusion": Flow("diffusion", lambda c: curve_diffusion_speed(c), fourth_order=True),
+    "h1": Flow("h1", lambda c: h1_gradient(c)[1]),
+    "indefinite": Flow("indefinite", cv.curvature),
+}
 
 
 def evolve_gradient_flow(
@@ -163,27 +168,13 @@ def evolve_gradient_flow(
     *,
     t_end: float | None = None,
 ) -> Trajectory:
-    """Run one of the three gradient flows with the shared stepper.
+    """`flow.run` of `FLOWS[flow_kind]`; ValidationError for another name.
 
     The diffusion flow steps with dt = cfl4 * h_min^4 (fourth-order
-    stiffness); h1 and indefinite use the parabolic dt = cfl * h_min^2.  The
+    stiffness); the others use the parabolic dt = cfl * h_min^2.  The
     indefinite flow shares the curve-shortening speed operator, so its
     trajectories coincide bitwise with the csf engine under equal configs.
     """
-    if flow_kind == "diffusion":
-        speed_fn, dt_law = curve_diffusion_speed, "h4"
-    elif flow_kind == "h1":
-        speed_fn, dt_law = (lambda c: h1_gradient(c)[1]), "h2"
-    elif flow_kind == "indefinite":
-        speed_fn, dt_law = indefinite_speed, "h2"
-    else:
-        raise InvalidCurve(f"unknown flow kind {flow_kind!r}; pick from {FLOW_KINDS}")
-    return run(
-        initial,
-        config,
-        output_times,
-        speed_fn=speed_fn,
-        dt_law=dt_law,
-        flow_kind=flow_kind,
-        t_end=t_end,
-    )
+    if flow_kind not in FLOWS:
+        raise ValidationError(f"unknown flow kind {flow_kind!r}; pick from {tuple(FLOWS)}")
+    return run(initial, config, output_times, flow=FLOWS[flow_kind], t_end=t_end)

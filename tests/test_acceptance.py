@@ -21,11 +21,7 @@ from eightflow.crossings import find_self_intersections
 from eightflow.curves import curve_length, curvature, diameter, segment_lengths
 from eightflow.errors import NotBalanced
 from eightflow.flow import FlowConfig, Trajectory, estimate_extinction_time, run
-from eightflow.gradients import (
-    curve_diffusion_speed,
-    h1_gradient,
-    indefinite_speed,
-)
+from eightflow.gradients import FLOWS, h1_gradient
 from eightflow.shapes import make_bernoulli_lemniscate, make_circle
 from eightflow.solitons import matched_barrier_comparison, push_distance, shrinking_circle
 
@@ -228,7 +224,7 @@ class TestGradientFlows:
     def test_indefinite_is_csf_operator(self):
         worst = 0.0
         for curve in (make_circle(1.0, 256), make_bernoulli_lemniscate(1.0, 256)):
-            worst = max(worst, float(np.abs(indefinite_speed(curve)
+            worst = max(worst, float(np.abs(FLOWS["indefinite"].speed(curve)
                                             - curvature(curve)).max()))
         ok = record("indefinite-metric flow equals the shortening operator",
                     worst < 1e-12, f"max deviation {worst:.2e} < 1e-12")
@@ -240,7 +236,7 @@ class TestGradientFlows:
         start = make_circle(1.0, 256)
         state = FlowState(curve=start, t=0.0, step=0)
         for _ in range(1000):
-            state = step(state, config, speed_fn=curve_diffusion_speed, dt_law="h4")
+            state = step(state, config, flow=FLOWS["diffusion"])
         moved = float(np.abs(state.curve.points - start.points).max())
         ok = record("circle stationary under curve diffusion",
                     moved < 1e-4, f"max node displacement {moved:.2e} < 1e-4 "
@@ -259,7 +255,7 @@ class TestGradientFlows:
         config = FlowConfig(cfl4=0.05)
         state = FlowState(curve=start, t=0.0, step=0)
         for _ in range(2000):
-            state = step(state, config, speed_fn=curve_diffusion_speed, dt_law="h4")
+            state = step(state, config, flow=FLOWS["diffusion"])
         drift = abs(signed_area(state.curve) - a0)
         shrink = l0 - curve_length(state.curve)
         ok = record("curve diffusion conserves signed area",

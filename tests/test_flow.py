@@ -15,6 +15,7 @@ from eightflow.errors import (
     ValidationError,
 )
 from eightflow.flow import (
+    Flow,
     FlowConfig,
     FlowState,
     Trajectory,
@@ -84,27 +85,27 @@ class TestVelocity:
         assert np.abs(kappa[interior] - normal_dot[interior]).max() < 1e-3
 
 
+def config_fault(**values) -> type:
+    """The exception type FlowConfig(**values) raises."""
+    with pytest.raises(ValidationError) as exc:
+        FlowConfig(**values)
+    return exc.type
+
+
 class TestConfig:
+    # A config fault is a plain ValidationError, not a curve fault.
     def test_cfl_bounds(self):
-        from eightflow.errors import InvalidCurve
-        with pytest.raises(InvalidCurve):
-            FlowConfig(cfl=0.0)
-        with pytest.raises(InvalidCurve):
-            FlowConfig(cfl=0.6)
+        assert config_fault(cfl=0.0) is ValidationError
+        assert config_fault(cfl=0.6) is ValidationError
 
     def test_area_fraction_bounds(self):
-        from eightflow.errors import InvalidCurve
-        with pytest.raises(InvalidCurve):
-            FlowConfig(stop_area_frac=1.0)
-        with pytest.raises(InvalidCurve):
-            FlowConfig(stop_area_frac=0.0)
+        assert config_fault(stop_area_frac=1.0) is ValidationError
+        assert config_fault(stop_area_frac=0.0) is ValidationError
 
     @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
     def test_stop_kappa_h_finite_and_positive(self, value):
         # A non-positive bound stops before the first step; nan or inf never stops.
-        from eightflow.errors import InvalidCurve
-        with pytest.raises(InvalidCurve):
-            FlowConfig(stop_kappa_h=value)
+        assert config_fault(stop_kappa_h=value) is ValidationError
 
 
 class TestStep:
@@ -120,7 +121,7 @@ class TestStep:
         state = FlowState(curve=make_circle(1.0, 64), t=0.0, step=0)
         bad_speed = lambda curve: np.full(curve.n, np.nan)
         with pytest.raises(StepRejected):
-            step(state, config, speed_fn=bad_speed)
+            step(state, config, flow=Flow("bad", bad_speed))
 
     def test_remesh_cadence(self):
         config = FlowConfig(remesh_every=3)

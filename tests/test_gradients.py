@@ -12,9 +12,10 @@ from eightflow.curves import (
     segment_lengths,
     signed_area,
 )
-from eightflow.errors import SolveFailed
+from eightflow.errors import SolveFailed, ValidationError
 from eightflow.flow import FlowConfig, FlowState, run, step
 from eightflow.gradients import (
+    FLOWS,
     ArclengthField,
     arclength_derivative,
     arclength_second_derivative,
@@ -23,7 +24,6 @@ from eightflow.gradients import (
     field_on_curve,
     h1_gradient,
     h1_weak_form_defect,
-    indefinite_speed,
 )
 from eightflow.shapes import make_bernoulli_lemniscate, make_circle
 from eightflow.tridiag import solve_cyclic
@@ -166,7 +166,7 @@ class TestCurveDiffusion:
         start = make_circle(1.0, 256)
         state = FlowState(curve=start, t=0.0, step=0)
         for _ in range(1000):
-            state = step(state, config, speed_fn=curve_diffusion_speed, dt_law="h4")
+            state = step(state, config, flow=FLOWS["diffusion"])
         assert np.abs(state.curve.points - start.points).max() < 1e-4
 
     def test_perturbed_circle_conserves_signed_area(self):
@@ -176,7 +176,7 @@ class TestCurveDiffusion:
         l0 = curve_length(start)
         state = FlowState(curve=start, t=0.0, step=0)
         for _ in range(2000):
-            state = step(state, config, speed_fn=curve_diffusion_speed, dt_law="h4")
+            state = step(state, config, flow=FLOWS["diffusion"])
         assert abs(signed_area(state.curve) - a0) < 1e-4 * l0**2
         assert curve_length(state.curve) < l0
 
@@ -216,21 +216,23 @@ class TestH1Gradient:
 
 
 class TestIndefinite:
+    speed = staticmethod(FLOWS["indefinite"].speed)
+
     def test_identical_to_curvature(self):
         curve = wobbly_curve()
-        assert np.abs(indefinite_speed(curve) - curvature(curve)).max() < 1e-12
+        assert np.abs(self.speed(curve) - curvature(curve)).max() < 1e-12
 
     def test_circle_constant_speed(self):
         for r in (0.5, 2.0):
-            speed = indefinite_speed(make_circle(r, 128))
+            speed = self.speed(make_circle(r, 128))
             assert np.abs(speed - 1.0 / r).max() < 1e-4
 
     def test_orientation_reversal_negates(self):
         curve = wobbly_curve()
         back = reverse(curve)
         # Sample k of the reversed curve is sample -k of the original.
-        remap = indefinite_speed(back)[(-np.arange(curve.n)) % curve.n]
-        assert np.abs(indefinite_speed(curve) + remap).max() < 1e-12
+        remap = self.speed(back)[(-np.arange(curve.n)) % curve.n]
+        assert np.abs(self.speed(curve) + remap).max() < 1e-12
 
 
 class TestEvolve:
@@ -247,23 +249,30 @@ class TestEvolve:
         start = wobbly_curve(128)
         l0 = curve_length(start)
         config = FlowConfig(cfl=0.1, cfl4=0.05, stop_area_frac=0.2, max_steps=400)
-        for kind in ("diffusion", "h1", "indefinite"):
+        for kind, flow in FLOWS.items():
             state = FlowState(curve=start, t=0.0, step=0)
-            dt_law = "h4" if kind == "diffusion" else "h2"
-            from eightflow import gradients
-            speed_fn = {
-                "diffusion": gradients.curve_diffusion_speed,
-                "h1": lambda c: gradients.h1_gradient(c)[1],
-                "indefinite": gradients.indefinite_speed,
-            }[kind]
             for _ in range(150):
-                state = step(state, config, speed_fn=speed_fn, dt_law=dt_law)
+                state = step(state, config, flow=flow)
             assert curve_length(state.curve) < l0, kind
 
+    @pytest.mark.parametrize("kind", sorted(FLOWS))
+    def test_step_law(self, kind):
+        # dt = cfl4 h_min^4 for the fourth-order diffusion flow, cfl h_min^2
+        # for the others; a smaller cap is taken exactly.
+        flow = FLOWS[kind]
+        assert flow.kind == kind and flow.fourth_order == (kind == "diffusion")
+        config = FlowConfig(cfl=0.1, cfl4=0.05)
+        curve = wobbly_curve(128)
+        h_min = segment_lengths(curve).min()
+        law = config.cfl4 * h_min**4 if kind == "diffusion" else config.cfl * h_min**2
+        start = FlowState(curve=curve, t=0.0, step=1)
+        assert step(start, config, flow=flow).t == law
+        assert step(start, config, flow=flow, dt_cap=0.5 * law).t == 0.5 * law
+
     def test_unknown_kind_rejected(self):
-        from eightflow.errors import InvalidCurve
-        with pytest.raises(InvalidCurve):
+        with pytest.raises(ValidationError) as exc:
             evolve_gradient_flow(make_circle(1.0, 64), "bogus", FlowConfig())
+        assert exc.type is ValidationError
 
     def test_diffusion_metadata(self):
         traj = evolve_gradient_flow(

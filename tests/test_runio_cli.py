@@ -381,12 +381,18 @@ class TestCLI:
         {"output_times": [0]},
         {"output_times": [float("nan")]},
         {"curve_file": "circle.csv"},
+        {"config": {"cfl": 0.6}},
+        {"M": float("nan")},
+        {"M": -1.0},
+        {"alpha": -1.0},
+        {"alphas": [float("nan")]},
     ], ids=["string-t_end", "negative-t_end", "zero-t_end", "nan-t_end", "inf-t_end",
             "string-output_times", "string-output_time",
             "list-config", "number-out_dir", "number-curve_file", "string-M",
             "string-alphas", "string-monitors", "top-level-cfl", "misspelled-monitors",
             "negative-output_time", "zero-output_time", "nan-output_time",
-            "curve_file-and-generator"])
+            "curve_file-and-generator", "out-of-range-cfl", "nan-M", "negative-M",
+            "negative-alpha", "nan-alphas-entry"])
     def test_bad_spec_value_exits_1_before_the_run(self, tmp_path, capsys, monkeypatch,
                                                     entry):
         monkeypatch.chdir(tmp_path)   # a number out_dir would be a relative path
@@ -438,6 +444,27 @@ class TestCLI:
         err = capsys.readouterr().err.splitlines()
         assert err == ["ERROR ValidationError: --alphas must be comma-separated numbers, "
                        "not '0.01,x'"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--monitor", "isoperimetric", "--M=-1"],
+                                       ["--monitor", "isoperimetric", "--M", "nan"],
+                                       ["--monitor", "isoperimetric", "--alpha=-1"],
+                                       ["--monitor", "collapse", "--alphas", "0.01,nan"]],
+                             ids=["negative-M", "nan-M", "negative-alpha", "nan-alphas"])
+    def test_out_of_range_monitor_flag_exits_1(self, small_run, tmp_path, capsys, flags):
+        run_dir, out = small_run[1], tmp_path / "never.json"
+        before = sorted(run_dir.iterdir())
+        assert main(["report", str(run_dir), *flags, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ERROR ValidationError:")
+        assert not out.exists() and sorted(run_dir.iterdir()) == before
+
+    def test_out_of_range_cfl_flag_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "never"
+        assert main(["evolve", "--generator", "circle", "--n", "64", "--cfl", "0.6",
+                     "--t-end", "1e-6", "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "ERROR ValidationError: cfl 0.6 outside (0, 0.5]"]
         assert not out.exists()
 
     def test_out_dir_holding_a_run_refused_before_stepping(self, tmp_path, capsys,
