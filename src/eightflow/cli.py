@@ -168,10 +168,7 @@ def _listed(kind, flag: str):
 
 def cmd_generate(args) -> int:
     curve = _GENERATORS[args.generator](vars(args))
-    if args.format == "json":
-        curve_to_json(curve, args.out)
-    else:
-        curve_to_csv(curve, args.out)
+    (curve_to_json if args.out.endswith(".json") else curve_to_csv)(curve, args.out)
     print(_record_line(compute_record(curve, 0.0)))
     print(f"wrote {args.out}")
     return 0
@@ -311,8 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write an initial curve file")
     _add_generator_args(p, "generator")
-    p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--out", required=True, help="curve file: JSON if it ends in .json, else CSV")
     p.set_defaults(fn=cmd_generate, **_GENERATOR_DEFAULTS)
 
     p = sub.add_parser("evolve", help="run a flow and write a run directory")

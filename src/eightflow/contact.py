@@ -234,16 +234,3 @@ def legendrian_variation(
     ])
     return SpaceCurve(curve.points + dt * velocity)
 
-
-# 3D curve serialization: CSV with header u,x,y,z.
-
-def space_curve_to_csv(curve: SpaceCurve, path) -> None:
-    u = np.arange(curve.n) * curve.du
-    rows = "".join(f"{ui:.17g},{x:.17g},{y:.17g},{z:.17g}\n"
-                   for ui, (x, y, z) in zip(u.tolist(), curve.points.tolist()))
-    with open(path, "w") as fh:
-        fh.write("u,x,y,z\n" + rows)
-
-
-def space_curve_from_csv(path) -> SpaceCurve:
-    return SpaceCurve(cv.read_curve_csv(path, ["u", "x", "y", "z"]))

@@ -339,16 +339,18 @@ def scale(curve: PlaneCurve, factor: float) -> PlaneCurve:
 
 
 # ---------------------------------------------------------------------------
-# Serialization: CSV with header u,x,y, or JSON {"n": N, "points": [[x,y],..]}.
-# Values are written with 17 significant digits, so a round trip returns the
-# same float64 values; the file is written in one call and read back with
-# numpy's C parser, which rounds exactly like float().
+# Serialization: CSV with header u,x,y (u,x,y,z for a space curve), or JSON
+# {"n": N, "points": [[x,y],..]}.  17 significant digits make a round trip
+# return the same float64 values; a file is written in one call and read back
+# with numpy's C parser, which rounds exactly like float().
 
-def curve_to_csv(curve: PlaneCurve, path: str | Path) -> None:
-    rows = "".join(f"{u:.17g},{x:.17g},{y:.17g}\n"
-                   for u, (x, y) in zip(curve.u.tolist(), curve.points.tolist()))
+def curve_to_csv(curve, path: str | Path) -> None:
+    """Write any curve with `points`, `n` and `du` as u,x,y[,z] rows."""
+    table = np.column_stack((np.arange(curve.n) * curve.du, curve.points))
+    names = ["u", "x", "y", "z"][:table.shape[1]]
+    row = ",".join(["%.17g"] * len(names)) + "\n"
     with open(path, "w") as fh:
-        fh.write("u,x,y\n" + rows)
+        fh.write(",".join(names) + "\n" + row * curve.n % tuple(table.ravel().tolist()))
 
 
 def read_curve_csv(path: str | Path, names: list[str]) -> np.ndarray:
@@ -381,9 +383,13 @@ def curve_to_json(curve: PlaneCurve, path: str | Path) -> None:
 
 
 def curve_from_json(path: str | Path) -> PlaneCurve:
-    with open(path) as fh:
-        payload = json.load(fh)
-    pts = np.asarray(payload["points"], dtype=float)
+    """The curve of a JSON curve file; a malformed file raises InvalidCurve."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+        pts = np.asarray(payload["points"], dtype=float)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise InvalidCurve(f"malformed JSON curve {path}: {exc!r}") from None
     if payload.get("n") not in (None, len(pts)):
         raise InvalidCurve("JSON field 'n' disagrees with the point count")
     return PlaneCurve(pts)

@@ -21,19 +21,23 @@ from . import contact
 from .curves import curve_from_csv, curve_to_csv
 from .diagnostics import DiagnosticsRecord, compute_record
 from .errors import RowCountMismatch, ValidationError
-from .flow import FlowConfig, FlowState, Trajectory
+from .flow import FlowConfig, FlowState, Trajectory, checked_times
 
 
-def save_run(traj: Trajectory, run_dir: str | Path) -> Path:
+def _write_run(run_dir, header: str, rows, curves, meta: dict) -> Path:
+    """The one run-directory writer: diagnostics.csv from a header and rows,
+    one snapshot CSV per curve, then metadata.json."""
     run_dir = Path(run_dir)
     snap_dir = run_dir / "snapshots"
     snap_dir.mkdir(parents=True, exist_ok=True)
-    with open(run_dir / "diagnostics.csv", "w") as fh:
-        fh.write(DiagnosticsRecord.CSV_COLUMNS + "\n")
-        for rec in traj.records:
-            fh.write(rec.csv_row() + "\n")
-    for k, state in enumerate(traj.states):
-        curve_to_csv(state.curve, snap_dir / f"snap_{k:04d}.csv")
+    (run_dir / "diagnostics.csv").write_text("".join(line + "\n" for line in (header, *rows)))
+    for k, curve in enumerate(curves):
+        curve_to_csv(curve, snap_dir / f"snap_{k:04d}.csv")
+    (run_dir / "metadata.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
+    return run_dir
+
+
+def save_run(traj: Trajectory, run_dir: str | Path) -> Path:
     meta = {
         "flow_kind": traj.flow_kind,
         "stop_reason": traj.stop_reason,
@@ -42,65 +46,54 @@ def save_run(traj: Trajectory, run_dir: str | Path) -> Path:
         "snapshot_steps": [s.step for s in traj.states],
         "unreached_outputs": traj.unreached_outputs,
     }
-    with open(run_dir / "metadata.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-    return run_dir
+    return _write_run(run_dir, DiagnosticsRecord.CSV_COLUMNS,
+                      [rec.csv_row() for rec in traj.records],
+                      [s.curve for s in traj.states], meta)
 
 
 def load_run(run_dir: str | Path) -> Trajectory:
     """The trajectory of a stored run; its records are recomputed.
 
     Raises ValidationError when metadata.json is not JSON or lacks a key,
-    when its snapshot times and steps differ in length, or when its config is
-    not a valid FlowConfig.
+    when its snapshot times and steps differ in length or do not both start
+    at 0 and strictly increase (the times finite, the steps ints), or when its
+    config is not a valid FlowConfig.
     """
     run_dir = Path(run_dir)
     path = run_dir / "metadata.json"
     try:
         meta = json.loads(path.read_text())
-        snapshots = list(zip(meta["snapshot_times"], meta["snapshot_steps"], strict=True))
+        times, steps = meta["snapshot_times"], meta["snapshot_steps"]
+        snapshots = list(zip(times, steps, strict=True))
+        if (times[:1] != [0] or checked_times(times[1:], f"{path} snapshot time") != times[1:]
+                or any(type(s) is not int for s in steps) or sorted(set(steps)) != steps
+                or steps[:1] != [0]):
+            raise ValidationError(f"{path}: snapshot times and steps must start at 0 and increase")
         stop_reason, flow_kind = meta["stop_reason"], meta["flow_kind"]
         config = FlowConfig.from_dict(meta["config"])
     except (ValueError, KeyError, TypeError) as exc:
         raise ValidationError(f"malformed {path}: {exc!r}") from exc
-    states = []
-    for k, (t, step) in enumerate(snapshots):
-        curve = curve_from_csv(run_dir / "snapshots" / f"snap_{k:04d}.csv")
-        states.append(FlowState(curve=curve, t=t, step=step))
-    records = [compute_record(s.curve, s.t) for s in states]
-    return Trajectory(
-        states=states,
-        records=records,
-        stop_reason=stop_reason,
-        config=config,
-        flow_kind=flow_kind,
-        unreached_outputs=meta.get("unreached_outputs", []),
-    )
+    states = [FlowState(curve=curve_from_csv(run_dir / "snapshots" / f"snap_{k:04d}.csv"),
+                        t=t, step=step) for k, (t, step) in enumerate(snapshots)]
+    return Trajectory(states=states, records=[compute_record(s.curve, s.t) for s in states],
+                      stop_reason=stop_reason, config=config, flow_kind=flow_kind,
+                      unreached_outputs=meta.get("unreached_outputs", []))
 
 
 def save_lifted_run(
     traj: Trajectory, lifted: list[contact.SpaceCurve], out_dir: str | Path
 ) -> Path:
     """Write a lifted trajectory: 3D snapshots plus residual-extended diagnostics."""
-    out_dir = Path(out_dir)
-    snap_dir = out_dir / "snapshots"
-    snap_dir.mkdir(parents=True, exist_ok=True)
     residuals = [contact.legendrian_residual(c) for c in lifted]
-    with open(out_dir / "diagnostics.csv", "w") as fh:
-        fh.write(DiagnosticsRecord.CSV_COLUMNS + ",residual\n")
-        for rec, res in zip(traj.records, residuals):
-            fh.write(rec.csv_row() + f",{res:.17g}\n")
-    for k, curve in enumerate(lifted):
-        contact.space_curve_to_csv(curve, snap_dir / f"snap_{k:04d}.csv")
     meta = {
         "kind": "lifted",
         "z_base": float(lifted[0].z[0]) if lifted else None,
         "max_residual": max(residuals) if residuals else None,
         "snapshot_times": [s.t for s in traj.states],
     }
-    with open(out_dir / "metadata.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-    return out_dir
+    return _write_run(out_dir, DiagnosticsRecord.CSV_COLUMNS + ",residual",
+                      [rec.csv_row() + f",{res:.17g}" for rec, res in zip(traj.records, residuals)],
+                      lifted, meta)
 
 
 def append_margin_column(run_dir: str | Path, margins: np.ndarray) -> Path:

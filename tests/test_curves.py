@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from eightflow import curves as cv
+from eightflow.contact import lift
 from eightflow.curves import PlaneCurve
 from eightflow.errors import AllFlat, DegenerateTangent, InvalidCurve
 from eightflow.shapes import make_bernoulli_lemniscate, make_circle, make_ellipse
@@ -391,6 +392,26 @@ class TestSerialization:
         cv.curve_to_json(curve, path)
         back = cv.curve_from_json(path)
         np.testing.assert_array_equal(back.points, curve.points)
+
+    @pytest.mark.parametrize("text", ["{", '[[1, 2]]', '{"n": 2}', '{"points": [["a", "b"]]}'],
+                             ids=["not-json", "list", "no-points", "non-numeric-points"])
+    def test_json_malformed(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(InvalidCurve, match="malformed JSON curve .*bad.json"):
+            cv.curve_from_json(path)
+
+    def test_csv_text_pinned(self, tmp_path):
+        # Header and first two rows, %.17g per value, for a plane curve and its lift.
+        circle = make_circle(1.0, 16)
+        row1 = "0.39269908169872414,0.92387953251128674,0.38268343236508978"
+        for curve, expected in (
+                (circle, f"u,x,y\n0,1,0\n{row1}\n"),
+                (lift(circle, 0.5, require_balanced=False),
+                 f"u,x,y,z\n0,1,0,0.5\n{row1},0.47126765511877572\n")):
+            path = tmp_path / "curve.csv"
+            cv.curve_to_csv(curve, path)
+            assert "".join(path.read_text().splitlines(keepends=True)[:3]) == expected
 
     def test_csv_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"

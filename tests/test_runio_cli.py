@@ -110,7 +110,8 @@ class TestRunIO:
 
 class TestMalformedMetadata:
     @pytest.mark.parametrize("damage", ["not-json", "no-snapshot-steps", "short-snapshot-steps",
-                                        "unknown-config-field"])
+                                        "unknown-config-field", "str-time", "nan-time",
+                                        "decreasing-times", "str-step"])
     def test_rejected(self, small_run, tmp_path, capsys, damage):
         run_dir = shutil.copytree(small_run[1], tmp_path / "run")
         path = run_dir / "metadata.json"
@@ -121,6 +122,14 @@ class TestMalformedMetadata:
             meta["snapshot_steps"] = meta["snapshot_steps"][:1]
         elif damage == "unknown-config-field":
             meta["config"]["bogus"] = 1
+        elif damage == "str-time":
+            meta["snapshot_times"][1] = "0.02"
+        elif damage == "nan-time":
+            meta["snapshot_times"][1] = float("nan")
+        elif damage == "decreasing-times":
+            meta["snapshot_times"][1:] = meta["snapshot_times"][:0:-1]
+        elif damage == "str-step":
+            meta["snapshot_steps"][1] = str(meta["snapshot_steps"][1])
         path.write_text("{" if damage == "not-json" else json.dumps(meta))
         with pytest.raises(ValidationError):
             runio.load_run(run_dir)
@@ -142,10 +151,12 @@ class TestCLI:
 
     def test_generate_circle_json(self, tmp_path):
         out = tmp_path / "circle.json"
-        assert main(["generate", "circle", "--r", "1", "--n", "64",
-                     "--out", str(out), "--format", "json"]) == 0
+        assert main(["generate", "circle", "--r", "1", "--n", "64", "--out", str(out)]) == 0
         from eightflow.curves import curve_from_json, signed_area
         assert abs(signed_area(curve_from_json(out)) - np.pi) < 1e-3
+        # evolve reads the file by the same suffix rule.
+        assert main(["evolve", "--curve", str(out), "--t-end", "1e-4",
+                     "--out-dir", str(tmp_path / "run")]) == 0
 
     def test_generate_too_small_exits_1(self, tmp_path, capsys):
         code = main(["generate", "lemniscate", "--n", "8",
@@ -523,6 +534,16 @@ class TestCLI:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("ERROR InvalidCurve:")
         assert not (tmp_path / "never").exists()
+
+    def test_evolve_malformed_json_curve_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        for text in ("{", "[[1, 2]]", '{"n": 2}', '{"points": [["a", "b"]]}'):
+            path.write_text(text)
+            assert main(["evolve", "--curve", str(path),
+                         "--out-dir", str(tmp_path / "never")]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("ERROR InvalidCurve:")
+            assert not (tmp_path / "never").exists()
 
     def test_missing_run_dir_exits_3(self, tmp_path, capsys):
         assert main(["lift", str(tmp_path / "no_such_run")]) == 3
