@@ -36,8 +36,6 @@ from .contact import (
 )
 from .gradients import (
     FLOWS,
-    ArclengthField,
-    arclength_derivative,
     curve_diffusion_speed,
     evolve_gradient_flow,
     h1_gradient,

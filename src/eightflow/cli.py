@@ -100,8 +100,7 @@ class RunSpec:
         out_dir = spec.get("out_dir")
         if not out_dir or not isinstance(out_dir, str):
             raise ValidationError(f"RunSpec needs an out_dir path, not {out_dir!r}")
-        if (Path(out_dir) / "metadata.json").exists():
-            raise ValidationError(f"{out_dir} already holds a run; choose a new out_dir")
+        runio.check_new_run_dir(out_dir)
         curve_file, gen = spec.get("curve_file") or None, spec.get("generator")
         if curve_file is not None:
             if not isinstance(curve_file, str):
@@ -252,9 +251,10 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_lift(args) -> int:
+    out_dir = args.out_dir or str(Path(args.run_dir) / "lifted")
+    runio.check_new_run_dir(out_dir)
     traj = runio.load_run(args.run_dir)
     lifted = contact.lift_trajectory(traj, args.z_base)
-    out_dir = args.out_dir or str(Path(args.run_dir) / "lifted")
     runio.save_lifted_run(traj, lifted, out_dir)
     worst = max(contact.legendrian_residual(c) for c in lifted)
     print(f"lifted {len(lifted)} snapshots, max residual {worst:.3e}")
@@ -293,8 +293,9 @@ def cmd_compare_reaper(args) -> int:
     runio.append_margin_column(args.run_dir, padded)
     print(f"margins: min={np.nanmin(margins):.6g} "
           f"all_positive={bool(np.all(margins > 0))}")
-    print(f"push_distance={push:.7g} final_rightmost_x={final_x:.6g} "
-          f"pushed_past={final_x <= -push + 1e-2}")
+    # A barrier that does not move left pushes nothing past it.
+    pushed = "n/a" if push <= 0 else final_x <= -push + 1e-2
+    print(f"push_distance={push:.7g} final_rightmost_x={final_x:.6g} pushed_past={pushed}")
     return 0
 
 

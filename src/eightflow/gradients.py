@@ -20,53 +20,25 @@ the summation-by-parts energy identity of the h1 solve exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import curves as cv
-from .errors import InvalidCurve, SolveFailed, ValidationError
+from .errors import SolveFailed, ValidationError
 from .flow import CSF, Flow, FlowConfig, Trajectory, run
 from .tridiag import solve_cyclic
 
 _H1_RESIDUAL_TOL = 1e-8
 
 
-@dataclass(frozen=True, eq=False)
-class ArclengthField:
-    """Periodic samples of a scalar field at a curve's nodes.
-
-    spacing[i] is the arclength increment from node i to node i+1 (mod N);
-    quadrature against ds uses the centered weights (spacing[i-1] +
-    spacing[i]) / 2.
-    """
-
-    values: np.ndarray
-    spacing: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        spacing = np.asarray(self.spacing, dtype=float)
-        if values.shape != spacing.shape or values.ndim != 1:
-            raise InvalidCurve("field values and spacing must be equal-length 1-D")
-        if (spacing <= 0).any():
-            raise InvalidCurve("arclength spacing must be positive")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "spacing", spacing)
-
-    @property
-    def weights(self) -> np.ndarray:
-        return 0.5 * (self.spacing + _neighbours(self.spacing)[0])
-
-    def integral(self) -> float:
-        """Quadrature of the field against ds."""
-        return float((self.values * self.weights).sum())
-
-
 def _neighbours(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(values[i-1], values[i+1]) for every i (mod N), as slices of one padded copy."""
     ext = np.concatenate((values[-1:], values, values[:1]))
     return ext[:-2], ext[2:]
+
+
+def _ds_weights(spacing: np.ndarray) -> np.ndarray:
+    """Centered quadrature weights against ds: (spacing[i-1] + spacing[i]) / 2."""
+    return 0.5 * (spacing + _neighbours(spacing)[0])
 
 
 def _d_ds(f: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -81,20 +53,6 @@ def _d2_ds2(f: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = _neighbours(b)[0]
     fm, fp = _neighbours(f)
     return ((fp - f) / b - (f - fm) / a) / (0.5 * (a + b))
-
-
-def field_on_curve(curve: cv.PlaneCurve, values: np.ndarray) -> ArclengthField:
-    return ArclengthField(values=values, spacing=cv.segment_lengths(curve))
-
-
-def arclength_derivative(field: ArclengthField) -> ArclengthField:
-    """d/ds by centered differences with nonuniform-spacing correction."""
-    return ArclengthField(_d_ds(field.values, field.spacing), field.spacing)
-
-
-def arclength_second_derivative(field: ArclengthField) -> ArclengthField:
-    """d^2/ds^2 in divergence form: ((f_{i+1}-f_i)/b - (f_i-f_{i-1})/a) / w_i."""
-    return ArclengthField(_d2_ds2(field.values, field.spacing), field.spacing)
 
 
 def curve_diffusion_speed(curve: cv.PlaneCurve) -> np.ndarray:
@@ -128,10 +86,10 @@ def _h1_solve(curve: cv.PlaneCurve) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return b, kappa_s, zeta
 
 
-def h1_gradient(curve: cv.PlaneCurve) -> tuple[ArclengthField, np.ndarray]:
+def h1_gradient(curve: cv.PlaneCurve) -> tuple[np.ndarray, np.ndarray]:
     """Solve (I - d^2/ds^2) zeta = kappa_s; return (zeta, normal speed -zeta_s)."""
     b, _, zeta = _h1_solve(curve)
-    return ArclengthField(zeta, b), -_d_ds(zeta, b)
+    return zeta, -_d_ds(zeta, b)
 
 
 def h1_weak_form_defect(curve: cv.PlaneCurve) -> float:
@@ -142,7 +100,7 @@ def h1_weak_form_defect(curve: cv.PlaneCurve) -> float:
     is therefore at the level of the solve residual.
     """
     spacing, kappa_s, zeta = _h1_solve(curve)
-    w = ArclengthField(zeta, spacing).weights
+    w = _ds_weights(spacing)
     lhs = float((zeta * kappa_s * w).sum())
     staggered = (cv.cyclic_next(zeta) - zeta) ** 2 / spacing
     rhs = float((zeta * zeta * w).sum() + staggered.sum())

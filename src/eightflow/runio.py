@@ -24,6 +24,12 @@ from .errors import RowCountMismatch, ValidationError
 from .flow import FlowConfig, FlowState, Trajectory, checked_times
 
 
+def check_new_run_dir(run_dir) -> None:
+    """ValidationError when `run_dir` already holds a run, i.e. a metadata.json."""
+    if (Path(run_dir) / "metadata.json").exists():
+        raise ValidationError(f"{run_dir} already holds a run; choose a new out_dir")
+
+
 def _write_run(run_dir, header: str, rows, curves, meta: dict) -> Path:
     """The one run-directory writer: diagnostics.csv from a header and rows,
     one snapshot CSV per curve, then metadata.json."""

@@ -1,9 +1,11 @@
 """Shared fixtures: the expensive reference runs are session-scoped."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from eightflow.flow import FlowConfig, run
+from eightflow.flow import FlowConfig, Trajectory, run
 from eightflow.shapes import (
     make_asymmetric_eight,
     make_bernoulli_lemniscate,
@@ -31,14 +33,25 @@ def lemniscate_run():
 
 
 @pytest.fixture(scope="session")
-def deep_lemniscate_run():
-    """The same lemniscate run continued to 1e-4 of its initial total area.
+def deep_lemniscate_run(lemniscate_run):
+    """`lemniscate_run` continued from its last state to 1e-4 of its initial total area.
 
     Only the initial and final states are kept: the deep collapse witnesses
-    compare the last record with the first.
+    compare the last record with the first.  The shallow run stops at a step
+    that is a multiple of the remesh and check cadence, so the continuation
+    keeps both phases.
     """
-    config = FlowConfig(cfl=0.1, stop_area_frac=1e-4)
-    return run(make_bernoulli_lemniscate(1.0, 256), config)
+    first, last = lemniscate_run.states[0], lemniscate_run.states[-1]
+    area0, area_last = (lemniscate_run.records[k].area_total for k in (0, -1))
+    config = FlowConfig(cfl=0.1, stop_area_frac=1e-4 * area0 / area_last)
+    deep = run(last.curve, config)
+    tail = deep.states[-1]
+    end = replace(tail, t=last.t + tail.t, step=last.step + tail.step)
+    return Trajectory(
+        states=[first, end],
+        records=[lemniscate_run.records[0], replace(deep.records[-1], t=end.t)],
+        stop_reason=deep.stop_reason, config=config,
+    )
 
 
 @pytest.fixture(scope="session")

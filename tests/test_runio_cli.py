@@ -195,6 +195,32 @@ class TestCLI:
         assert code == 1
         assert "NotBalanced" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("out", [None, "L"], ids=["default", "out-dir"])
+    def test_lift_into_a_run_refused(self, small_run, tmp_path, capsys, monkeypatch, out):
+        run_dir = shutil.copytree(small_run[1], tmp_path / "run")
+        out_flag = ["--out-dir", str(tmp_path / out)] if out else []
+        assert main(["lift", str(run_dir), *out_flag]) == 0
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        monkeypatch.setattr(runio, "load_run", lambda *args: pytest.fail("loaded"))
+        assert main(["lift", str(run_dir), *out_flag]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ERROR ValidationError:")
+        assert "already holds a run" in err[0]
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+    @pytest.mark.parametrize("flags, last_line", [
+        ([], "push_distance=-0.357625 final_rightmost_x=-0.210015 pushed_past=n/a"),
+        (["--c0", "30", "--tau0", "0.05"],
+         "push_distance=-0.3834194 final_rightmost_x=-0.0825661 pushed_past=n/a"),
+        (["--c0", "1", "--tau0", "0.2"],
+         "push_distance=0.1977663 final_rightmost_x=-0.547102 pushed_past=True"),
+    ], ids=["matched", "c0-30", "c0-1"])
+    def test_compare_reaper_pushed_past(self, reaper_run, capsys, flags, last_line):
+        # A barrier that moves right (push <= 0) pushes nothing past it.
+        assert main(["compare-reaper", str(reaper_run), *flags]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == last_line
+
     def test_compare_reaper_appends_margin(self, reaper_run, capsys):
         assert main(["compare-reaper", str(reaper_run)]) == 0
         header = (reaper_run / "diagnostics.csv").read_text().splitlines()[0]
