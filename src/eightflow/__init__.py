@@ -32,7 +32,6 @@ from .contact import (
     legendrian_variation,
     lift,
     lift_trajectory,
-    project,
 )
 from .gradients import (
     FLOWS,

@@ -255,9 +255,9 @@ def cmd_lift(args) -> int:
     runio.check_new_run_dir(out_dir)
     traj = runio.load_run(args.run_dir)
     lifted = contact.lift_trajectory(traj, args.z_base)
-    runio.save_lifted_run(traj, lifted, out_dir)
-    worst = max(contact.legendrian_residual(c) for c in lifted)
-    print(f"lifted {len(lifted)} snapshots, max residual {worst:.3e}")
+    residuals = [contact.legendrian_residual(c) for c in lifted]
+    runio.save_lifted_run(traj, lifted, residuals, out_dir)
+    print(f"lifted {len(lifted)} snapshots, max residual {max(residuals):.3e}")
     print(f"lift complete: {out_dir}")
     return 0
 

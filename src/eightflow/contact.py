@@ -29,7 +29,7 @@ import numpy as np
 
 from . import curves as cv
 from .errors import InvalidCurve, NotBalanced
-from .flow import FlowState, Trajectory, csf_velocity
+from .flow import Trajectory, csf_velocity
 
 _BALANCE_AREA_TOL = 1e-6      # |A_signed| < tol * L^2 for lifting
 _BALANCE_TURNING_TOL = 1e-3   # |integral of kappa ds| < tol for angle functions
@@ -37,42 +37,38 @@ _BALANCE_TURNING_TOL = 1e-3   # |integral of kappa ds| < tol for angle functions
 
 @dataclass(frozen=True, eq=False)
 class SpaceCurve:
-    """Closed curve in R^3 whose planar projection is immersed.
+    """Closed curve in R^3: an immersed plane curve and a height per sample.
 
     Carries no Legendrian guarantee by itself: `legendrian_residual` measures
     the violation, `lift` constructs curves satisfying it to round-off.  The
-    projection built to validate the samples is kept for `project`.
+    heights are frozen like the plane's samples: a float64 C-contiguous array
+    is adopted without a copy, so the caller's array becomes read-only too.
     """
 
-    points: np.ndarray
+    plane: cv.PlaneCurve
+    z: np.ndarray
 
     def __post_init__(self):
-        pts = np.ascontiguousarray(np.asarray(self.points, dtype=float))
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise InvalidCurve(f"expected an (N, 3) point array, got shape {pts.shape}")
-        if not np.isfinite(pts).all():
-            raise InvalidCurve("curve samples must be finite")
-        plane = cv.PlaneCurve(pts[:, :2])  # validates the projection invariants
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "_plane", plane)
+        z = np.ascontiguousarray(np.asarray(self.z, dtype=float))
+        if z.shape != (self.plane.n,):
+            raise InvalidCurve(f"expected {self.plane.n} heights, got shape {z.shape}")
+        if not np.isfinite(z).all():
+            raise InvalidCurve("heights must be finite")
+        z.setflags(write=False)
+        object.__setattr__(self, "z", z)
 
     @property
     def n(self) -> int:
-        return self.points.shape[0]
+        return self.plane.n
 
     @property
     def du(self) -> float:
-        return 2.0 * np.pi / self.n
+        return self.plane.du
 
     @property
-    def z(self) -> np.ndarray:
-        return self.points[:, 2]
-
-
-def project(curve: SpaceCurve) -> cv.PlaneCurve:
-    """Drop the z coordinate; no Legendrian condition is used or checked."""
-    return curve._plane
+    def points(self) -> np.ndarray:
+        """The (N, 3) samples (x, y, z)."""
+        return np.column_stack([self.plane.points, self.z])
 
 
 def _transport(w: np.ndarray, du: float) -> tuple[np.ndarray, np.ndarray]:
@@ -94,7 +90,7 @@ def legendrian_residual_profile(curve: SpaceCurve) -> np.ndarray:
     approximates |z_u - y x_u| at the segment midpoint.  The wrap-around
     entry sees any overall non-periodicity of z.
     """
-    inc, _ = _height_transport(project(curve))
+    inc, _ = _height_transport(curve.plane)
     dz = cv.cyclic_next(curve.z) - curve.z
     return np.abs(dz - inc) / curve.du
 
@@ -123,7 +119,7 @@ def lift(
     at node 0.  The wrap-around periodicity defect equals -signed_area, so
     the lift closes up only for balanced curves; `require_balanced=False`
     skips that precondition (the returned curve then carries the defect in
-    its final segment).
+    its final segment).  The returned curve holds `plane` itself.
     """
     area = cv.signed_area(plane)
     length = cv.curve_length(plane)
@@ -132,7 +128,7 @@ def lift(
             f"signed area {area:.6g} exceeds {_BALANCE_AREA_TOL:g} * L^2", area
         )
     _, z = _height_transport(plane)
-    return SpaceCurve(np.column_stack([plane.points, z_base + z]))
+    return SpaceCurve(plane, z_base + z)
 
 
 def lift_trajectory(traj: Trajectory, z_base: float = 0.0) -> list[SpaceCurve]:
@@ -151,7 +147,7 @@ def lift_trajectory(traj: Trajectory, z_base: float = 0.0) -> list[SpaceCurve]:
     return lifted
 
 
-def legendrian_angle(state: FlowState) -> np.ndarray:
+def legendrian_angle(curve: cv.PlaneCurve) -> np.ndarray:
     """Reeb-direction speed lambda of the lifted flow at each sample.
 
         lambda(u) = -y(0) x_t(0) + integral_0^u kappa g du,
@@ -161,7 +157,6 @@ def legendrian_angle(state: FlowState) -> np.ndarray:
     reuses the turning quadrature, so the periodicity defect of lambda is
     identically the discrete total curvature.
     """
-    curve = state.curve
     turning = cv.total_curvature(curve)
     if abs(turning) > _BALANCE_TURNING_TOL:
         raise NotBalanced(
@@ -179,10 +174,10 @@ def contact_frame(curve: SpaceCurve) -> tuple[np.ndarray, np.ndarray, np.ndarray
     For a Legendrian curve the triple is g-orthonormal with eta(T) = 0; the
     z-components encode the contact twisting (X = d/dx + y d/dz).
     """
-    d1, _, g2, _ = project(curve).jet
+    d1, _, g2, _ = curve.plane.jet
     x_u, y_u = d1.T
     g = np.sqrt(g2)
-    y = curve.points[:, 1]
+    y = curve.plane.y
     tangent = np.column_stack([x_u / g, y_u / g, y * x_u / g])
     normal = np.column_stack([-y_u / g, x_u / g, -y * y_u / g])
     reeb = np.zeros_like(tangent)
@@ -193,8 +188,7 @@ def contact_frame(curve: SpaceCurve) -> tuple[np.ndarray, np.ndarray, np.ndarray
 def contact_gram(curve: SpaceCurve) -> np.ndarray:
     """(N, 3, 3) Gram matrices of {T, N, xi} under g = dx^2 + dy^2 + eta^2."""
     frame = np.stack(contact_frame(curve), axis=1)  # (N, 3 vectors, 3 comps)
-    y = curve.points[:, 1]
-    eta = frame[:, :, 2] - y[:, None] * frame[:, :, 0]
+    eta = frame[:, :, 2] - curve.plane.y[:, None] * frame[:, :, 0]
     gram = (
         np.einsum("nia,nja->nij", frame[:, :, :2], frame[:, :, :2])
         + np.einsum("ni,nj->nij", eta, eta)
@@ -222,15 +216,16 @@ def legendrian_variation(
     f = np.asarray(f, dtype=float)
     if f.shape != (curve.n,):
         raise InvalidCurve(f"scalar field shape {f.shape} != ({curve.n},)")
-    d1, _, g2, _ = project(curve).jet
+    d1, _, g2, _ = curve.plane.jet
     x_u, y_u = d1.T
     g = np.sqrt(g2)
     phi = np.zeros_like(f) if omit_normal_term else cv.stencil(f, curve.du).d1 / g
-    y = curve.points[:, 1]
+    y = curve.plane.y
     velocity = np.column_stack([
         -phi * y_u / g,
         phi * x_u / g,
         f - phi * y * y_u / g,
     ])
-    return SpaceCurve(curve.points + dt * velocity)
+    xyz = curve.points + dt * velocity
+    return SpaceCurve(cv.PlaneCurve(xyz[:, :2]), xyz[:, 2])
 

@@ -87,10 +87,11 @@ def load_run(run_dir: str | Path) -> Trajectory:
 
 
 def save_lifted_run(
-    traj: Trajectory, lifted: list[contact.SpaceCurve], out_dir: str | Path
+    traj: Trajectory, lifted: list[contact.SpaceCurve], residuals: list[float],
+    out_dir: str | Path,
 ) -> Path:
-    """Write a lifted trajectory: 3D snapshots plus residual-extended diagnostics."""
-    residuals = [contact.legendrian_residual(c) for c in lifted]
+    """Write a lifted trajectory: 3D snapshots, and diagnostics extended by a
+    column of their `contact.legendrian_residual`s."""
     meta = {
         "kind": "lifted",
         "z_base": float(lifted[0].z[0]) if lifted else None,

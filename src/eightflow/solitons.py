@@ -26,7 +26,7 @@ import numpy as np
 
 from .curves import PlaneCurve, translate, x_extent
 from .errors import Extinct, InvalidCurve, NotInsideReaper, OutOfDomain
-from .flow import Trajectory
+from .flow import FlowState, Trajectory
 
 _LOG_COS_HALF = float(np.log(np.cos(0.5)))  # -0.13058...
 
@@ -39,8 +39,9 @@ class GrimReaper:
     tau0: float
 
     def __post_init__(self):
-        if self.c0 <= 0 or self.tau0 <= 0:
-            raise InvalidCurve("grim reaper parameters must be positive")
+        if not (0.0 < self.c0 < np.inf and 0.0 < self.tau0 < np.inf):
+            raise InvalidCurve(f"grim reaper parameters C0={self.c0!r}, "
+                               f"tau0={self.tau0!r} must be finite and positive")
 
     @property
     def half_width(self) -> float:
@@ -56,11 +57,9 @@ class GrimReaper:
 def reaper_value(reaper: GrimReaper, y, t: float):
     """Evaluate G(y, t); raises OutOfDomain beyond the cosine window."""
     y = np.asarray(y, dtype=float)
+    if np.any(np.abs(y) >= reaper.half_width):
+        raise OutOfDomain(f"|y| must stay below pi*C0*tau0 = {reaper.half_width:.6g}")
     scale = 2.0 * reaper.c0 * reaper.tau0
-    if np.any(np.abs(y) >= 0.5 * np.pi * scale):
-        raise OutOfDomain(
-            f"|y| must stay below pi*C0*tau0 = {0.5 * np.pi * scale:.6g}"
-        )
     value = (
         -scale * _LOG_COS_HALF
         + scale * np.log(np.cos(y / scale))
@@ -75,10 +74,10 @@ def push_distance(c0: float, tau0: float) -> float:
         1/(4 C0) + 2 C0 tau0 log cos(1/2),
 
     positive iff tau0 < 1 / (8 C0^2 |log cos(1/2)|); the signed value is
-    returned either way and interpretation is left to the caller.
+    returned either way and interpretation is left to the caller.  Raises
+    InvalidCurve, as `GrimReaper` does, unless both are finite and positive.
     """
-    if c0 <= 0 or tau0 <= 0:
-        raise InvalidCurve("grim reaper parameters must be positive")
+    GrimReaper(c0, tau0)
     return 1.0 / (4.0 * c0) + 2.0 * c0 * tau0 * _LOG_COS_HALF
 
 
@@ -101,19 +100,16 @@ def reaper_margins(curve: PlaneCurve, reaper: GrimReaper, t: float) -> float:
 
 
 def reaper_barrier_check(
-    traj: Trajectory, reaper: GrimReaper, t_offset: float
+    states: list[FlowState], reaper: GrimReaper, t_offset: float
 ) -> np.ndarray:
-    """Per-snapshot barrier margins min_i (G(y_i, t - t_offset) - x_i).
+    """Per-state barrier margins min_i (G(y_i, t - t_offset) - x_i).
 
     The reaper clock runs as t_reaper = t_flow - t_offset, so a comparison
     over the window [-tau0/2, 0] uses t_offset = t_start + tau0/2.  The
-    initial snapshot must sit strictly inside the reaper region; afterwards
+    first state must sit strictly inside the reaper region; afterwards
     a nonpositive margin is a reported finding, not an error.
     """
-    margins = np.array([
-        reaper_margins(state.curve, reaper, state.t - t_offset)
-        for state in traj.states
-    ])
+    margins = np.array([reaper_margins(s.curve, reaper, s.t - t_offset) for s in states])
     if not margins[0] > 0.0:
         raise NotInsideReaper(
             f"initial margin {margins[0]:.6g} is not strictly positive"
@@ -135,8 +131,6 @@ class BarrierComparison:
     """Outcome of a grim-reaper comparison over half the reaper's time scale."""
 
     reaper: GrimReaper
-    t_offset: float
-    times: np.ndarray
     margins: np.ndarray
     push: float
     final_rightmost_x: float
@@ -155,22 +149,13 @@ def barrier_comparison(traj: Trajectory, reaper: GrimReaper) -> BarrierCompariso
     t_offset = float(traj.times[0]) + 0.5 * reaper.tau0
     keep = int(np.searchsorted(traj.times, t_offset + 1e-12, side="right"))
     shift = -float(traj.states[0].curve.x.max())
-    window = replace(
-        traj,
-        states=[replace(s, curve=translate(s.curve, (shift, 0.0)))
-                for s in traj.states[:keep]],
-        records=traj.records[:keep],
-    )
+    window = [replace(s, curve=translate(s.curve, (shift, 0.0))) for s in traj.states[:keep]]
     return BarrierComparison(
         reaper=reaper,
-        t_offset=t_offset,
-        times=window.times,
         margins=reaper_barrier_check(window, reaper, t_offset),
         push=push_distance(reaper.c0, reaper.tau0),
-        final_rightmost_x=float(window.states[-1].curve.x.max()),
-        initial_contained=rectangle_containment(
-            window.states[0].curve, reaper.c0, reaper.tau0
-        ),
+        final_rightmost_x=float(window[-1].curve.x.max()),
+        initial_contained=rectangle_containment(window[0].curve, reaper.c0, reaper.tau0),
     )
 
 

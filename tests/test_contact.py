@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from eightflow import contact
+from eightflow import contact, runio
 from eightflow import curves as cv
 from eightflow.curves import curve_length, signed_area, total_curvature, translate
 from eightflow.errors import InvalidCurve, NotBalanced
-from eightflow.flow import FlowConfig, FlowState, csf_velocity, run
+from eightflow.flow import FlowConfig, Trajectory, csf_velocity, run
 from eightflow.shapes import make_bernoulli_lemniscate, make_circle
 
 
@@ -24,16 +24,14 @@ class TestResidual:
 
     def test_planar_embedding_large_residual(self):
         u = 2 * np.pi * np.arange(256) / 256
-        curve = contact.SpaceCurve(
-            np.column_stack([np.cos(u), np.sin(u), np.ones_like(u)])
-        )
+        curve = space_curve(np.column_stack([np.cos(u), np.sin(u), np.ones_like(u)]))
         # z_u = 0 while y x_u = -sin^2 u: residual ~ max|y x_u| = 1.
         assert abs(contact.legendrian_residual(curve) - 1.0) < 1e-2
 
     def test_helix_matches_direct_evaluation(self):
         n = 256
         u = 2 * np.pi * np.arange(n) / n
-        curve = contact.SpaceCurve(np.column_stack([np.cos(u), np.sin(u), u]))
+        curve = space_curve(np.column_stack([np.cos(u), np.sin(u), u]))
         profile = contact.legendrian_residual_profile(curve)
         # Direct evaluation of z_u - y x_u = 1 + sin^2 u at segment midpoints;
         # the wrap-around segment carries the 2*pi jump of z and is excluded.
@@ -73,23 +71,30 @@ class TestLift:
 class TestProjection:
     def test_project_lift_identity(self, lifted_lemniscate):
         plane, lifted = lifted_lemniscate
-        assert np.array_equal(contact.project(lifted).points, plane.points)
+        assert np.array_equal(lifted.plane.points, plane.points)
 
     def test_lift_project_round_trip(self, lifted_lemniscate):
         _, lifted = lifted_lemniscate
-        again = contact.lift(contact.project(lifted), float(lifted.z[0]))
+        again = contact.lift(lifted.plane, float(lifted.z[0]))
         dev = np.abs(again.points - lifted.points).max()
-        assert dev < 1e-8 * curve_length(contact.project(lifted))
+        assert dev < 1e-8 * curve_length(lifted.plane)
 
     def test_projection_kept(self, lifted_lemniscate):
-        _, lifted = lifted_lemniscate
-        assert contact.project(lifted) is contact.project(lifted)
+        # The lift holds the plane curve it was given: no copy, no second jet.
+        plane, lifted = lifted_lemniscate
+        assert lifted.plane is plane
 
     def test_projection_of_non_legendrian(self):
         u = 2 * np.pi * np.arange(64) / 64
-        curve = contact.SpaceCurve(np.column_stack([np.cos(u), np.sin(u), np.cos(3 * u)]))
-        plane = contact.project(curve)
-        assert plane.n == 64
+        curve = space_curve(np.column_stack([np.cos(u), np.sin(u), np.cos(3 * u)]))
+        assert curve.plane.n == curve.n == 64
+
+    @pytest.mark.parametrize("z", [np.zeros(63), np.full(64, np.nan), np.full(64, np.inf)],
+                             ids=["short", "nan", "inf"])
+    def test_heights_checked(self, z):
+        u = 2 * np.pi * np.arange(64) / 64
+        with pytest.raises(InvalidCurve):
+            contact.SpaceCurve(cv.PlaneCurve(np.column_stack([np.cos(u), np.sin(u)])), z)
 
 
 class TestLiftTrajectory:
@@ -107,7 +112,6 @@ class TestLiftTrajectory:
         assert "t = 0" in str(info.value)
 
     def test_single_snapshot(self, lemniscate_run):
-        from eightflow.flow import Trajectory
         solo = Trajectory(
             states=lemniscate_run.states[:1],
             records=lemniscate_run.records[:1],
@@ -116,11 +120,37 @@ class TestLiftTrajectory:
         )
         assert len(contact.lift_trajectory(solo)) == 1
 
+    def test_loaded_run_lift_reuses_the_stored_curves(self, lemniscate_run, tmp_path,
+                                                      monkeypatch):
+        # A loaded run's curves hold their jets already, so the lift builds no
+        # PlaneCurve and the residual of a lifted curve evaluates no stencil.
+        short = Trajectory(states=lemniscate_run.states[:4], records=lemniscate_run.records[:4],
+                           stop_reason="partial", config=lemniscate_run.config)
+        runio.save_run(short, tmp_path / "run")
+        loaded = runio.load_run(tmp_path / "run")
+        built, stencils = [], []
+        post_init, stencil = cv.PlaneCurve.__post_init__, cv.stencil
+
+        def counting_post_init(curve):
+            built.append(curve)
+            post_init(curve)
+
+        def counting_stencil(*args, **kwargs):
+            stencils.append(args)
+            return stencil(*args, **kwargs)
+
+        monkeypatch.setattr(cv.PlaneCurve, "__post_init__", counting_post_init)
+        monkeypatch.setattr(cv, "stencil", counting_stencil)
+        lifted = contact.lift_trajectory(loaded)
+        residuals = [contact.legendrian_residual(c) for c in lifted]
+        assert len(built) == 0 and len(stencils) == 0
+        assert max(residuals) < 1e-8
+
 
 class TestLegendrianAngle:
     def test_periodicity_defect_is_total_turning(self, lemniscate_run):
         for state in lemniscate_run.states[:: max(1, len(lemniscate_run.states) // 8)]:
-            lam = contact.legendrian_angle(state)
+            lam = contact.legendrian_angle(state.curve)
             assert lam.shape == (state.curve.n,)
             assert abs(total_curvature(state.curve)) < 1e-6
 
@@ -128,15 +158,13 @@ class TestLegendrianAngle:
         # Shift the eight off the x-axis so y(0) != 0 and the normalization
         # term is exercised exactly.
         plane = translate(make_bernoulli_lemniscate(1.0, 256), (0.0, 0.7))
-        state = FlowState(curve=plane, t=0.0, step=0)
-        lam = contact.legendrian_angle(state)
+        lam = contact.legendrian_angle(plane)
         x_t0 = csf_velocity(plane)[0, 0]
         assert lam[0] == -plane.y[0] * x_t0
 
     def test_circle_rejected(self):
-        state = FlowState(curve=make_circle(1.0, 256), t=0.0, step=0)
         with pytest.raises(NotBalanced):
-            contact.legendrian_angle(state)
+            contact.legendrian_angle(make_circle(1.0, 256))
 
     def test_reeb_component_of_lifted_motion(self):
         # Between two close snapshots (no remesh), the finite-difference Reeb
@@ -151,7 +179,7 @@ class TestLegendrianAngle:
         x_dot = (s2.curve.x - s1.curve.x) / dt
         y_mid = 0.5 * (s1.curve.y + s2.curve.y)
         reeb_component = z_dot - y_mid * x_dot
-        lam_mid = 0.5 * (contact.legendrian_angle(s1) + contact.legendrian_angle(s2))
+        lam_mid = 0.5 * (contact.legendrian_angle(s1.curve) + contact.legendrian_angle(s2.curve))
         scale = np.abs(lam_mid).max()
         assert np.abs(reeb_component - lam_mid).max() < 1e-2 * scale
 
@@ -165,7 +193,7 @@ class TestContactFrame:
     def test_tangent_annihilates_contact_form(self, lifted_lemniscate):
         _, lifted = lifted_lemniscate
         tangent, _, _ = contact.contact_frame(lifted)
-        y = lifted.points[:, 1]
+        y = lifted.plane.y
         eta_t = tangent[:, 2] - y * tangent[:, 0]
         assert np.abs(eta_t).max() < 1e-10
 
@@ -218,5 +246,9 @@ class TestSerialization3D:
             read_space_curve(path)
 
 
+def space_curve(xyz):
+    return contact.SpaceCurve(cv.PlaneCurve(xyz[:, :2]), xyz[:, 2])
+
+
 def read_space_curve(path):
-    return contact.SpaceCurve(cv.read_curve_csv(path, ["u", "x", "y", "z"]))
+    return space_curve(cv.read_curve_csv(path, ["u", "x", "y", "z"]))

@@ -98,11 +98,11 @@ class TestRunIO:
                (out / "diagnostics.csv").read_bytes()
 
     def test_lifted_layout(self, small_run, tmp_path):
-        from eightflow.contact import lift_trajectory
+        from eightflow.contact import legendrian_residual, lift_trajectory
         traj, _ = small_run
         lifted = lift_trajectory(traj, 0.5)
         out = tmp_path / "lifted"
-        runio.save_lifted_run(traj, lifted, out)
+        runio.save_lifted_run(traj, lifted, [legendrian_residual(c) for c in lifted], out)
         header = (out / "diagnostics.csv").read_text().splitlines()[0]
         assert header.endswith(",residual")
         assert (out / "snapshots" / "snap_0000.csv").read_text().startswith("u,x,y,z")
@@ -247,6 +247,19 @@ class TestCLI:
         assert main(["compare-reaper", str(reaper_run), *flag]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("ERROR ValidationError")
+        assert (reaper_run / "diagnostics.csv").read_bytes() == before
+
+    @pytest.mark.parametrize("flags", [["--c0", "nan", "--tau0", "0.2"],
+                                       ["--c0", "inf", "--tau0", "0.2"],
+                                       ["--c0", "1", "--tau0", "nan"],
+                                       ["--c0", "1", "--tau0", "inf"]])
+    def test_compare_reaper_non_finite_parameters(self, reaper_run, capsys, flags):
+        before = (reaper_run / "diagnostics.csv").read_bytes()
+        assert main(["compare-reaper", str(reaper_run), *flags]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ERROR InvalidCurve:")
+        assert captured.out == ""
         assert (reaper_run / "diagnostics.csv").read_bytes() == before
 
     def test_compare_reaper_twice_keeps_one_column(self, reaper_run):

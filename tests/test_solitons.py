@@ -80,6 +80,14 @@ class TestPushDistance:
         with pytest.raises(InvalidCurve):
             push_distance(-1.0, 0.1)
 
+    @pytest.mark.parametrize("c0, tau0", [(np.nan, 0.2), (np.inf, 0.2), (1.0, np.nan),
+                                          (1.0, np.inf)])
+    def test_non_finite_parameters(self, c0, tau0):
+        with pytest.raises(InvalidCurve):
+            GrimReaper(c0, tau0)
+        with pytest.raises(InvalidCurve):
+            push_distance(c0, tau0)
+
 
 class TestRectangle:
     def test_translated_lemniscate_contained(self):
@@ -104,7 +112,7 @@ class TestBarrier:
         config = FlowConfig(cfl=0.2, stop_area_frac=0.3)
         circle = translate(make_circle(0.5, 64), (-2.0, 0.0))
         traj = run(circle, config, output_times=[0.02, 0.04, 0.06])
-        margins = reaper_barrier_check(traj, reaper, t_offset=reaper.tau0 / 2)
+        margins = reaper_barrier_check(traj.states, reaper, t_offset=reaper.tau0 / 2)
         assert np.all(margins > 0)
 
     def test_initial_margin_must_be_positive(self):
@@ -113,7 +121,7 @@ class TestBarrier:
         circle = translate(make_circle(0.5, 64), (5.0, 0.0))  # right of barrier
         traj = run(circle, config, t_end=1e-4)
         with pytest.raises(NotInsideReaper):
-            reaper_barrier_check(traj, reaper, t_offset=reaper.tau0 / 2)
+            reaper_barrier_check(traj.states, reaper, t_offset=reaper.tau0 / 2)
 
     def test_matched_lemniscate_comparison(self, lemniscate_run):
         est = estimate_extinction_time(lemniscate_run)
