@@ -36,15 +36,16 @@ from .shapes import (
     make_ellipse,
 )
 
+# Each generator's maker and the parameters it reads, in the maker's order.
 _GENERATORS = {
-    "lemniscate": lambda p: make_bernoulli_lemniscate(p["a"], p["n"]),
-    "circle": lambda p: make_circle(p["r"], p["n"]),
-    "ellipse": lambda p: make_ellipse(p["a"], p["b"], p["n"]),
-    "asymmetric-eight": lambda p: make_asymmetric_eight(p["ratio"], p["n"]),
+    "lemniscate": (make_bernoulli_lemniscate, ("a", "n")),
+    "circle": (make_circle, ("r", "n")),
+    "ellipse": (make_ellipse, ("a", "b", "n")),
+    "asymmetric-eight": (make_asymmetric_eight, ("ratio", "n")),
 }
 
-# Generator parameters and their defaults, for the `generate` flags and for
-# RunSpec generators that leave a parameter out.
+# Generator parameters and their defaults, for the generator flags and for
+# generators that leave a parameter out.
 _GENERATOR_DEFAULTS = {"a": 1.0, "b": 1.0, "r": 1.0, "ratio": 1.5, "n": 256}
 _GENERATOR_HELP = {"a": "scale / semi-axis", "b": "ellipse minor semi-axis",
                    "r": "circle radius", "ratio": "eight loop ratio",
@@ -71,6 +72,24 @@ def _checked_monitor_values(p):
         if not 0.0 <= alpha < np.inf:
             raise ValidationError(f"alpha {alpha!r} is not finite and non-negative")
     return p
+
+
+def _checked_generator(gen) -> dict:
+    """`gen`, a generator object, with the defaults of the parameters its
+    generator reads filled in, once its name is known and each other key is a
+    number parameter that generator reads; else ValidationError."""
+    name = gen.get("name") if isinstance(gen, dict) else None
+    if not isinstance(name, str) or name not in _GENERATORS:
+        raise ValidationError(f"unknown generator {name!r}")
+    defaults = {k: _GENERATOR_DEFAULTS[k] for k in _GENERATORS[name][1]}
+    params = {k: v for k, v in gen.items() if k != "name"}
+    return {"name": name, **defaults, **checked_numbers(params, defaults, f"{name} parameter")}
+
+
+def _generated(gen: dict):
+    """The initial curve of a checked generator object."""
+    maker, params = _GENERATORS[gen["name"]]
+    return maker(*(gen[k] for k in params))
 
 
 @dataclass(frozen=True)
@@ -108,12 +127,7 @@ class RunSpec:
             if gen is not None:
                 raise ValidationError("RunSpec names both a curve_file and a generator")
         else:
-            name = gen.get("name") if isinstance(gen, dict) else None
-            if not isinstance(name, str) or name not in _GENERATORS:
-                raise ValidationError(f"unknown generator {name!r}")
-            params = {k: v for k, v in gen.items() if k != "name"}
-            checked_numbers(params, _GENERATOR_DEFAULTS, "generator parameter")
-            gen = {"name": name, **_GENERATOR_DEFAULTS, **params}
+            gen = _checked_generator(gen)
         flow = spec.get("flow", cls.flow)
         if flow not in FLOWS:
             raise ValidationError(f"unknown flow kind {flow!r}")
@@ -166,7 +180,8 @@ def _listed(kind, flag: str):
 
 
 def cmd_generate(args) -> int:
-    curve = _GENERATORS[args.generator](vars(args))
+    params = {k: getattr(args, k) for k in _GENERATOR_DEFAULTS if getattr(args, k) is not None}
+    curve = _generated(_checked_generator({"name": args.generator, **params}))
     (curve_to_json if args.out.endswith(".json") else curve_to_csv)(curve, args.out)
     print(_record_line(compute_record(curve, 0.0)))
     print(f"wrote {args.out}")
@@ -188,7 +203,7 @@ def _run_spec(spec: RunSpec) -> str:
     """Run, save and monitor one RunSpec; returns the run's summary text."""
     gen = spec.generator
     if gen is not None:
-        curve = _GENERATORS[gen["name"]](gen)
+        curve = _generated(gen)
     else:
         read = curve_from_json if spec.curve_file.endswith(".json") else curve_from_csv
         curve = read(spec.curve_file)
@@ -310,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="write an initial curve file")
     _add_generator_args(p, "generator")
     p.add_argument("--out", required=True, help="curve file: JSON if it ends in .json, else CSV")
-    p.set_defaults(fn=cmd_generate, **_GENERATOR_DEFAULTS)
+    p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("evolve", help="run a flow and write a run directory")
     p.add_argument("--spec", nargs="*", help="RunSpec JSON file(s)")

@@ -27,8 +27,6 @@ from .errors import TangentialCrossing
 # Parameter slack for the in-segment test; intersections this close to a
 # segment end still count, and the cluster merge removes duplicates.
 _PARAM_SLACK = 1e-9
-# Half-width, in segments, of the window `find_crossing_near` searches.
-_NEAR_WINDOW = 12
 
 
 @dataclass(frozen=True)
@@ -162,30 +160,12 @@ def find_self_intersections(curve: PlaneCurve) -> list[Crossing]:
 
 
 def find_crossing_near(curve: PlaneCurve, seg_pair: tuple[int, int]) -> Crossing | None:
-    """Search for a single crossing near a previously known segment pair.
-
-    Scans pairs within `_NEAR_WINDOW` segments of (i, j); returns None when
-    that neighborhood holds no crossing.  No cheaper than the swept full scan
-    and unused by the run; kept for the benchmark, which looks it up by name.
-    """
-    n = curve.n
-    i0, j0 = seg_pair
-    a = (i0 + np.arange(-_NEAR_WINDOW, _NEAR_WINDOW + 1)) % n
-    b = (j0 + np.arange(-_NEAR_WINDOW, _NEAR_WINDOW + 1)) % n
-    ii, jj = np.meshgrid(a, b, indexing="ij")
-    ii, jj = ii.ravel(), jj.ravel()
-    lo = np.minimum(ii, jj)
-    hi = np.maximum(ii, jj)
-    gap = np.minimum(hi - lo, n - (hi - lo))
-    keep = gap >= 2
-    hits = _candidate_hits(curve, lo[keep], hi[keep])
-    merged = _merge_hits(curve, *hits)
-    if not merged:
-        return None
-    if len(merged) == 1:
-        return merged[0]
-    prev = np.array(seg_pair, dtype=float)
-    return min(merged, key=lambda c: np.abs(np.array(c.segments) - prev).sum())
+    """The crossing whose segment pair lies nearest `seg_pair`, or None on an
+    embedded curve.  A full scan, unused by the run; kept for the benchmark,
+    which looks it up by name."""
+    prev = np.array(seg_pair)
+    return min(find_self_intersections(curve), default=None,
+               key=lambda c: np.abs(np.array(c.segments) - prev).sum())
 
 
 def _collinear_overlap(p1, p2, q1, q2) -> bool:

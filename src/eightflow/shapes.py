@@ -21,10 +21,7 @@ _BLEND_WIDTH = 0.55       # tanh transition width between the two loops
 
 def make_circle(radius: float, n: int = 256) -> PlaneCurve:
     """Counterclockwise circle of the given radius, centered at the origin."""
-    if radius <= 0:
-        raise InvalidCurve("radius must be positive")
-    u = 2.0 * np.pi * np.arange(n) / n
-    return PlaneCurve(np.column_stack([radius * np.cos(u), radius * np.sin(u)]))
+    return make_ellipse(radius, radius, n)
 
 
 def make_ellipse(a: float, b: float, n: int = 256) -> PlaneCurve:
@@ -70,9 +67,9 @@ def _weighted_eight(ratio: float, height_factor: float, n: int) -> PlaneCurve:
 def make_asymmetric_eight(loop_scale_ratio: float, n: int = 256) -> PlaneCurve:
     """Balanced figure-eight whose left loop is wider by `loop_scale_ratio`.
 
-    The left loop's height is adjusted by bisection until the signed area
-    vanishes, so the curve is balanced by construction but (for ratio != 1)
-    not mirror-symmetric about the y-axis.  Symmetry about the x-axis is
+    The left loop's height is solved for so that the signed area vanishes,
+    so the curve is balanced by construction but (for ratio != 1) not
+    mirror-symmetric about the y-axis.  Symmetry about the x-axis is
     retained.  Ratios outside [0.5, 2] distort the blend region too much and
     are rejected.
     """
@@ -80,31 +77,15 @@ def make_asymmetric_eight(loop_scale_ratio: float, n: int = 256) -> PlaneCurve:
         raise InvalidCurve(f"loop scale ratio {loop_scale_ratio} outside [0.5, 2]")
     if n < 64:
         raise InvalidCurve(f"need at least 64 samples for a figure-eight, got {n}")
-
-    def imbalance(height_factor: float) -> float:
-        return signed_area(_weighted_eight(loop_scale_ratio, height_factor, n))
-
-    lo, hi = 0.2, 5.0
-    f_lo, f_hi = imbalance(lo), imbalance(hi)
-    if f_lo == 0.0:
-        hi = lo
-    elif f_lo * f_hi > 0:
-        raise GeneratorFailed("area imbalance does not change sign over the bracket")
-    for _ in range(50):
-        mid = 0.5 * (lo + hi)
-        f_mid = imbalance(mid)
-        if f_mid == 0.0:
-            lo = hi = mid
-            break
-        if f_mid * f_lo > 0:
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    curve = _weighted_eight(loop_scale_ratio, 0.5 * (lo + hi), n)
+    # The eight's x does not depend on the height factor and its y is affine
+    # in it, so the signed area -sum(y * x_u) du is affine in it too: the
+    # line through the areas at factors 1 and 2 has the exact root.
+    a1, a2 = (signed_area(_weighted_eight(loop_scale_ratio, h, n)) for h in (1.0, 2.0))
+    curve = _weighted_eight(loop_scale_ratio, 1.0 - a1 / (a2 - a1), n)
     area = signed_area(curve)
     length = curve_length(curve)
     if abs(area) >= 1e-6 * length**2:
         raise GeneratorFailed(
-            f"bisection left signed area {area:.3e} above 1e-6 * L^2"
+            f"the balanced height left signed area {area:.3e} above 1e-6 * L^2"
         )
     return curve

@@ -9,6 +9,7 @@ from eightflow.crossings import (
     _candidate_hits,
     _merge_hits,
     crossing_interior_angle,
+    find_crossing_near,
     find_self_intersections,
     loop_areas,
     loop_signed_areas,
@@ -133,6 +134,13 @@ class TestFinder:
             found = find_self_intersections(make_bernoulli_lemniscate(1.0, n))
             assert len(found) == 1
             assert np.hypot(*found[0].point) < 1e-6
+
+    def test_crossing_near_is_the_nearest_scanned_pair(self):
+        assert find_crossing_near(make_circle(1.0, 256), (0, 128)) is None
+        u = 2 * np.pi * np.arange(256) / 256
+        curve = PlaneCurve(np.column_stack([np.sin(u), np.sin(3 * u + 0.3)]))
+        for c in find_self_intersections(curve):
+            assert find_crossing_near(curve, c.segments).segments == c.segments
 
     def test_crossing_point_lies_on_both_segments(self):
         from eightflow.curves import curve_length

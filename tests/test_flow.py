@@ -1,5 +1,7 @@
 """Flow engine: exact-solution regressions, conservation laws, stopping."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,12 @@ from eightflow.flow import (
     run,
     step,
 )
-from eightflow.shapes import make_bernoulli_lemniscate, make_circle, make_ellipse
+from eightflow.shapes import (
+    _weighted_eight,
+    make_bernoulli_lemniscate,
+    make_circle,
+    make_ellipse,
+)
 from eightflow.solitons import shrinking_circle
 
 
@@ -340,3 +347,11 @@ class TestCrossingTracker:
         assert rec.crossing_point == tuple(crossing.point)
         rec = compute_record(make_circle(1.0, 64), 0.0)
         assert rec.crossing_segments is None and rec.crossing_point is None
+
+    def test_lost_crossing_stops_on_topology(self, monkeypatch):
+        # The first record finds the eight's crossing; the run's scan then
+        # finds none.  Unbalanced, |signed area| stays above the area stop.
+        monkeypatch.setattr(flow, "cx", SimpleNamespace(find_self_intersections=lambda c: []))
+        traj = run(_weighted_eight(1.5, 1.0, 128), FlowConfig())
+        assert traj.records[0].crossing_count == 1
+        assert traj.stop_reason == "topology"

@@ -2,29 +2,44 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from eightflow import curves as cv
 from eightflow.crossings import find_self_intersections, loop_signed_areas
 from eightflow.curves import PlaneCurve
+from test_crossings import brute_force_crossing_points
 
 coeff = st.floats(-0.25, 0.25, allow_nan=False)
+
+
+def trig_curve(n, a2, a3, b2, b3) -> PlaneCurve:
+    u = 2 * np.pi * np.arange(n) / n
+    x = np.cos(u) + a2 * np.cos(2 * u) + a3 * np.sin(3 * u)
+    y = np.sin(u) + b2 * np.sin(2 * u) + b3 * np.cos(3 * u)
+    return PlaneCurve(np.column_stack([x, y]))
 
 
 @st.composite
 def smooth_curves(draw):
     """Random closed trig-polynomial curves; may self-intersect."""
     n = draw(st.sampled_from([64, 96, 128]))
-    a2, a3 = draw(coeff), draw(coeff)
-    b2, b3 = draw(coeff), draw(coeff)
-    u = 2 * np.pi * np.arange(n) / n
-    x = np.cos(u) + a2 * np.cos(2 * u) + a3 * np.sin(3 * u)
-    y = np.sin(u) + b2 * np.sin(2 * u) + b3 * np.cos(3 * u)
     try:
-        return PlaneCurve(np.column_stack([x, y]))
+        return trig_curve(n, draw(coeff), draw(coeff), draw(coeff), draw(coeff))
     except Exception:
         assume(False)
+
+
+# A near-cusp draw, max|kappa| = 2.6e4: the round-off in kappa grows with
+# |kappa|, so curvature defects are bounded relative to max(1, max|kappa|).
+# Under absolute bounds it failed reversal (3.1e-9 > 1e-9) and, at the motion
+# below, rigid motion (2.2e-8 > 1e-8).  Over 20,000 random draws the worst
+# relative defect stayed below 1.2e-11 for both.
+NEAR_CUSP = trig_curve(64, -0.225, -0.25, -0.225, 0.225)
+
+
+def kappa_tol(curve) -> float:
+    return 1e-10 * max(1.0, float(np.abs(cv.curvature(curve)).max()))
 
 
 def mirror_index(n):
@@ -33,10 +48,11 @@ def mirror_index(n):
 
 @settings(max_examples=25, deadline=None)
 @given(smooth_curves())
+@example(NEAR_CUSP)
 def test_orientation_equivariance(curve):
     back = cv.reverse(curve)
     remap = mirror_index(curve.n)
-    assert np.abs(cv.curvature(back)[remap] + cv.curvature(curve)).max() < 1e-9
+    assert np.abs(cv.curvature(back)[remap] + cv.curvature(curve)).max() < kappa_tol(curve)
     assert cv.signed_area(back) == pytest.approx(-cv.signed_area(curve), abs=1e-12)
     assert cv.total_curvature(back) == pytest.approx(
         -cv.total_curvature(curve), abs=1e-9)
@@ -51,9 +67,10 @@ def test_orientation_equivariance(curve):
        st.floats(-3, 3, allow_nan=False),
        st.floats(-2, 2, allow_nan=False),
        st.floats(0, 2 * np.pi, allow_nan=False))
+@example(NEAR_CUSP, -3.0, 2.0, np.pi / 6)
 def test_rigid_motion_invariance(curve, dx, dy, angle):
     moved = cv.translate(cv.rotate(curve, angle), (dx, dy))
-    assert np.abs(cv.curvature(moved) - cv.curvature(curve)).max() < 1e-8
+    assert np.abs(cv.curvature(moved) - cv.curvature(curve)).max() < kappa_tol(curve)
     assert cv.curve_length(moved) == pytest.approx(cv.curve_length(curve), rel=1e-10)
     assert cv.signed_area(moved) == pytest.approx(cv.signed_area(curve), abs=1e-10)
     assert cv.inflection_count(moved) == cv.inflection_count(curve)
@@ -104,7 +121,6 @@ def test_loopwise_shoelace_consistency(curve):
 @settings(max_examples=20, deadline=None)
 @given(smooth_curves())
 def test_crossings_match_brute_force(curve):
-    from test_crossings import brute_force_crossing_points
     found = find_self_intersections(curve)
     oracle = brute_force_crossing_points(curve)
     assert len(found) == len(oracle)

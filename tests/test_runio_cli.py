@@ -164,6 +164,13 @@ class TestCLI:
         assert code == 1
         assert capsys.readouterr().err.startswith("ERROR InvalidCurve:")
 
+    def test_generate_parameter_it_does_not_read_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        assert main(["generate", "circle", "--a", "5", "--ratio", "9", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "ERROR ValidationError: unknown circle parameter 'a'"]
+        assert not out.exists()
+
     def test_evolve_lift_report_pipeline(self, tmp_path, capsys):
         run_dir = tmp_path / "run"
         code = main([
@@ -384,7 +391,9 @@ class TestCLI:
         '{"generator": {"name": "circle", "n": "64"}}',               # string n
         '{"generator": {"name": "circle"}, "config": {"cfl": "0.1"}}',  # string cfl
         '{"generator": {"name": "circle", "bogus": 3}}',              # unknown key
-    ], ids=["not-json", "not-object", "string-n", "string-cfl", "unknown-generator-key"])
+        '{"generator": {"name": "circle", "a": 5}}',                  # not a circle parameter
+    ], ids=["not-json", "not-object", "string-n", "string-cfl", "unknown-generator-key",
+            "parameter-the-generator-does-not-read"])
     def test_malformed_spec_exits_1(self, tmp_path, capsys, text):
         path = tmp_path / "spec.json"
         path.write_text(text)
@@ -477,6 +486,14 @@ class TestCLI:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("ERROR ValidationError:")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["circle.csv"]
+
+    def test_step_budget_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "never"
+        assert main(["evolve", "--generator", "circle", "--n", "64", "--t-end", "1e-3",
+                     "--max-steps", "1", "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "ERROR MaxStepsExceeded: no stopping criterion after 1 steps"]
+        assert not out.exists()
 
     def test_non_number_in_times_exits_1(self, tmp_path, capsys):
         out = tmp_path / "never"
