@@ -27,7 +27,7 @@ from .curves import (
 )
 from .diagnostics import compute_record
 from .errors import EightflowError, ValidationError
-from .flow import FlowConfig, checked_numbers, checked_times, estimate_extinction_time, run
+from .flow import FlowConfig, checked_numbers, checked_times, run
 from .gradients import FLOWS
 from .shapes import (
     make_asymmetric_eight,
@@ -297,8 +297,7 @@ def cmd_compare_reaper(args) -> int:
         reaper = solitons.GrimReaper(c0=args.c0, tau0=args.tau0)
         cmp_ = solitons.barrier_comparison(traj, reaper)
     else:
-        t_max = estimate_extinction_time(traj).t_max
-        cmp_ = solitons.matched_barrier_comparison(traj, t_max)
+        cmp_ = solitons.matched_barrier_comparison(traj)
         print(f"matched reaper: C0={cmp_.reaper.c0:.6g} tau0={cmp_.reaper.tau0:.6g} "
               f"rectangle_contained={cmp_.initial_contained}")
 

@@ -216,16 +216,10 @@ def legendrian_variation(
     f = np.asarray(f, dtype=float)
     if f.shape != (curve.n,):
         raise InvalidCurve(f"scalar field shape {f.shape} != ({curve.n},)")
-    d1, _, g2, _ = curve.plane.jet
-    x_u, y_u = d1.T
-    g = np.sqrt(g2)
+    _, normal, reeb = contact_frame(curve)
+    g = np.sqrt(curve.plane.jet.g2)
     phi = np.zeros_like(f) if omit_normal_term else cv.stencil(f, curve.du).d1 / g
-    y = curve.plane.y
-    velocity = np.column_stack([
-        -phi * y_u / g,
-        phi * x_u / g,
-        f - phi * y * y_u / g,
-    ])
+    velocity = phi[:, None] * normal + f[:, None] * reeb
     xyz = curve.points + dt * velocity
     return SpaceCurve(cv.PlaneCurve(xyz[:, :2]), xyz[:, 2])
 

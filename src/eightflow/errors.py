@@ -43,7 +43,7 @@ class NotBalanced(ValidationError):
 
 
 class StepRejected(NumericalError):
-    """Time step kept violating immersion after the maximum number of halvings."""
+    """A time step's stage is not an immersed curve; the step is not retried."""
 
 
 class MaxStepsExceeded(NumericalError):

@@ -26,7 +26,7 @@ import numpy as np
 
 from .curves import PlaneCurve, translate, x_extent
 from .errors import Extinct, InvalidCurve, NotInsideReaper, OutOfDomain
-from .flow import FlowState, Trajectory
+from .flow import FlowState, Trajectory, estimate_extinction_time
 
 _LOG_COS_HALF = float(np.log(np.cos(0.5)))  # -0.13058...
 
@@ -159,19 +159,16 @@ def barrier_comparison(traj: Trajectory, reaper: GrimReaper) -> BarrierCompariso
     )
 
 
-def matched_barrier_comparison(
-    traj: Trajectory, t_max_estimate: float
-) -> BarrierComparison:
+def matched_barrier_comparison(traj: Trajectory) -> BarrierComparison:
     """Run the matched-parameter barrier comparison against a trajectory.
 
     With ell the x-projection length and tau the remaining time at the first
-    snapshot, the matched reaper has C0 = 8 pi / ell and tau0 = tau; its
-    rectangle has half-height 8 pi tau / ell, which bounds the loop height
-    of an area-collapsing figure-eight.  The comparison itself is
-    `barrier_comparison`.
+    snapshot up to the extinction estimate `estimate_extinction_time(traj).t_max`,
+    the matched reaper has C0 = 8 pi / ell and tau0 = tau; its rectangle has
+    half-height 8 pi tau / ell, which bounds the loop height of an
+    area-collapsing figure-eight.  The comparison itself is
+    `barrier_comparison`; GrimReaper raises InvalidCurve when tau <= 0.
     """
-    tau0 = t_max_estimate - float(traj.times[0])
-    if tau0 <= 0:
-        raise InvalidCurve("extinction estimate precedes the first snapshot")
+    tau0 = estimate_extinction_time(traj).t_max - float(traj.times[0])
     reaper = GrimReaper(c0=8.0 * np.pi / x_extent(traj.states[0].curve), tau0=tau0)
     return barrier_comparison(traj, reaper)

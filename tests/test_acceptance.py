@@ -205,8 +205,8 @@ class TestLegendrianVariationOrder:
 class TestGrimReaperBarrier:
     def test_matched_comparison(self, lemniscate_run):
         est = estimate_extinction_time(lemniscate_run)
-        t_max = 0.5 * (est.bracket_low + est.bracket_high)
-        cmp_ = matched_barrier_comparison(lemniscate_run, t_max)
+        cmp_ = matched_barrier_comparison(lemniscate_run)
+        assert cmp_.reaper.tau0 == est.t_max - lemniscate_run.times[0]
         # The matched push is negative (-0.359): that barrier moves right and
         # pushes nothing, so the verdict has no push conjunct;
         # test_given_reaper_push witnesses a push.

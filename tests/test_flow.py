@@ -12,6 +12,7 @@ from eightflow.curves import PlaneCurve, curve_length, segment_lengths
 from eightflow.diagnostics import compute_record, loop_split
 from eightflow.errors import (
     AreaNotDecreasing,
+    InvalidCurve,
     MaxStepsExceeded,
     StepRejected,
     ValidationError,
@@ -101,9 +102,16 @@ def config_fault(**values) -> type:
 
 class TestConfig:
     # A config fault is a plain ValidationError, not a curve fault.
+    # The bounds are Heun's stability limits, 3/8 and 3/32: above them a unit
+    # circle stops on a false curvature singularity.
     def test_cfl_bounds(self):
         assert config_fault(cfl=0.0) is ValidationError
+        assert config_fault(cfl=0.4) is ValidationError
         assert config_fault(cfl=0.6) is ValidationError
+        assert FlowConfig(cfl=0.375).cfl == 0.375
+        assert config_fault(cfl4=0.0) is ValidationError
+        assert config_fault(cfl4=0.1) is ValidationError
+        assert FlowConfig(cfl4=0.09375).cfl4 == 0.09375
 
     def test_area_fraction_bounds(self):
         assert config_fault(stop_area_frac=1.0) is ValidationError
@@ -123,12 +131,14 @@ class TestStep:
         assert new.t > 0 and new.step == 1
         assert curve_length(new.curve) < curve_length(state.curve)
 
-    def test_step_rejected_after_halvings(self):
+    def test_failed_stage_rejected(self):
+        # One attempt, no retry at a smaller dt: the stage's fault is the cause.
         config = FlowConfig()
         state = FlowState(curve=make_circle(1.0, 64), t=0.0, step=0)
         bad_speed = lambda curve: np.full(curve.n, np.nan)
-        with pytest.raises(StepRejected):
+        with pytest.raises(StepRejected) as exc:
             step(state, config, flow=Flow("bad", bad_speed))
+        assert isinstance(exc.value.__cause__, InvalidCurve)
 
     def test_remesh_cadence(self):
         config = FlowConfig(remesh_every=3)
@@ -153,6 +163,12 @@ class TestCircleRegression:
             r_num = measured_radius(traj.states[-1].curve)
             errors[n] = abs(r_num - shrinking_circle(1.0, traj.states[-1].t))
         assert errors[256] / errors[512] >= 3.0
+
+    def test_stable_at_the_cfl_bound(self):
+        traj = run(make_circle(1.0, 256), FlowConfig(cfl=0.375), t_end=0.375)
+        assert traj.stop_reason == "time"
+        r_num = measured_radius(traj.states[-1].curve)
+        assert abs(r_num - 0.5) / 0.5 < 1e-6
 
     def test_extinction_window(self):
         config = FlowConfig(cfl=0.2, stop_area_frac=0.02)

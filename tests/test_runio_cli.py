@@ -441,6 +441,8 @@ class TestCLI:
         {"output_times": [float("nan")]},
         {"curve_file": "circle.csv"},
         {"config": {"cfl": 0.6}},
+        {"config": {"cfl": 0.4}},
+        {"config": {"cfl4": 0.1}},
         {"M": float("nan")},
         {"M": -1.0},
         {"alpha": -1.0},
@@ -450,7 +452,8 @@ class TestCLI:
             "list-config", "number-out_dir", "number-curve_file", "string-M",
             "string-alphas", "string-monitors", "top-level-cfl", "misspelled-monitors",
             "negative-output_time", "zero-output_time", "nan-output_time",
-            "curve_file-and-generator", "out-of-range-cfl", "nan-M", "negative-M",
+            "curve_file-and-generator", "out-of-range-cfl",
+            "cfl-above-heun-limit", "cfl4-above-heun-limit", "nan-M", "negative-M",
             "negative-alpha", "nan-alphas-entry"])
     def test_bad_spec_value_exits_1_before_the_run(self, tmp_path, capsys, monkeypatch,
                                                     entry):
@@ -531,7 +534,7 @@ class TestCLI:
         assert main(["evolve", "--generator", "circle", "--n", "64", "--cfl", "0.6",
                      "--t-end", "1e-6", "--out-dir", str(out)]) == 1
         assert capsys.readouterr().err.splitlines() == [
-            "ERROR ValidationError: cfl 0.6 outside (0, 0.5]"]
+            "ERROR ValidationError: cfl 0.6 outside (0, 0.375]"]
         assert not out.exists()
 
     def test_out_dir_holding_a_run_refused_before_stepping(self, tmp_path, capsys,

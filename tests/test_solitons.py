@@ -5,7 +5,7 @@ import pytest
 
 from eightflow.curves import PlaneCurve, translate
 from eightflow.errors import Extinct, InvalidCurve, NotInsideReaper, OutOfDomain
-from eightflow.flow import FlowConfig, estimate_extinction_time, run
+from eightflow.flow import FlowConfig, run
 from eightflow.shapes import make_bernoulli_lemniscate, make_circle
 from eightflow.solitons import (
     GrimReaper,
@@ -124,8 +124,7 @@ class TestBarrier:
             reaper_barrier_check(traj.states, reaper, t_offset=reaper.tau0 / 2)
 
     def test_matched_lemniscate_comparison(self, lemniscate_run):
-        t_max = estimate_extinction_time(lemniscate_run).t_max
-        cmp_ = matched_barrier_comparison(lemniscate_run, t_max)
+        cmp_ = matched_barrier_comparison(lemniscate_run)
         assert cmp_.initial_contained
         assert np.all(cmp_.margins > 0)
         # The matched barrier moves right, so it pushes nothing past it:
