@@ -11,8 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -247,21 +245,19 @@ def _with_flags(args, spec: dict) -> dict:
 
 
 def cmd_evolve(args) -> int:
-    if args.jobs < 1:
-        raise ValidationError(f"--jobs must be at least 1, not {args.jobs}")
     dicts = [_read_spec(path) for path in args.spec or []] or [{}]
     given = [dest for dest, value in vars(args).items()
-             if value is not None and dest not in ("command", "fn", "spec", "jobs")]
+             if value is not None and dest not in ("command", "fn", "spec")]
     if len(dicts) > 1 and given:
         flags = ", ".join("--" + dest.replace("_", "-") for dest in given)
         raise ValidationError(f"{flags} cannot combine with multiple specs")
     specs = [RunSpec.from_dict(_with_flags(args, d)) for d in dicts]
-
-    # A fork-started pool forks all its workers at the first submit.
-    jobs = min(args.jobs, len(specs))
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        for summary in (pool.map if pool else map)(_run_spec, specs):
-            print(summary)
+    dirs = [Path(spec.out_dir).resolve() for spec in specs]
+    for k, out_dir in enumerate(dirs):
+        if out_dir in dirs[:k]:
+            raise ValidationError(f"specs share the out_dir {out_dir}")
+    for spec in specs:
+        print(_run_spec(spec))
     return 0
 
 
@@ -328,8 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evolve", help="run a flow and write a run directory")
     p.add_argument("--spec", nargs="*", help="RunSpec JSON file(s)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel runs when several specs are given")
     p.add_argument("--curve", help="input curve file (csv or json)")
     _add_generator_args(p, "--generator")
     p.add_argument("--flow", choices=FLOWS)

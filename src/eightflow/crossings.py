@@ -54,14 +54,12 @@ def _candidate_hits(curve: PlaneCurve, ii: np.ndarray, jj: np.ndarray):
     ends = cyclic_next(pts)
     dirs = ends - starts
 
-    # Bounding-box prefilter.
-    lo = np.minimum(starts, ends)
-    hi = np.maximum(starts, ends)
+    # The y half of the bounding-box prefilter: every pair from
+    # `_x_overlap_pairs` already passes its x half.
+    lo = np.minimum(starts[:, 1], ends[:, 1])
+    hi = np.maximum(starts[:, 1], ends[:, 1])
     pad = 1e-12 * curve_length(curve)
-    overlap = (
-        (lo[ii, 0] <= hi[jj, 0] + pad) & (lo[jj, 0] <= hi[ii, 0] + pad)
-        & (lo[ii, 1] <= hi[jj, 1] + pad) & (lo[jj, 1] <= hi[ii, 1] + pad)
-    )
+    overlap = (lo[ii] <= hi[jj] + pad) & (lo[jj] <= hi[ii] + pad)
     ii, jj = ii[overlap], jj[overlap]
     if ii.size == 0:
         return ii, jj, np.empty(0), np.empty(0), np.empty((0, 2))
@@ -115,9 +113,9 @@ def _merge_hits(curve: PlaneCurve, ii, jj, t, v, points) -> list[Crossing]:
 def _x_overlap_pairs(curve: PlaneCurve) -> tuple[np.ndarray, np.ndarray]:
     """Non-adjacent segment pairs (i, j), i < j, whose padded x-intervals overlap.
 
-    The intervals [min x, max x + pad] use the pad of the bounding-box
-    prefilter, so exactly the pairs that pass its x test are returned, sorted
-    by (i, j) as an all-pairs list would order them.
+    The intervals [min x, max x + pad] use the pad of the y test in
+    `_candidate_hits`, which completes the bounding-box prefilter.  The pairs
+    are sorted by (i, j) as an all-pairs list would order them.
     """
     n = curve.n
     x = curve.points[:, 0]

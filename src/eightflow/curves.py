@@ -231,10 +231,12 @@ def y_extent(curve: PlaneCurve) -> float:
 
 
 def diameter(curve: PlaneCurve) -> float:
-    """Maximum pairwise distance between samples."""
+    """Maximum pairwise distance between samples, over blocks of 32 rows so
+    the temporaries are O(N), not the (N, N, 2) array of all pairs."""
     pts = curve.points
-    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-    return float(np.sqrt(d2.max()))
+    d2 = max(np.sum((pts[k:k + 32, None] - pts) ** 2, axis=-1).max()
+             for k in range(0, len(pts), 32))
+    return float(np.sqrt(d2))
 
 
 def inflection_count(curve: PlaneCurve, tol: float | None = None) -> int:

@@ -14,7 +14,7 @@ from eightflow.crossings import (
     loop_areas,
     loop_signed_areas,
 )
-from eightflow.curves import PlaneCurve, shoelace_area, signed_area
+from eightflow.curves import PlaneCurve, curve_length, shoelace_area, signed_area
 from eightflow.errors import TangentialCrossing
 from eightflow.shapes import make_bernoulli_lemniscate, make_circle
 
@@ -47,10 +47,15 @@ def brute_force_crossing_points(curve, slack=1e-9, merge_tol=None):
 
 
 def all_pairs_scan(curve):
-    """Reference scan over every non-adjacent pair i < j, in (i, j) order."""
+    """Reference scan over every non-adjacent pair i < j, in (i, j) order,
+    with the padded x-interval test that `_candidate_hits` leaves to the sweep
+    applied pair by pair."""
     n = curve.n
     ii, jj = np.triu_indices(n, k=2)
-    keep = ~((ii == 0) & (jj == n - 1))
+    x = curve.points[:, 0]
+    lo = np.minimum(x, np.roll(x, -1))
+    hi = np.maximum(x, np.roll(x, -1)) + 1e-12 * curve_length(curve)
+    keep = ~((ii == 0) & (jj == n - 1)) & (lo[ii] <= hi[jj]) & (lo[jj] <= hi[ii])
     return _merge_hits(curve, *_candidate_hits(curve, ii[keep], jj[keep]))
 
 

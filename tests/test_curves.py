@@ -275,6 +275,15 @@ class TestExtents:
         assert abs(cv.x_extent(curve) - cv.x_extent(shifted)) < 1e-12
 
 
+class TestDiameter:
+    # 17, 65 and 257 leave a partial last block of rows.
+    @pytest.mark.parametrize("n", [16, 17, 64, 65, 257])
+    def test_equals_all_pairs_maximum(self, n):
+        pts = wobbly_points(n, seed=n)
+        all_pairs = np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1).max())
+        assert cv.diameter(PlaneCurve(pts)) == all_pairs
+
+
 class TestInflections:
     def test_circle_none(self):
         assert cv.inflection_count(make_circle(1.0, 256)) == 0

@@ -45,25 +45,6 @@ def reaper_run(stored_reaper_run, tmp_path):
     return shutil.copytree(stored_reaper_run, tmp_path / "cmp")
 
 
-class InProcessPool:
-    """A stand-in for ProcessPoolExecutor that records its worker count and
-    maps in this process."""
-
-    workers: list[int] = []
-
-    def __init__(self, max_workers):
-        self.workers.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
-
-
 def margin_column(run_dir) -> np.ndarray:
     lines = (run_dir / "diagnostics.csv").read_text().splitlines()
     assert lines[0].split(",").count("reaper_margin") == 1
@@ -306,11 +287,7 @@ class TestCLI:
         assert override.exists()
         assert not Path(spec["out_dir"]).exists()
 
-    @pytest.mark.parametrize("pool", [False, True], ids=["serial", "pool"])
-    def test_several_specs_print_every_summary_in_order(self, tmp_path, capsys,
-                                                       monkeypatch, pool):
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(InProcessPool, "workers", [])
+    def test_several_specs_print_every_summary_in_order(self, tmp_path, capsys):
         runs = [("circle", {"t_end": 1e-3}, "time"),
                 ("lemniscate", {"config": {"stop_area_frac": 0.9}}, "area")]
         specs = []
@@ -319,28 +296,11 @@ class TestCLI:
             path.write_text(json.dumps({"generator": {"name": name, "n": 64},
                                         "out_dir": str(tmp_path / f"job{k}"), **extra}))
             specs.append(str(path))
-        assert main(["evolve", "--spec", *specs, "--jobs", "2" if pool else "1"]) == 0
+        assert main(["evolve", "--spec", *specs]) == 0
         lines = [line for line in capsys.readouterr().out.splitlines()
                  if line.startswith(("stop_reason=", "run complete:"))]
         assert lines == [f"stop_reason={runs[0][2]}", f"run complete: {tmp_path / 'job0'}",
                          f"stop_reason={runs[1][2]}", f"run complete: {tmp_path / 'job1'}"]
-        assert InProcessPool.workers == ([2] if pool else [])
-
-    def test_parallel_specs(self, tmp_path):
-        specs = []
-        for k in range(2):
-            spec = {
-                "generator": {"name": "circle", "r": 1.0, "n": 64},
-                "config": {"cfl": 0.2, "stop_area_frac": 0.5},
-                "t_end": 0.005,
-                "out_dir": str(tmp_path / f"job{k}"),
-            }
-            path = tmp_path / f"spec{k}.json"
-            path.write_text(json.dumps(spec))
-            specs.append(str(path))
-        assert main(["evolve", "--spec", *specs, "--jobs", "2"]) == 0
-        assert (tmp_path / "job0" / "metadata.json").exists()
-        assert (tmp_path / "job1" / "metadata.json").exists()
 
     def test_indefinite_flow_reproduces_csf_diagnostics(self, tmp_path):
         outs = []
@@ -551,19 +511,6 @@ class TestCLI:
         assert len(err) == 1 and err[0].startswith("ERROR ValidationError:")
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
-    def test_jobs_capped_at_spec_count(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(InProcessPool, "workers", [])
-        specs = []
-        for k in range(2):
-            path = tmp_path / f"spec{k}.json"
-            path.write_text(json.dumps({"generator": {"name": "circle", "n": 64},
-                                        "t_end": 1e-6, "out_dir": str(tmp_path / f"job{k}")}))
-            specs.append(str(path))
-        assert main(["evolve", "--spec", *specs, "--jobs", "5"]) == 0
-        assert InProcessPool.workers == [2]
-        assert (tmp_path / "job1" / "metadata.json").exists()
-
     def test_several_specs_checked_before_any_run(self, tmp_path, capsys):
         specs = []
         for k, t_end in enumerate([1e-6, "1e-6"]):
@@ -576,13 +523,28 @@ class TestCLI:
         assert len(err) == 1 and err[0].startswith("ERROR ValidationError:")
         assert not (tmp_path / "job0").exists()
 
-    @pytest.mark.parametrize("jobs", ["0", "-1"])
-    def test_jobs_below_one_exit_1(self, tmp_path, capsys, jobs):
-        out = tmp_path / "never"
-        assert main(["evolve", "--generator", "circle", "--n", "64", "--t-end", "1e-6",
-                     "--out-dir", str(out), "--jobs", jobs]) == 1
+    def test_specs_sharing_an_out_dir_exit_1_before_any_run(self, tmp_path, capsys,
+                                                             monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        specs = []
+        for k, out_dir in enumerate(["same", "./same"]):
+            path = tmp_path / f"spec{k}.json"
+            path.write_text(json.dumps({"generator": {"name": "circle", "n": 64},
+                                        "t_end": 1e-6, "out_dir": out_dir}))
+            specs.append(str(path))
+        assert main(["evolve", "--spec", *specs]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert err == [f"ERROR ValidationError: --jobs must be at least 1, not {jobs}"]
+        assert len(err) == 1 and err[0].startswith("ERROR ValidationError:")
+        assert str(tmp_path / "same") in err[0]
+        assert not (tmp_path / "same").exists()
+
+    def test_jobs_flag_is_unknown(self, tmp_path, capsys):
+        out = tmp_path / "never"
+        with pytest.raises(SystemExit) as exc:
+            main(["evolve", "--generator", "circle", "--n", "64", "--t-end", "1e-6",
+                  "--out-dir", str(out), "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
         assert not out.exists()
 
     def test_evolve_malformed_curve_exits_1(self, tmp_path, capsys):
@@ -610,13 +572,14 @@ class TestCLI:
 
 
 class TestImportGraph:
-    def test_cli_import_skips_scipy_interpolate_and_special(self):
+    def test_cli_import_skips_unused_modules(self):
         # Each costs import time and resident memory in every CLI process.
         src = str(Path(eightflow.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         code = ("import sys, eightflow.cli; "
-                "print(sorted(m for m in ('scipy.interpolate', 'scipy.special') "
+                "print(sorted(m for m in ('scipy.interpolate', 'scipy.special', "
+                "'multiprocessing', 'concurrent.futures.process') "
                 "if m in sys.modules))")
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
