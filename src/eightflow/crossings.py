@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import PlaneCurve, curve_length, cyclic_next, shoelace_area
+from .curves import PlaneCurve, curve_length, cyclic_next, segment_lengths, shoelace_area
 from .errors import TangentialCrossing
 
 # Parameter slack for the in-segment test; intersections this close to a
@@ -58,7 +58,7 @@ def _candidate_hits(curve: PlaneCurve, ii: np.ndarray, jj: np.ndarray):
     # `_x_overlap_pairs` already passes its x half.
     lo = np.minimum(starts[:, 1], ends[:, 1])
     hi = np.maximum(starts[:, 1], ends[:, 1])
-    pad = 1e-12 * curve_length(curve)
+    pad = 2 * _PARAM_SLACK * segment_lengths(curve).max()
     overlap = (lo[ii] <= hi[jj] + pad) & (lo[jj] <= hi[ii] + pad)
     ii, jj = ii[overlap], jj[overlap]
     if ii.size == 0:
@@ -121,7 +121,7 @@ def _x_overlap_pairs(curve: PlaneCurve) -> tuple[np.ndarray, np.ndarray]:
     x = curve.points[:, 0]
     x_next = cyclic_next(x)
     lo = np.minimum(x, x_next)
-    hi = np.maximum(x, x_next) + 1e-12 * curve_length(curve)
+    hi = np.maximum(x, x_next) + 2 * _PARAM_SLACK * segment_lengths(curve).max()
     order = np.argsort(lo, kind="stable")
     starts = lo[order]
     # The segment at sorted position p overlaps exactly the later positions

@@ -256,8 +256,8 @@ def inflection_count(curve: PlaneCurve, tol: float | None = None) -> int:
     return int(np.count_nonzero(signs[1:] != signs[:-1])) + int(signs[0] != signs[-1])
 
 
-def resample_arclength(curve: PlaneCurve, n_out: int | None = None) -> PlaneCurve:
-    """Redistribute samples uniformly in arclength; node 0 stays put bitwise.
+def resample_arclength(curve: PlaneCurve) -> PlaneCurve:
+    """Redistribute the curve's N samples uniformly in arclength; node 0 stays put bitwise.
 
     Tangential redistribution does not change the image of the curve, so the
     flow engines may remesh freely.  Interpolation is a periodic cubic spline
@@ -267,21 +267,17 @@ def resample_arclength(curve: PlaneCurve, n_out: int | None = None) -> PlaneCurv
     chord and arc spacing, so the redistribution is repeated (at most three
     passes) until the segment-length spread falls below 0.5%.
     """
-    if n_out is None:
-        n_out = curve.n
-    if n_out < 16:
-        raise InvalidCurve(f"need at least 16 output samples, got {n_out}")
     out = curve
     for _ in range(3):
-        out = PlaneCurve(_periodic_spline_samples(out, n_out))
+        out = PlaneCurve(_periodic_spline_samples(out))
         seg = segment_lengths(out)
         if (seg.max() - seg.min()) / seg.mean() <= 0.005:
             break
     return out
 
 
-def _periodic_spline_samples(curve: PlaneCurve, n_out: int) -> np.ndarray:
-    """n_out samples, uniform in chord length from node 0, of the periodic cubic spline.
+def _periodic_spline_samples(curve: PlaneCurve) -> np.ndarray:
+    """N samples, uniform in chord length from node 0, of the periodic cubic spline.
 
     The spline interpolates the nodes P_i at the cumulative chord lengths s_i
     and is C^2 across the wrap.  In moment form, with h_i = s_{i+1} - s_i and
@@ -307,7 +303,7 @@ def _periodic_spline_samples(curve: PlaneCurve, n_out: int) -> np.ndarray:
     knots[2:, :n] = solve_cyclic(h_prev, 2.0 * (h_prev + h), h, rhs.T).T
     knots[2:, n] = knots[2:, 0]
     s = np.concatenate(([0.0], np.cumsum(h)))
-    targets = s[-1] * np.arange(n_out) / n_out
+    targets = s[-1] * np.arange(n) / n
     j = np.searchsorted(s, targets, side="right") - 1
     hj = h[j]
     b = (targets - s[j]) / hj

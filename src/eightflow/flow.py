@@ -10,16 +10,16 @@ normal speed `speed(curve)` and its order, which picks the stable step law;
 speed and stepper read one cached stencil jet per stage, `curve.jet`.
 
 Scheme: explicit 2nd-order Runge-Kutta (Heun) with dt = cfl * h_min^2 for
-second-order flows (h_min = shortest segment), dt = cfl4 * h_min^4 for the
-fourth-order diffusion flow; Heun's stability limits bound them at
-cfl <= 3/8 and cfl4 <= 3/32.  Every remesh_every steps the curve is
-resampled to uniform arclength; tangential redistribution does not change
-the image of the flow but keeps nodes from clustering at high curvature.
+second-order flows (h_min = shortest segment), dt = CFL4 * h_min^4 for the
+fourth-order diffusion flow; Heun's stability limits bound cfl by 3/8 and
+CFL4 by 3/32.  Every REMESH_EVERY steps the curve is resampled to uniform
+arclength; tangential redistribution does not change the image of the flow
+but keeps nodes from clustering at high curvature.
 
 Every stop is decided by the run loop, which owns the initial-area
 reference: the area criterion |A| < stop_area_frac * |A|_0 and the loss of
 every self-intersection at the remesh cadence, the end time, and the
-resolution criterion max|kappa| * h_min > stop_kappa_h before every step
+resolution criterion max|kappa| * h_min > STOP_KAPPA_H before every step
 (curvature blows up at the singular time and the mesh cannot follow it).
 No attempt is made to continue past a topology change.
 """
@@ -49,10 +49,19 @@ SpeedFn = Callable[[cv.PlaneCurve], np.ndarray]
 
 TWO_PI = 2.0 * np.pi
 
+# Heun is stable for real z in [-2, 0]; the 4th-order second difference
+# reaches -16/3 h^-2 and diffusion's -kappa_ss reaches -64/3 h^-4, so the
+# limits are cfl <= 2 * 3/16 and CFL4 <= 2 * 3/64.
+CFL4 = 0.05
+# Steps between remeshes, and between the run's area and topology checks.
+REMESH_EVERY = 10
+# The largest max|kappa| * h_min the mesh resolves; past it the run stops.
+STOP_KAPPA_H = 0.5
+
 
 class Flow(NamedTuple):
     """A flow kind: its name, its signed normal speed, and its order, which
-    picks the step law dt = cfl4 * h_min^4 (fourth order) or cfl * h_min^2."""
+    picks the step law dt = CFL4 * h_min^4 (fourth order) or cfl * h_min^2."""
 
     kind: str
     speed: SpeedFn
@@ -102,29 +111,22 @@ def checked_times(times, what: str) -> list[float]:
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Stability and stopping knobs shared by all flow kinds."""
+    """What runs set: cfl (see CFL4), the area fraction that stops a run, and
+    max_steps, a resource budget rather than a numerical choice: the only stop
+    of a run with no other end (curve diffusion conserves area), whose steps
+    grow as N^2 under the explicit step law."""
 
     cfl: float = 0.1
-    cfl4: float = 0.05
-    remesh_every: int = 10
     stop_area_frac: float = 0.01
-    stop_kappa_h: float = 0.5
     max_steps: int = 1_000_000
 
     def __post_init__(self):
-        # Heun is stable for real z in [-2, 0]; the 4th-order second difference
-        # reaches -16/3 h^-2 and diffusion's -kappa_ss reaches -64/3 h^-4, so
-        # the limits are 2 * 3/16 and 2 * 3/64.
         if not 0.0 < self.cfl <= 0.375:
             raise ValidationError(f"cfl {self.cfl} outside (0, 0.375]")
-        if not 0.0 < self.cfl4 <= 0.09375:
-            raise ValidationError(f"cfl4 {self.cfl4} outside (0, 0.09375]")
         if not 0.0 < self.stop_area_frac < 1.0:
             raise ValidationError(f"stop_area_frac {self.stop_area_frac} outside (0, 1)")
-        if not 0.0 < self.stop_kappa_h < np.inf:
-            raise ValidationError(f"stop_kappa_h {self.stop_kappa_h} is not finite and positive")
-        if self.remesh_every < 1 or self.max_steps < 1:
-            raise ValidationError("remesh_every and max_steps must be >= 1")
+        if self.max_steps < 1:
+            raise ValidationError("max_steps must be >= 1")
 
     @classmethod
     def from_dict(cls, values) -> FlowConfig:
@@ -164,7 +166,7 @@ def step(
     dt_cap: float = np.inf,
 ) -> FlowState:
     """One RK2 step of `flow` with dt = min(its step law, dt_cap), remeshed when
-    its step number is a multiple of remesh_every; it decides no stop, `run` does.
+    its step number is a multiple of REMESH_EVERY; it decides no stop, `run` does.
 
     Raises StepRejected, with the stage's fault as its cause, if a stage is not
     an immersed curve; there is no retry at a smaller dt.
@@ -172,7 +174,7 @@ def step(
     curve = state.curve
     h_min = float(cv.segment_lengths(curve).min())
     k1 = _stage_velocity(curve, flow.speed)
-    dt = min(config.cfl4 * h_min**4 if flow.fourth_order else config.cfl * h_min**2, dt_cap)
+    dt = min(CFL4 * h_min**4 if flow.fourth_order else config.cfl * h_min**2, dt_cap)
     try:
         mid = cv.PlaneCurve(curve.points + dt * k1)
         k2 = _stage_velocity(mid, flow.speed)
@@ -181,7 +183,7 @@ def step(
         raise StepRejected(f"stage failed at dt = {dt:.6g}, t = {state.t:.6g}") from exc
 
     new_step = state.step + 1
-    if new_step % config.remesh_every == 0:
+    if new_step % REMESH_EVERY == 0:
         new_curve = cv.resample_arclength(new_curve)
     return FlowState(curve=new_curve, t=state.t + dt, step=new_step)
 
@@ -198,7 +200,7 @@ def run(
 
     Before each step the loop tests, in order: area and topology (at the
     check cadence), t >= t_end, the step budget, and max|kappa| * h_min >
-    stop_kappa_h; the first that fires names the stop_reason ("area",
+    STOP_KAPPA_H; the first that fires names the stop_reason ("area",
     "topology", "time" or "curvature").  Snapshots are taken at the first
     accepted step with t >= requested time (the step size is capped so the
     step lands on the requested time; no interpolation between steps).  The
@@ -213,13 +215,10 @@ def run(
 
     states = [state]
     records = [first_record]
-    # Area/topology checks are cheap; keep a floor on their cadence even when
-    # remeshing is effectively disabled.  compute_record's scan and area rule
-    # keep the stop like with like; an embedded run skips the scan.
-    check_every = max(1, min(config.remesh_every, 64))
-
+    # compute_record's scan and area rule keep the stop like with like; an
+    # embedded run skips the scan.
     while True:
-        if state.step % check_every == 0:
+        if state.step % REMESH_EVERY == 0:
             found = [] if embedded else cx.find_self_intersections(state.curve)
             if loop_split(state.curve, found)[2] < config.stop_area_frac * area0:
                 stop_reason = "area"
@@ -233,7 +232,7 @@ def run(
         if state.step >= config.max_steps:
             raise MaxStepsExceeded(f"no stopping criterion after {state.step} steps")
         curve = state.curve
-        if np.abs(curve.jet.kappa).max() * cv.segment_lengths(curve).min() > config.stop_kappa_h:
+        if np.abs(curve.jet.kappa).max() * cv.segment_lengths(curve).min() > STOP_KAPPA_H:
             stop_reason = "curvature"
             break
 

@@ -128,7 +128,7 @@ def evolve_gradient_flow(
 ) -> Trajectory:
     """`flow.run` of `FLOWS[flow_kind]`; ValidationError for another name.
 
-    The diffusion flow steps with dt = cfl4 * h_min^4 (fourth-order
+    The diffusion flow steps with dt = flow.CFL4 * h_min^4 (fourth-order
     stiffness); the others use the parabolic dt = cfl * h_min^2.  The
     indefinite flow shares the curve-shortening speed operator, so its
     trajectories coincide bitwise with the csf engine under equal configs.

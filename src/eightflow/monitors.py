@@ -320,8 +320,9 @@ def symmetry_collapse_check(traj: Trajectory) -> Report:
         r.crossing_point[0] if r.crossing_count == 1 else np.nan for r in traj.records
     ])
     if np.any(np.isnan(xs)):
-        rep.add("crossing_x_drift", None, None, None,
-                "skipped: crossing not unique on some snapshot")
+        skipped = "skipped: crossing not unique on some snapshot"
+        rep.add("crossing_max_displacement", None, None, None, skipped)
+        rep.add("crossing_x_monotone", None, "monotone or stationary", None, skipped)
     else:
         displacement = float(np.abs(xs - xs[0]).max())
         rep.add("crossing_max_displacement", displacement, None, None)

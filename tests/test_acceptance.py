@@ -253,7 +253,7 @@ class TestGradientFlows:
 
     def test_circle_stationary_under_diffusion(self):
         from eightflow.flow import FlowState, step
-        config = FlowConfig(cfl4=0.05)
+        config = FlowConfig()
         start = make_circle(1.0, 256)
         state = FlowState(curve=start, t=0.0, step=0)
         for _ in range(1000):
@@ -273,7 +273,7 @@ class TestGradientFlows:
             PlaneCurve(np.column_stack([r * np.cos(u), r * np.sin(u)])))
         a0 = signed_area(start)
         l0 = curve_length(start)
-        config = FlowConfig(cfl4=0.05)
+        config = FlowConfig()
         state = FlowState(curve=start, t=0.0, step=0)
         for _ in range(2000):
             state = step(state, config, flow=FLOWS["diffusion"])

@@ -7,7 +7,7 @@ from eightflow import contact, runio
 from eightflow import curves as cv
 from eightflow.curves import curve_length, signed_area, total_curvature, translate
 from eightflow.errors import InvalidCurve, NotBalanced
-from eightflow.flow import FlowConfig, Trajectory, csf_velocity, run
+from eightflow.flow import REMESH_EVERY, FlowConfig, Trajectory, csf_velocity, run
 from eightflow.shapes import make_bernoulli_lemniscate, make_circle
 
 
@@ -169,10 +169,11 @@ class TestLegendrianAngle:
     def test_reeb_component_of_lifted_motion(self):
         # Between two close snapshots (no remesh), the finite-difference Reeb
         # component (z_dot - y x_dot) matches the angle function.
-        config = FlowConfig(cfl=0.1, stop_area_frac=0.5, remesh_every=10**6)
+        config = FlowConfig(cfl=0.1, stop_area_frac=0.5)
         plane = make_bernoulli_lemniscate(1.0, 512)
         traj = run(plane, config, output_times=[2e-4, 2.2e-4], t_end=2.4e-4)
         s1, s2 = traj.states[1], traj.states[2]
+        assert s1.step // REMESH_EVERY == s2.step // REMESH_EVERY
         l1, l2 = contact.lift(s1.curve), contact.lift(s2.curve)
         dt = s2.t - s1.t
         z_dot = (l2.z - l1.z) / dt

@@ -47,15 +47,10 @@ def brute_force_crossing_points(curve, slack=1e-9, merge_tol=None):
 
 
 def all_pairs_scan(curve):
-    """Reference scan over every non-adjacent pair i < j, in (i, j) order,
-    with the padded x-interval test that `_candidate_hits` leaves to the sweep
-    applied pair by pair."""
+    """Reference scan over every non-adjacent pair i < j, in (i, j) order."""
     n = curve.n
     ii, jj = np.triu_indices(n, k=2)
-    x = curve.points[:, 0]
-    lo = np.minimum(x, np.roll(x, -1))
-    hi = np.maximum(x, np.roll(x, -1)) + 1e-12 * curve_length(curve)
-    keep = ~((ii == 0) & (jj == n - 1)) & (lo[ii] <= hi[jj]) & (lo[jj] <= hi[ii])
+    keep = ~((ii == 0) & (jj == n - 1))
     return _merge_hits(curve, *_candidate_hits(curve, ii[keep], jj[keep]))
 
 
@@ -176,6 +171,15 @@ class TestFinder:
         oracle = brute_force_crossing_points(curve)
         assert len(found) == len(oracle) == 1
         assert np.hypot(*(found[0].point - oracle[0])) < 1e-12
+
+    def test_near_touch_within_slack_matches_oracle(self):
+        # The vertex (0, 1e-10) misses the bottom edge by less than the
+        # in-segment slack of the two segments that meet there, so the touch
+        # counts as one crossing.
+        corners = [(-1.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.3, 1.0), (0.0, 1e-10),
+                   (-0.3, 1.0), (-1.0, 1.0)]
+        curve = PlaneCurve(densify(corners, 3))
+        assert len(find_self_intersections(curve)) == len(brute_force_crossing_points(curve)) == 1
 
     def test_oracle_agreement_random_curves(self):
         rng = np.random.default_rng(7)

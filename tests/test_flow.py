@@ -109,18 +109,11 @@ class TestConfig:
         assert config_fault(cfl=0.4) is ValidationError
         assert config_fault(cfl=0.6) is ValidationError
         assert FlowConfig(cfl=0.375).cfl == 0.375
-        assert config_fault(cfl4=0.0) is ValidationError
-        assert config_fault(cfl4=0.1) is ValidationError
-        assert FlowConfig(cfl4=0.09375).cfl4 == 0.09375
+        assert 0.0 < flow.CFL4 <= 3 / 32
 
     def test_area_fraction_bounds(self):
         assert config_fault(stop_area_frac=1.0) is ValidationError
         assert config_fault(stop_area_frac=0.0) is ValidationError
-
-    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
-    def test_stop_kappa_h_finite_and_positive(self, value):
-        # A non-positive bound stops before the first step; nan or inf never stops.
-        assert config_fault(stop_kappa_h=value) is ValidationError
 
 
 class TestStep:
@@ -141,9 +134,9 @@ class TestStep:
         assert isinstance(exc.value.__cause__, InvalidCurve)
 
     def test_remesh_cadence(self):
-        config = FlowConfig(remesh_every=3)
+        config = FlowConfig()
         state = FlowState(curve=make_ellipse(2.0, 1.0, 128), t=0.0, step=0)
-        for _ in range(3):
+        for _ in range(flow.REMESH_EVERY):
             state = step(state, config)
         seg = segment_lengths(state.curve)
         assert (seg.max() - seg.min()) / seg.mean() < 0.01
@@ -201,14 +194,15 @@ class TestRunContract:
             run(make_circle(1.0, 64), FlowConfig(), output_times=[0.005, bad], t_end=0.01)
 
     def test_kappa_h_stop(self):
-        # The curvature stop is run's: step itself takes the step.
-        config = FlowConfig(stop_kappa_h=1e-4)
-        circle = make_circle(1.0, 64)
-        traj = run(circle, config, output_times=[0.01])
+        # The curvature stop is run's: step itself takes the step.  This
+        # coarse ellipse starts at max|kappa| * h_min = 8.5, past STOP_KAPPA_H.
+        config = FlowConfig()
+        ellipse = make_ellipse(2.0, 0.2, 16)
+        traj = run(ellipse, config, output_times=[0.01])
         assert traj.stop_reason == "curvature"
         assert [s.step for s in traj.states] == [0]
         assert traj.unreached_outputs == [0.01]
-        assert step(FlowState(curve=circle, t=0.0, step=0), config).step == 1
+        assert step(FlowState(curve=ellipse, t=0.0, step=0), config).step == 1
 
     def test_max_steps_exceeded(self):
         config = FlowConfig(cfl=0.2, stop_area_frac=0.01, max_steps=5)

@@ -13,7 +13,7 @@ from eightflow.curves import (
     signed_area,
 )
 from eightflow.errors import SolveFailed, ValidationError
-from eightflow.flow import FlowConfig, FlowState, run, step
+from eightflow.flow import CFL4, FlowConfig, FlowState, run, step
 from eightflow.gradients import (
     FLOWS,
     _d2_ds2,
@@ -157,7 +157,7 @@ class TestCurveDiffusion:
         assert abs(float((curve_diffusion_speed(curve) * weights).sum())) < 1e-8
 
     def test_circle_stationary_1000_steps(self):
-        config = FlowConfig(cfl4=0.05)
+        config = FlowConfig()
         start = make_circle(1.0, 256)
         state = FlowState(curve=start, t=0.0, step=0)
         for _ in range(1000):
@@ -165,7 +165,7 @@ class TestCurveDiffusion:
         assert np.abs(state.curve.points - start.points).max() < 1e-4
 
     def test_perturbed_circle_conserves_signed_area(self):
-        config = FlowConfig(cfl4=0.05)
+        config = FlowConfig()
         start = wobbly_curve(128)
         a0 = signed_area(start)
         l0 = curve_length(start)
@@ -243,7 +243,7 @@ class TestEvolve:
     def test_all_flows_decrease_length(self):
         start = wobbly_curve(128)
         l0 = curve_length(start)
-        config = FlowConfig(cfl=0.1, cfl4=0.05, stop_area_frac=0.2, max_steps=400)
+        config = FlowConfig(cfl=0.1, stop_area_frac=0.2, max_steps=400)
         for kind, flow in FLOWS.items():
             state = FlowState(curve=start, t=0.0, step=0)
             for _ in range(150):
@@ -252,14 +252,14 @@ class TestEvolve:
 
     @pytest.mark.parametrize("kind", sorted(FLOWS))
     def test_step_law(self, kind):
-        # dt = cfl4 h_min^4 for the fourth-order diffusion flow, cfl h_min^2
+        # dt = CFL4 h_min^4 for the fourth-order diffusion flow, cfl h_min^2
         # for the others; a smaller cap is taken exactly.
         flow = FLOWS[kind]
         assert flow.kind == kind and flow.fourth_order == (kind == "diffusion")
-        config = FlowConfig(cfl=0.1, cfl4=0.05)
+        config = FlowConfig(cfl=0.1)
         curve = wobbly_curve(128)
         h_min = segment_lengths(curve).min()
-        law = config.cfl4 * h_min**4 if kind == "diffusion" else config.cfl * h_min**2
+        law = CFL4 * h_min**4 if kind == "diffusion" else config.cfl * h_min**2
         start = FlowState(curve=curve, t=0.0, step=1)
         assert step(start, config, flow=flow).t == law
         assert step(start, config, flow=flow, dt_cap=0.5 * law).t == 0.5 * law
@@ -272,7 +272,7 @@ class TestEvolve:
     def test_diffusion_metadata(self):
         traj = evolve_gradient_flow(
             make_circle(1.0, 64), "diffusion",
-            FlowConfig(cfl4=0.05, stop_area_frac=0.5), t_end=1e-6,
+            FlowConfig(stop_area_frac=0.5), t_end=1e-6,
         )
         assert traj.flow_kind == "diffusion"
         assert traj.stop_reason == "time"

@@ -176,6 +176,15 @@ class TestSymmetryCheck:
         assert direction.passed
         assert direction.value == "left"  # drifts toward the convex loop
 
+    def test_skipped_rows_keep_their_names(self, circle_run, lemniscate_run):
+        # The circle has no crossing: its crossing rows read info, not vanish.
+        rep = symmetry_collapse_check(circle_run)
+        names = [c.name for c in symmetry_collapse_check(lemniscate_run).checks]
+        assert [c.name for c in rep.checks] == names
+        for name in ("crossing_max_displacement", "crossing_x_monotone"):
+            row = check_by_name(rep, name)
+            assert row.value is None and row.passed is None and row.note.startswith("skipped")
+
 
 class TestReportEmission:
     def test_json_shape(self, lemniscate_run):

@@ -92,7 +92,7 @@ class TestRunIO:
 class TestMalformedMetadata:
     @pytest.mark.parametrize("damage", ["not-json", "no-snapshot-steps", "short-snapshot-steps",
                                         "unknown-config-field", "str-time", "nan-time",
-                                        "decreasing-times", "str-step"])
+                                        "decreasing-times", "str-step", "stored-cfl4"])
     def test_rejected(self, small_run, tmp_path, capsys, damage):
         run_dir = shutil.copytree(small_run[1], tmp_path / "run")
         path = run_dir / "metadata.json"
@@ -111,6 +111,9 @@ class TestMalformedMetadata:
             meta["snapshot_times"][1:] = meta["snapshot_times"][:0:-1]
         elif damage == "str-step":
             meta["snapshot_steps"][1] = str(meta["snapshot_steps"][1])
+        elif damage == "stored-cfl4":
+            # A run stored while cfl4 was a config field; it is now flow.CFL4.
+            meta["config"]["cfl4"] = 0.05
         path.write_text("{" if damage == "not-json" else json.dumps(meta))
         with pytest.raises(ValidationError):
             runio.load_run(run_dir)
@@ -402,7 +405,7 @@ class TestCLI:
         {"curve_file": "circle.csv"},
         {"config": {"cfl": 0.6}},
         {"config": {"cfl": 0.4}},
-        {"config": {"cfl4": 0.1}},
+        {"config": {"remesh_every": 10}},
         {"M": float("nan")},
         {"M": -1.0},
         {"alpha": -1.0},
@@ -413,7 +416,7 @@ class TestCLI:
             "string-alphas", "string-monitors", "top-level-cfl", "misspelled-monitors",
             "negative-output_time", "zero-output_time", "nan-output_time",
             "curve_file-and-generator", "out-of-range-cfl",
-            "cfl-above-heun-limit", "cfl4-above-heun-limit", "nan-M", "negative-M",
+            "cfl-above-heun-limit", "removed-remesh_every", "nan-M", "negative-M",
             "negative-alpha", "nan-alphas-entry"])
     def test_bad_spec_value_exits_1_before_the_run(self, tmp_path, capsys, monkeypatch,
                                                     entry):
@@ -545,6 +548,16 @@ class TestCLI:
                   "--out-dir", str(out), "--jobs", "2"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_stop_kappa_h_flag_is_unknown(self, tmp_path, capsys):
+        # The resolution stop is the constant flow.STOP_KAPPA_H.
+        out = tmp_path / "never"
+        with pytest.raises(SystemExit) as exc:
+            main(["evolve", "--generator", "circle", "--n", "64", "--t-end", "1e-6",
+                  "--out-dir", str(out), "--stop-kappa-h", "0.5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --stop-kappa-h 0.5" in capsys.readouterr().err
         assert not out.exists()
 
     def test_evolve_malformed_curve_exits_1(self, tmp_path, capsys):
