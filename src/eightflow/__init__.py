@@ -7,7 +7,6 @@ from .curves import (
     curve_length,
     derivatives,
     inflection_count,
-    osc_theta,
     resample_arclength,
     signed_area,
     tangent_angle,

@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Subcommands: generate, evolve, lift, report, compare-reaper.  Exit codes:
-0 success, 1 validation/precondition failure, 2 numerical failure, 3 I/O.
+Subcommands: generate, evolve, lift, report, compare-reaper.  `evolve` runs
+one RunSpec per call, and every curve file it reads or writes is CSV.
+Exit codes: 0 success, 1 validation/precondition failure, 2 numerical
+failure, 3 I/O.
 Every failure path prints a single line `ERROR <Kind>: <message>` on stderr.
 Runs are deterministic: identical inputs produce byte-identical CSVs.
 """
@@ -17,12 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import contact, monitors, runio, solitons
-from .curves import (
-    curve_from_csv,
-    curve_from_json,
-    curve_to_csv,
-    curve_to_json,
-)
+from .curves import curve_from_csv, curve_to_csv
 from .diagnostics import compute_record
 from .errors import EightflowError, ValidationError
 from .flow import FlowConfig, checked_numbers, checked_times, run
@@ -124,6 +121,8 @@ class RunSpec:
                 raise ValidationError(f"curve_file must be a path, not {curve_file!r}")
             if gen is not None:
                 raise ValidationError("RunSpec names both a curve_file and a generator")
+        elif gen is None:
+            raise ValidationError("RunSpec needs a curve_file or a generator")
         else:
             gen = _checked_generator(gen)
         flow = spec.get("flow", cls.flow)
@@ -180,7 +179,7 @@ def _listed(kind, flag: str):
 def cmd_generate(args) -> int:
     params = {k: getattr(args, k) for k in _GENERATOR_DEFAULTS if getattr(args, k) is not None}
     curve = _generated(_checked_generator({"name": args.generator, **params}))
-    (curve_to_json if args.out.endswith(".json") else curve_to_csv)(curve, args.out)
+    curve_to_csv(curve, args.out)
     print(_record_line(compute_record(curve, 0.0)))
     print(f"wrote {args.out}")
     return 0
@@ -200,11 +199,7 @@ def _read_spec(path: str) -> dict:
 def _run_spec(spec: RunSpec) -> str:
     """Run, save and monitor one RunSpec; returns the run's summary text."""
     gen = spec.generator
-    if gen is not None:
-        curve = _generated(gen)
-    else:
-        read = curve_from_json if spec.curve_file.endswith(".json") else curve_from_csv
-        curve = read(spec.curve_file)
+    curve = _generated(gen) if gen is not None else curve_from_csv(spec.curve_file)
     traj = run(curve, spec.config, spec.output_times, flow=FLOWS[spec.flow], t_end=spec.t_end)
 
     runio.save_run(traj, spec.out_dir)
@@ -245,19 +240,8 @@ def _with_flags(args, spec: dict) -> dict:
 
 
 def cmd_evolve(args) -> int:
-    dicts = [_read_spec(path) for path in args.spec or []] or [{}]
-    given = [dest for dest, value in vars(args).items()
-             if value is not None and dest not in ("command", "fn", "spec")]
-    if len(dicts) > 1 and given:
-        flags = ", ".join("--" + dest.replace("_", "-") for dest in given)
-        raise ValidationError(f"{flags} cannot combine with multiple specs")
-    specs = [RunSpec.from_dict(_with_flags(args, d)) for d in dicts]
-    dirs = [Path(spec.out_dir).resolve() for spec in specs]
-    for k, out_dir in enumerate(dirs):
-        if out_dir in dirs[:k]:
-            raise ValidationError(f"specs share the out_dir {out_dir}")
-    for spec in specs:
-        print(_run_spec(spec))
+    spec = _read_spec(args.spec) if args.spec else {}
+    print(_run_spec(RunSpec.from_dict(_with_flags(args, spec))))
     return 0
 
 
@@ -317,14 +301,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="write an initial curve file")
+    p = sub.add_parser("generate", help="write an initial curve CSV file")
     _add_generator_args(p, "generator")
-    p.add_argument("--out", required=True, help="curve file: JSON if it ends in .json, else CSV")
+    p.add_argument("--out", required=True, help="curve CSV file")
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("evolve", help="run a flow and write a run directory")
-    p.add_argument("--spec", nargs="*", help="RunSpec JSON file(s)")
-    p.add_argument("--curve", help="input curve file (csv or json)")
+    p.add_argument("--spec", help="RunSpec JSON file")
+    p.add_argument("--curve", help="input curve CSV file")
     _add_generator_args(p, "--generator")
     p.add_argument("--flow", choices=FLOWS)
     p.add_argument("--out-dir")

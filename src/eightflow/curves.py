@@ -16,6 +16,8 @@ Periodic quadratures (signed area, total turning) are plain sums times du,
 i.e. the trapezoidal rule on a uniform periodic grid.  This makes several
 discrete identities exact by construction; see the contact module.
 
+Curve files have one format, CSV (`curve_to_csv`, `curve_from_csv`).
+
 Remeshing (`resample_arclength`) interpolates with a periodic cubic spline in
 cumulative chord length.  The spline is the package's own, because importing
 scipy.interpolate loads scipy.special too and adds about 23 MB to every
@@ -26,7 +28,6 @@ solve), and the uniform targets are evaluated in one vectorised pass.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -153,11 +154,6 @@ def derivatives(curve: PlaneCurve) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     return d1[:, 0], d1[:, 1], d2[:, 0], d2[:, 1]
 
 
-def speed_squared(curve: PlaneCurve) -> np.ndarray:
-    """x_u^2 + y_u^2; raises DegenerateTangent if any sample is unusable."""
-    return curve.jet.g2
-
-
 def curvature(curve: PlaneCurve) -> np.ndarray:
     """Signed curvature at every sample; orientation-equivariant."""
     return curve.jet.kappa
@@ -212,12 +208,6 @@ def tangent_angle(curve: PlaneCurve) -> np.ndarray:
     np.cumsum(jumps, out=theta[1:])
     theta[1:] += raw[0]
     return theta
-
-
-def osc_theta(curve: PlaneCurve) -> float:
-    """Oscillation (max - min) of the unwrapped tangent angle."""
-    theta = tangent_angle(curve)
-    return float(theta.max() - theta.min())
 
 
 def x_extent(curve: PlaneCurve) -> float:
@@ -337,10 +327,10 @@ def scale(curve: PlaneCurve, factor: float) -> PlaneCurve:
 
 
 # ---------------------------------------------------------------------------
-# Serialization: CSV with header u,x,y (u,x,y,z for a space curve), or JSON
-# {"n": N, "points": [[x,y],..]}.  17 significant digits make a round trip
-# return the same float64 values; a file is written in one call and read back
-# with numpy's C parser, which rounds exactly like float().
+# Serialization: one format, CSV with header u,x,y (u,x,y,z for a space
+# curve).  17 significant digits make a round trip return the same float64
+# values; a file is written in one call and read back with numpy's C parser,
+# which rounds exactly like float().
 
 def curve_to_csv(curve, path: str | Path) -> None:
     """Write any curve with `points`, `n` and `du` as u,x,y[,z] rows."""
@@ -361,7 +351,7 @@ def read_curve_csv(path: str | Path, names: list[str]) -> np.ndarray:
         header = fh.readline().strip()
         if header.split(",")[:len(names)] != names:
             raise InvalidCurve(
-                f"unexpected curve CSV header {header!r}, expected {','.join(names)}"
+                f"unexpected curve CSV header {header[:80]!r}, expected {','.join(names)}"
             )
         try:
             return np.loadtxt(fh, delimiter=",", usecols=tuple(range(1, len(names))),
@@ -373,21 +363,3 @@ def read_curve_csv(path: str | Path, names: list[str]) -> np.ndarray:
 def curve_from_csv(path: str | Path) -> PlaneCurve:
     return PlaneCurve(read_curve_csv(path, ["u", "x", "y"]))
 
-
-def curve_to_json(curve: PlaneCurve, path: str | Path) -> None:
-    payload = {"n": curve.n, "points": [[x, y] for x, y in curve.points]}
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-
-
-def curve_from_json(path: str | Path) -> PlaneCurve:
-    """The curve of a JSON curve file; a malformed file raises InvalidCurve."""
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-        pts = np.asarray(payload["points"], dtype=float)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise InvalidCurve(f"malformed JSON curve {path}: {exc!r}") from None
-    if payload.get("n") not in (None, len(pts)):
-        raise InvalidCurve("JSON field 'n' disagrees with the point count")
-    return PlaneCurve(pts)

@@ -15,7 +15,7 @@ from eightflow import cli, runio, solitons
 from eightflow.cli import _GENERATORS, main
 from eightflow.errors import RowCountMismatch, ValidationError
 from eightflow.flow import FlowConfig, run
-from eightflow.shapes import make_bernoulli_lemniscate
+from eightflow.shapes import make_bernoulli_lemniscate, make_circle
 
 
 @pytest.fixture(scope="module")
@@ -134,11 +134,13 @@ class TestCLI:
         assert abs(signed_area(curve_from_csv(out))) < 1e-10
 
     def test_generate_circle_json(self, tmp_path):
+        # Curve files have one format: a .json name gets a CSV too, and
+        # evolve reads it back as CSV.
         out = tmp_path / "circle.json"
         assert main(["generate", "circle", "--r", "1", "--n", "64", "--out", str(out)]) == 0
-        from eightflow.curves import curve_from_json, signed_area
-        assert abs(signed_area(curve_from_json(out)) - np.pi) < 1e-3
-        # evolve reads the file by the same suffix rule.
+        assert out.read_text().startswith("u,x,y\n")
+        from eightflow.curves import curve_from_csv, signed_area
+        assert abs(signed_area(curve_from_csv(out)) - np.pi) < 1e-3
         assert main(["evolve", "--curve", str(out), "--t-end", "1e-4",
                      "--out-dir", str(tmp_path / "run")]) == 0
 
@@ -274,6 +276,18 @@ class TestCLI:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("ERROR RowCountMismatch")
 
+    def test_evolve_prints_its_summary(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["evolve", "--generator", "circle", "--n", "64", "--t-end", "0.01",
+                     "--out-dir", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 4
+        assert lines[0].startswith("t=0.01 L=") and " crossings=0 " in lines[0]
+        assert lines[1] == "stop_reason=time"
+        label, rel_error = lines[2].split("=")
+        assert label == "shrinking_circle_check rel_error" and float(rel_error) < 1e-3
+        assert lines[3] == f"run complete: {out}"
+
     def test_runspec_file_with_flag_override(self, tmp_path):
         spec = {
             "generator": {"name": "circle", "r": 1.0, "n": 64},
@@ -289,21 +303,6 @@ class TestCLI:
                      "--out-dir", str(override)]) == 0
         assert override.exists()
         assert not Path(spec["out_dir"]).exists()
-
-    def test_several_specs_print_every_summary_in_order(self, tmp_path, capsys):
-        runs = [("circle", {"t_end": 1e-3}, "time"),
-                ("lemniscate", {"config": {"stop_area_frac": 0.9}}, "area")]
-        specs = []
-        for k, (name, extra, _) in enumerate(runs):
-            path = tmp_path / f"spec{k}.json"
-            path.write_text(json.dumps({"generator": {"name": name, "n": 64},
-                                        "out_dir": str(tmp_path / f"job{k}"), **extra}))
-            specs.append(str(path))
-        assert main(["evolve", "--spec", *specs]) == 0
-        lines = [line for line in capsys.readouterr().out.splitlines()
-                 if line.startswith(("stop_reason=", "run complete:"))]
-        assert lines == [f"stop_reason={runs[0][2]}", f"run complete: {tmp_path / 'job0'}",
-                         f"stop_reason={runs[1][2]}", f"run complete: {tmp_path / 'job1'}"]
 
     def test_indefinite_flow_reproduces_csf_diagnostics(self, tmp_path):
         outs = []
@@ -366,22 +365,6 @@ class TestCLI:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("ERROR ValidationError:")
         assert not out.exists()
-
-    @pytest.mark.parametrize("flags", [["--cfl", "0.05"], ["--flow", "h1"],
-                                       ["--monitors", "balanced"], ["--t-end", "1"],
-                                       ["--n", "128"], ["--curve", "x.csv"],
-                                       ["--times", "0.01"]])
-    def test_run_flags_with_several_specs_exit_1(self, tmp_path, capsys, flags):
-        specs = []
-        for k in range(2):
-            path = tmp_path / f"spec{k}.json"
-            path.write_text(json.dumps({"generator": {"name": "circle", "n": 64},
-                                        "t_end": 1e-6, "out_dir": str(tmp_path / f"job{k}")}))
-            specs.append(str(path))
-        assert main(["evolve", "--spec", *specs, *flags]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert err == [f"ERROR ValidationError: {flags[0]} cannot combine with multiple specs"]
-        assert not (tmp_path / "job0").exists()
 
     @pytest.mark.parametrize("entry", [
         {"t_end": "0.01"},
@@ -514,33 +497,6 @@ class TestCLI:
         assert len(err) == 1 and err[0].startswith("ERROR ValidationError:")
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
-    def test_several_specs_checked_before_any_run(self, tmp_path, capsys):
-        specs = []
-        for k, t_end in enumerate([1e-6, "1e-6"]):
-            path = tmp_path / f"spec{k}.json"
-            path.write_text(json.dumps({"generator": {"name": "circle", "n": 64},
-                                        "t_end": t_end, "out_dir": str(tmp_path / f"job{k}")}))
-            specs.append(str(path))
-        assert main(["evolve", "--spec", *specs]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("ERROR ValidationError:")
-        assert not (tmp_path / "job0").exists()
-
-    def test_specs_sharing_an_out_dir_exit_1_before_any_run(self, tmp_path, capsys,
-                                                             monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        specs = []
-        for k, out_dir in enumerate(["same", "./same"]):
-            path = tmp_path / f"spec{k}.json"
-            path.write_text(json.dumps({"generator": {"name": "circle", "n": 64},
-                                        "t_end": 1e-6, "out_dir": out_dir}))
-            specs.append(str(path))
-        assert main(["evolve", "--spec", *specs]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("ERROR ValidationError:")
-        assert str(tmp_path / "same") in err[0]
-        assert not (tmp_path / "same").exists()
-
     def test_jobs_flag_is_unknown(self, tmp_path, capsys):
         out = tmp_path / "never"
         with pytest.raises(SystemExit) as exc:
@@ -549,6 +505,32 @@ class TestCLI:
         assert exc.value.code == 2
         assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_second_spec_file_is_unknown(self, tmp_path, capsys):
+        # evolve runs one RunSpec per call.
+        specs = []
+        for k in range(2):
+            path = tmp_path / f"spec{k}.json"
+            path.write_text(json.dumps({"generator": {"name": "circle", "n": 64},
+                                        "t_end": 1e-6, "out_dir": str(tmp_path / f"job{k}")}))
+            specs.append(str(path))
+        with pytest.raises(SystemExit) as exc:
+            main(["evolve", "--spec", *specs])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {specs[1]}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec0.json", "spec1.json"]
+
+    @pytest.mark.parametrize("spec", [None, {"out_dir": "x"}], ids=["flags", "spec"])
+    def test_no_curve_source_exits_1(self, tmp_path, capsys, monkeypatch, spec):
+        monkeypatch.chdir(tmp_path)
+        argv = ["evolve", "--out-dir", "x"]
+        if spec is not None:
+            Path("spec.json").write_text(json.dumps(spec))
+            argv = ["evolve", "--spec", "spec.json"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "ERROR ValidationError: RunSpec needs a curve_file or a generator"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["spec.json"] if spec else [])
 
     def test_stop_kappa_h_flag_is_unknown(self, tmp_path, capsys):
         # The resolution stop is the constant flow.STOP_KAPPA_H.
@@ -570,13 +552,18 @@ class TestCLI:
         assert not (tmp_path / "never").exists()
 
     def test_evolve_malformed_json_curve_exits_1(self, tmp_path, capsys):
+        # Curve files are CSV only, so a JSON curve, such as an N=64 circle in
+        # the {"n": N, "points": [[x, y], ...]} layout, fails the header check;
+        # the error quotes only the start of its one long line.
+        circle = json.dumps({"n": 64, "points": make_circle(1.0, 64).points.tolist()})
         path = tmp_path / "bad.json"
-        for text in ("{", "[[1, 2]]", '{"n": 2}', '{"points": [["a", "b"]]}'):
+        for text in (circle, "{", "[[1, 2]]", '{"n": 2}', '{"points": [["a", "b"]]}'):
             path.write_text(text)
             assert main(["evolve", "--curve", str(path),
                          "--out-dir", str(tmp_path / "never")]) == 1
             err = capsys.readouterr().err.splitlines()
-            assert len(err) == 1 and err[0].startswith("ERROR InvalidCurve:")
+            assert len(err) == 1 and len(err[0]) < 200
+            assert err[0].startswith("ERROR InvalidCurve: unexpected curve CSV header")
             assert not (tmp_path / "never").exists()
 
     def test_missing_run_dir_exits_3(self, tmp_path, capsys):
