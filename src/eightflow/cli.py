@@ -39,34 +39,24 @@ _GENERATORS = {
     "asymmetric-eight": (make_asymmetric_eight, ("ratio", "n")),
 }
 
-# Generator parameters and their defaults, for the generator flags and for
-# generators that leave a parameter out.
+# Generator parameters and their defaults, for the `generate` flags and for
+# RunSpec generators that leave a parameter out.
 _GENERATOR_DEFAULTS = {"a": 1.0, "b": 1.0, "r": 1.0, "ratio": 1.5, "n": 256}
 _GENERATOR_HELP = {"a": "scale / semi-axis", "b": "ellipse minor semi-axis",
                    "r": "circle radius", "ratio": "eight loop ratio",
                    "n": "sample count"}
 
-# Monitor reports by name; each reads M, alpha and alphas from a RunSpec or
-# from the `report` flags.
+# The monitor parameters at `report`'s defaults, which `evolve --monitors` runs.
+_MONITOR_DEFAULTS = argparse.Namespace(M=1.0, alpha=0.01, alphas=(0.005, 0.01, 0.0144))
+
+# Monitor reports by name; each reads M, alpha and alphas from the `report`
+# flags or from _MONITOR_DEFAULTS.
 _MONITORS = {
     "balanced": lambda traj, p: monitors.balanced_invariant_report(traj),
     "collapse": lambda traj, p: monitors.collapse_report(traj, p.alphas),
     "isoperimetric": lambda traj, p: monitors.isoperimetric_report(traj, p.M, p.alpha),
     "symmetry": lambda traj, p: monitors.symmetry_collapse_check(traj),
 }
-
-
-def _checked_monitor_values(p):
-    """`p`, a RunSpec or the `report` flags, once its M is a finite positive number
-    and its alpha and alphas entries finite non-negative numbers; else ValidationError."""
-    values = {"M": p.M, "alpha": p.alpha, **{f"alphas[{k}]": a for k, a in enumerate(p.alphas)}}
-    checked_numbers(values, dict.fromkeys(values, 1.0), "monitor value")
-    if not 0.0 < p.M < np.inf:
-        raise ValidationError(f"M {p.M!r} is not finite and positive")
-    for alpha in (p.alpha, *p.alphas):
-        if not 0.0 <= alpha < np.inf:
-            raise ValidationError(f"alpha {alpha!r} is not finite and non-negative")
-    return p
 
 
 def _checked_generator(gen) -> dict:
@@ -90,7 +80,7 @@ def _generated(gen: dict):
 @dataclass(frozen=True)
 class RunSpec:
     """One checked `evolve` run: the README's RunSpec keys, generator defaults
-    filled in, the FlowConfig built; M, alpha and alphas default `report` too."""
+    filled in, the FlowConfig built."""
 
     out_dir: str
     curve_file: str | None = None
@@ -100,9 +90,6 @@ class RunSpec:
     output_times: tuple[float, ...] = ()
     t_end: float | None = None
     monitors: tuple[str, ...] = ()
-    M: float = 1.0
-    alpha: float = 0.01
-    alphas: tuple[float, ...] = (0.005, 0.01, 0.0144)
 
     @classmethod
     def from_dict(cls, spec: dict) -> RunSpec:
@@ -130,10 +117,9 @@ class RunSpec:
             raise ValidationError(f"unknown flow kind {flow!r}")
         # A null t_end means no end time.
         t_end = None if spec.get("t_end") is None else checked_times([spec["t_end"]], "t_end")[0]
-        times, alphas = spec.get("output_times") or [], spec.get("alphas") or []
-        for key, values in (("output_times", times), ("alphas", alphas)):
-            if not isinstance(values, list):
-                raise ValidationError(f"RunSpec {key} must be a list of numbers, not {values!r}")
+        times = spec.get("output_times") or []
+        if not isinstance(times, list):
+            raise ValidationError(f"RunSpec output_times must be a list of numbers, not {times!r}")
         times = checked_times(times, "output time")
         names = spec.get("monitors") or []
         if not isinstance(names, list) or not all(
@@ -141,18 +127,10 @@ class RunSpec:
             raise ValidationError(
                 f"RunSpec monitors must be a list of names from {sorted(_MONITORS)}, "
                 f"not {names!r}")
-        return _checked_monitor_values(cls(**{
+        return cls(**{
             **spec, "curve_file": curve_file, "generator": gen, "flow": flow,
             "config": FlowConfig.from_dict(spec.get("config") or {}),
-            "output_times": tuple(times), "t_end": t_end, "monitors": tuple(names),
-            "alphas": tuple(alphas) or cls.alphas}))
-
-
-def _add_generator_args(parser: argparse.ArgumentParser, flag: str) -> None:
-    """The generator choice (positional or `--generator`) and its parameters."""
-    parser.add_argument(flag, choices=sorted(_GENERATORS))
-    for name, default in _GENERATOR_DEFAULTS.items():
-        parser.add_argument(f"--{name}", type=type(default), help=_GENERATOR_HELP[name])
+            "output_times": tuple(times), "t_end": t_end, "monitors": tuple(names)})
 
 
 def _record_line(rec) -> str:
@@ -204,7 +182,7 @@ def _run_spec(spec: RunSpec) -> str:
 
     runio.save_run(traj, spec.out_dir)
     for monitor in spec.monitors:
-        rep = _MONITORS[monitor](traj, spec)
+        rep = _MONITORS[monitor](traj, _MONITOR_DEFAULTS)
         path = Path(spec.out_dir) / f"report_{monitor}.json"
         path.write_text(rep.to_json() + "\n")
 
@@ -220,22 +198,21 @@ def _run_spec(spec: RunSpec) -> str:
 
 def _with_flags(args, spec: dict) -> dict:
     """`spec`, a RunSpec file's object or {}, with the given evolve flags laid
-    over it.  Flags override file values, and `--curve` or `--generator`
-    replaces the file's curve source; `RunSpec.from_dict` checks the result."""
-    keys = {"curve": "curve_file", "times": "output_times", "generator": "name"}
+    over it.  Flags override file values, and `--curve` replaces the file's
+    curve source; `RunSpec.from_dict` checks the result."""
+    keys = {"curve": "curve_file", "times": "output_times"}
 
     def given(dests):
         return {keys.get(d, d): getattr(args, d) for d in dests if getattr(args, d) is not None}
 
-    if args.curve is not None or args.generator is not None:
-        spec = {k: v for k, v in spec.items() if k not in ("curve_file", "generator")}
+    if args.curve is not None:
+        spec = {k: v for k, v in spec.items() if k != "generator"}
     spec |= given(("curve", "flow", "out_dir", "times", "t_end", "monitors"))
-    for key, layer in (("generator", given(("generator", *_GENERATOR_DEFAULTS))),
-                       ("config", given(f.name for f in fields(FlowConfig)))):
-        base = spec.get(key) or {}
-        if layer:
-            # A base that is not an object stays, for from_dict to reject.
-            spec[key] = {**base, **layer} if isinstance(base, dict) else base
+    config = given(f.name for f in fields(FlowConfig))
+    if config:
+        base = spec.get("config") or {}
+        # A base that is not an object stays, for from_dict to reject.
+        spec["config"] = {**base, **config} if isinstance(base, dict) else base
     return spec
 
 
@@ -258,8 +235,12 @@ def cmd_lift(args) -> int:
 
 
 def cmd_report(args) -> int:
-    args.alphas = args.alphas or RunSpec.alphas
-    _checked_monitor_values(args)
+    args.alphas = args.alphas or _MONITOR_DEFAULTS.alphas
+    if not 0.0 < args.M < np.inf:
+        raise ValidationError(f"M {args.M!r} is not finite and positive")
+    for alpha in (args.alpha, *args.alphas):
+        if not 0.0 <= alpha < np.inf:
+            raise ValidationError(f"alpha {alpha!r} is not finite and non-negative")
     traj = runio.load_run(args.run_dir)
     rep = _MONITORS[args.monitor](traj, args)
     out = Path(args.out or Path(args.run_dir) / f"report_{args.monitor}.json")
@@ -302,21 +283,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write an initial curve CSV file")
-    _add_generator_args(p, "generator")
+    p.add_argument("generator", choices=sorted(_GENERATORS))
+    for name, default in _GENERATOR_DEFAULTS.items():
+        p.add_argument(f"--{name}", type=type(default), help=_GENERATOR_HELP[name])
     p.add_argument("--out", required=True, help="curve CSV file")
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("evolve", help="run a flow and write a run directory")
     p.add_argument("--spec", help="RunSpec JSON file")
     p.add_argument("--curve", help="input curve CSV file")
-    _add_generator_args(p, "--generator")
     p.add_argument("--flow", choices=FLOWS)
     p.add_argument("--out-dir")
     p.add_argument("--times", type=_listed(float, "--times"), help="comma-separated output times")
     p.add_argument("--t-end", type=float)
     for f in fields(FlowConfig):
         p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default))
-    p.add_argument("--monitors", type=_listed(str, "--monitors"), help="comma-separated monitors")
+    p.add_argument("--monitors", type=_listed(str, "--monitors"),
+                   help="comma-separated monitors, each at report's defaults")
     p.set_defaults(fn=cmd_evolve)
 
     p = sub.add_parser("lift", help="lift a run to Legendrian curves")
@@ -328,8 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="run a monitor over a stored run")
     p.add_argument("run_dir")
     p.add_argument("--monitor", required=True, choices=sorted(_MONITORS))
-    p.add_argument("--M", type=float, default=RunSpec.M)
-    p.add_argument("--alpha", type=float, default=RunSpec.alpha)
+    p.add_argument("--M", type=float, default=_MONITOR_DEFAULTS.M)
+    p.add_argument("--alpha", type=float, default=_MONITOR_DEFAULTS.alpha)
     p.add_argument("--alphas", type=_listed(float, "--alphas"), help="comma-separated alphas")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_report)

@@ -344,8 +344,8 @@ def curve_to_csv(curve, path: str | Path) -> None:
 def read_curve_csv(path: str | Path, names: list[str]) -> np.ndarray:
     """The sample columns (all but u) of a curve CSV whose header starts with `names`.
 
-    Raises InvalidCurve on a wrong header and on a row that is short or not
-    numeric.
+    Raises InvalidCurve on a wrong header, on a header with no sample row
+    after it and on a row that is short or not numeric.
     """
     with open(path) as fh:
         header = fh.readline().strip()
@@ -353,6 +353,12 @@ def read_curve_csv(path: str | Path, names: list[str]) -> np.ndarray:
             raise InvalidCurve(
                 f"unexpected curve CSV header {header[:80]!r}, expected {','.join(names)}"
             )
+        # Checked here, since np.loadtxt only warns on a file with no rows;
+        # like np.loadtxt, this skips blank lines and text after a '#'.
+        start = fh.tell()
+        if not any(line.split("#", 1)[0].strip() for line in fh):
+            raise InvalidCurve(f"no sample rows in {path}")
+        fh.seek(start)
         try:
             return np.loadtxt(fh, delimiter=",", usecols=tuple(range(1, len(names))),
                               ndmin=2)

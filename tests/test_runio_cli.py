@@ -29,13 +29,24 @@ def small_run(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def stored_reaper_run(tmp_path_factory):
-    """A stored lemniscate run deep enough for the matched reaper comparison."""
+def curve_csv(tmp_path_factory):
+    """Curve CSV files that `generate` wrote: an N=64 circle and an N=128 lemniscate."""
+    out = tmp_path_factory.mktemp("curves")
+    for name, n in (("circle", 64), ("lemniscate", 128)):
+        assert main(["generate", name, "--n", str(n), "--out", str(out / f"{name}.csv")]) == 0
+    return {name: str(out / f"{name}.csv") for name in ("circle", "lemniscate")}
+
+
+@pytest.fixture(scope="module")
+def stored_reaper_run(tmp_path_factory, curve_csv):
+    """A stored lemniscate run deep enough for the matched reaper comparison,
+    with the reports of two monitors."""
     run_dir = tmp_path_factory.mktemp("runs") / "cmp"
-    assert main(["evolve", "--generator", "lemniscate", "--n", "128",
+    assert main(["evolve", "--curve", curve_csv["lemniscate"],
                  "--out-dir", str(run_dir), "--stop-area-frac", "0.05",
                  "--cfl", "0.2", "--times",
-                 ",".join(str(t) for t in np.arange(0.005, 0.12, 0.005))]) == 0
+                 ",".join(str(t) for t in np.arange(0.005, 0.12, 0.005)),
+                 "--monitors", "collapse,isoperimetric"]) == 0
     return run_dir
 
 
@@ -157,10 +168,10 @@ class TestCLI:
             "ERROR ValidationError: unknown circle parameter 'a'"]
         assert not out.exists()
 
-    def test_evolve_lift_report_pipeline(self, tmp_path, capsys):
+    def test_evolve_lift_report_pipeline(self, tmp_path, capsys, curve_csv):
         run_dir = tmp_path / "run"
         code = main([
-            "evolve", "--generator", "lemniscate", "--a", "1", "--n", "128",
+            "evolve", "--curve", curve_csv["lemniscate"],
             "--flow", "csf", "--out-dir", str(run_dir),
             "--stop-area-frac", "0.25", "--cfl", "0.2",
             "--times", "0.02,0.04,0.06", "--monitors", "balanced,symmetry",
@@ -179,9 +190,9 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "symmetric collapse" in out
 
-    def test_lift_of_circle_run_rejected(self, tmp_path, capsys):
+    def test_lift_of_circle_run_rejected(self, tmp_path, capsys, curve_csv):
         run_dir = tmp_path / "circle_run"
-        assert main(["evolve", "--generator", "circle", "--r", "1", "--n", "64",
+        assert main(["evolve", "--curve", curve_csv["circle"],
                      "--out-dir", str(run_dir), "--t-end", "0.02",
                      "--cfl", "0.2"]) == 0
         code = main(["lift", str(run_dir)])
@@ -265,6 +276,13 @@ class TestCLI:
         margins = margin_column(reaper_run)
         assert np.isnan(margins[-1])
 
+    @pytest.mark.parametrize("monitor", ["collapse", "isoperimetric"])
+    def test_evolve_monitors_match_report_defaults(self, stored_reaper_run, tmp_path, monitor):
+        out = tmp_path / f"{monitor}.json"
+        assert main(["report", str(stored_reaper_run), "--monitor", monitor,
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == (stored_reaper_run / f"report_{monitor}.json").read_bytes()
+
     def test_margin_row_count_mismatch(self, reaper_run, capsys):
         rows = len(runio.load_run(reaper_run).states)
         with pytest.raises(RowCountMismatch):
@@ -277,9 +295,11 @@ class TestCLI:
         assert len(err) == 1 and err[0].startswith("ERROR RowCountMismatch")
 
     def test_evolve_prints_its_summary(self, tmp_path, capsys):
-        out = tmp_path / "run"
-        assert main(["evolve", "--generator", "circle", "--n", "64", "--t-end", "0.01",
-                     "--out-dir", str(out)]) == 0
+        # The shrinking-circle check needs the circle's generator.
+        out, spec_path = tmp_path / "run", tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"generator": {"name": "circle", "n": 64},
+                                         "t_end": 0.01, "out_dir": str(out)}))
+        assert main(["evolve", "--spec", str(spec_path)]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 4
         assert lines[0].startswith("t=0.01 L=") and " crossings=0 " in lines[0]
@@ -304,11 +324,11 @@ class TestCLI:
         assert override.exists()
         assert not Path(spec["out_dir"]).exists()
 
-    def test_indefinite_flow_reproduces_csf_diagnostics(self, tmp_path):
+    def test_indefinite_flow_reproduces_csf_diagnostics(self, tmp_path, curve_csv):
         outs = []
         for kind in ("csf", "indefinite"):
             out = tmp_path / kind
-            assert main(["evolve", "--generator", "lemniscate", "--n", "128",
+            assert main(["evolve", "--curve", curve_csv["lemniscate"],
                          "--flow", kind, "--out-dir", str(out),
                          "--stop-area-frac", "0.5", "--cfl", "0.2",
                          "--times", "0.01,0.02"]) == 0
@@ -329,23 +349,10 @@ class TestCLI:
                                          "t_end": 1e-6,
                                          "out_dir": str(tmp_path / "spec")}))
         assert main(["evolve", "--spec", str(spec_path)]) == 0
-        assert main(["evolve", "--generator", generator, "--t-end", "1e-6",
-                     "--out-dir", str(tmp_path / "flags")]) == 0
-        first = Path("snapshots") / "snap_0000.csv"
-        assert (tmp_path / "spec" / first).read_bytes() == \
-               (tmp_path / "flags" / first).read_bytes()
-
-    def test_generator_flags_override_spec_generator(self, tmp_path):
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps({"generator": {"name": "circle", "n": 64, "r": 1.0},
-                                         "t_end": 1e-6, "out_dir": str(tmp_path / "never")}))
-        out = tmp_path / "run"
-        assert main(["evolve", "--spec", str(spec_path), "--n", "128", "--r", "2",
-                     "--out-dir", str(out)]) == 0
-        for snap in (out / "snapshots").glob("snap_*.csv"):
-            xy = np.loadtxt(snap, delimiter=",", skiprows=1)[:, 1:]
-            assert xy.shape == (128, 2)
-            np.testing.assert_allclose(np.hypot(*xy.T), 2.0, rtol=1e-3)
+        generated = tmp_path / "generated.csv"
+        assert main(["generate", generator, "--out", str(generated)]) == 0
+        first = tmp_path / "spec" / "snapshots" / "snap_0000.csv"
+        assert first.read_bytes() == generated.read_bytes()
 
     @pytest.mark.parametrize("text", [
         "{not json",                                                  # not JSON
@@ -377,8 +384,6 @@ class TestCLI:
         {"config": [1, 2]},
         {"out_dir": 5},
         {"curve_file": 5},
-        {"M": "1"},
-        {"alphas": "0.01"},
         {"monitors": "balanced"},
         {"cfl": 0.01},
         {"monitor": ["balanced"]},
@@ -389,18 +394,17 @@ class TestCLI:
         {"config": {"cfl": 0.6}},
         {"config": {"cfl": 0.4}},
         {"config": {"remesh_every": 10}},
-        {"M": float("nan")},
-        {"M": -1.0},
-        {"alpha": -1.0},
-        {"alphas": [float("nan")]},
+        {"M": 1.0},
+        {"alpha": 0.01},
+        {"alphas": [0.01]},
     ], ids=["string-t_end", "negative-t_end", "zero-t_end", "nan-t_end", "inf-t_end",
             "string-output_times", "string-output_time",
-            "list-config", "number-out_dir", "number-curve_file", "string-M",
-            "string-alphas", "string-monitors", "top-level-cfl", "misspelled-monitors",
+            "list-config", "number-out_dir", "number-curve_file",
+            "string-monitors", "top-level-cfl", "misspelled-monitors",
             "negative-output_time", "zero-output_time", "nan-output_time",
             "curve_file-and-generator", "out-of-range-cfl",
-            "cfl-above-heun-limit", "removed-remesh_every", "nan-M", "negative-M",
-            "negative-alpha", "nan-alphas-entry"])
+            "cfl-above-heun-limit", "removed-remesh_every", "removed-M",
+            "removed-alpha", "removed-alphas"])
     def test_bad_spec_value_exits_1_before_the_run(self, tmp_path, capsys, monkeypatch,
                                                     entry):
         monkeypatch.chdir(tmp_path)   # a number out_dir would be a relative path
@@ -410,43 +414,40 @@ class TestCLI:
         assert main(["evolve", "--spec", "spec.json"]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("ERROR ValidationError:")
+        # Monitor parameters are `report` flags only.
+        if set(entry) <= {"M", "alpha", "alphas"}:
+            assert err[0] == f"ERROR ValidationError: unknown RunSpec key {next(iter(entry))!r}"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
 
     @pytest.mark.parametrize("t_end", ["-1", "nan"])
-    def test_bad_t_end_flag_exits_1(self, tmp_path, capsys, t_end):
+    def test_bad_t_end_flag_exits_1(self, tmp_path, capsys, curve_csv, t_end):
         out = tmp_path / "never"
-        assert main(["evolve", "--generator", "circle", "--n", "64", f"--t-end={t_end}",
+        assert main(["evolve", "--curve", curve_csv["circle"], f"--t-end={t_end}",
                      "--out-dir", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("ERROR ValidationError: t_end")
         assert not out.exists()
 
-    @pytest.mark.parametrize("flags", [["--times=-0.005,nan,0.005"],
-                                       ["--curve", "circle.csv", "--n", "128"]],
-                             ids=["bad-times", "curve-and-generator-parameter"])
-    def test_flag_that_cannot_apply_exits_1(self, tmp_path, capsys, monkeypatch, flags):
-        monkeypatch.chdir(tmp_path)
-        assert main(["generate", "circle", "--n", "64", "--out", "circle.csv"]) == 0
-        capsys.readouterr()
-        argv = ["evolve", "--t-end", "0.01", "--out-dir", "never", *flags]
-        if "--curve" not in flags:
-            argv += ["--generator", "circle", "--n", "64"]
-        assert main(argv) == 1
+    @pytest.mark.parametrize("flags", [["--times=-0.005,nan,0.005"]], ids=["bad-times"])
+    def test_flag_that_cannot_apply_exits_1(self, tmp_path, capsys, curve_csv, flags):
+        out = tmp_path / "never"
+        assert main(["evolve", "--curve", curve_csv["circle"], "--t-end", "0.01",
+                     "--out-dir", str(out), *flags]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("ERROR ValidationError:")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["circle.csv"]
+        assert not out.exists()
 
-    def test_step_budget_exits_2(self, tmp_path, capsys):
+    def test_step_budget_exits_2(self, tmp_path, capsys, curve_csv):
         out = tmp_path / "never"
-        assert main(["evolve", "--generator", "circle", "--n", "64", "--t-end", "1e-3",
+        assert main(["evolve", "--curve", curve_csv["circle"], "--t-end", "1e-3",
                      "--max-steps", "1", "--out-dir", str(out)]) == 2
         assert capsys.readouterr().err.splitlines() == [
             "ERROR MaxStepsExceeded: no stopping criterion after 1 steps"]
         assert not out.exists()
 
-    def test_non_number_in_times_exits_1(self, tmp_path, capsys):
+    def test_non_number_in_times_exits_1(self, tmp_path, capsys, curve_csv):
         out = tmp_path / "never"
-        assert main(["evolve", "--generator", "circle", "--n", "64", "--t-end", "1e-3",
+        assert main(["evolve", "--curve", curve_csv["circle"], "--t-end", "1e-3",
                      "--times", "1e-4,x", "--out-dir", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == ["ERROR ValidationError: --times must be comma-separated numbers, "
@@ -475,18 +476,18 @@ class TestCLI:
         assert len(err) == 1 and err[0].startswith("ERROR ValidationError:")
         assert not out.exists() and sorted(run_dir.iterdir()) == before
 
-    def test_out_of_range_cfl_flag_exits_1(self, tmp_path, capsys):
+    def test_out_of_range_cfl_flag_exits_1(self, tmp_path, capsys, curve_csv):
         out = tmp_path / "never"
-        assert main(["evolve", "--generator", "circle", "--n", "64", "--cfl", "0.6",
+        assert main(["evolve", "--curve", curve_csv["circle"], "--cfl", "0.6",
                      "--t-end", "1e-6", "--out-dir", str(out)]) == 1
         assert capsys.readouterr().err.splitlines() == [
             "ERROR ValidationError: cfl 0.6 outside (0, 0.375]"]
         assert not out.exists()
 
     def test_out_dir_holding_a_run_refused_before_stepping(self, tmp_path, capsys,
-                                                           monkeypatch):
+                                                           monkeypatch, curve_csv):
         out = tmp_path / "run"
-        argv = ["evolve", "--generator", "circle", "--n", "64", "--t-end", "1e-6",
+        argv = ["evolve", "--curve", curve_csv["circle"], "--t-end", "1e-6",
                 "--out-dir", str(out)]
         assert main(argv) == 0
         before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
@@ -497,14 +498,26 @@ class TestCLI:
         assert len(err) == 1 and err[0].startswith("ERROR ValidationError:")
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
-    def test_jobs_flag_is_unknown(self, tmp_path, capsys):
+    def test_jobs_flag_is_unknown(self, tmp_path, capsys, curve_csv):
         out = tmp_path / "never"
         with pytest.raises(SystemExit) as exc:
-            main(["evolve", "--generator", "circle", "--n", "64", "--t-end", "1e-6",
+            main(["evolve", "--curve", curve_csv["circle"], "--t-end", "1e-6",
                   "--out-dir", str(out), "--jobs", "2"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_generator_flags_are_unknown(self, tmp_path, capsys, monkeypatch):
+        # A generated curve reaches evolve by a RunSpec generator or by --curve.
+        monkeypatch.chdir(tmp_path)
+        for argv, unknown in ((["--out-dir", "x", "--n", "64"], "--n 64"),
+                              (["--generator", "circle", "--t-end", "1e-6", "--out-dir", "x"],
+                               "--generator circle")):
+            with pytest.raises(SystemExit) as exc:
+                main(["evolve", *argv])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {unknown}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_second_spec_file_is_unknown(self, tmp_path, capsys):
         # evolve runs one RunSpec per call.
@@ -532,11 +545,11 @@ class TestCLI:
             "ERROR ValidationError: RunSpec needs a curve_file or a generator"]
         assert sorted(p.name for p in tmp_path.iterdir()) == (["spec.json"] if spec else [])
 
-    def test_stop_kappa_h_flag_is_unknown(self, tmp_path, capsys):
+    def test_stop_kappa_h_flag_is_unknown(self, tmp_path, capsys, curve_csv):
         # The resolution stop is the constant flow.STOP_KAPPA_H.
         out = tmp_path / "never"
         with pytest.raises(SystemExit) as exc:
-            main(["evolve", "--generator", "circle", "--n", "64", "--t-end", "1e-6",
+            main(["evolve", "--curve", curve_csv["circle"], "--t-end", "1e-6",
                   "--out-dir", str(out), "--stop-kappa-h", "0.5"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --stop-kappa-h 0.5" in capsys.readouterr().err
@@ -550,6 +563,26 @@ class TestCLI:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("ERROR InvalidCurve:")
         assert not (tmp_path / "never").exists()
+
+    def test_evolve_header_only_curve_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "header.csv"
+        for text in ("u,x,y\n", "u,x,y\n\n  # no rows\n"):
+            path.write_text(text)
+            assert main(["evolve", "--curve", str(path),
+                         "--out-dir", str(tmp_path / "never")]) == 1
+            assert capsys.readouterr().err.splitlines() == [
+                f"ERROR InvalidCurve: no sample rows in {path}"]
+            assert not (tmp_path / "never").exists()
+
+    def test_report_on_header_only_snapshot_exits_1(self, small_run, tmp_path, capsys):
+        run_dir = shutil.copytree(small_run[1], tmp_path / "run")
+        snap = run_dir / "snapshots" / "snap_0001.csv"
+        snap.write_text("u,x,y\n")
+        before = sorted(run_dir.iterdir())
+        assert main(["report", str(run_dir), "--monitor", "balanced"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"ERROR InvalidCurve: no sample rows in {snap}"]
+        assert sorted(run_dir.iterdir()) == before
 
     def test_evolve_malformed_json_curve_exits_1(self, tmp_path, capsys):
         # Curve files are CSV only, so a JSON curve, such as an N=64 circle in

@@ -5,13 +5,14 @@ import pytest
 
 from eightflow.curves import PlaneCurve, translate
 from eightflow.errors import Extinct, InvalidCurve, NotInsideReaper, OutOfDomain
-from eightflow.flow import FlowConfig, run
-from eightflow.shapes import make_bernoulli_lemniscate, make_circle
+from eightflow.flow import FlowConfig, FlowState, run
+from eightflow.shapes import make_bernoulli_lemniscate, make_circle, make_ellipse
 from eightflow.solitons import (
     GrimReaper,
     matched_barrier_comparison,
     push_distance,
     reaper_barrier_check,
+    reaper_margins,
     reaper_value,
     rectangle_containment,
     shrinking_circle,
@@ -122,6 +123,17 @@ class TestBarrier:
         traj = run(circle, config, t_end=1e-4)
         with pytest.raises(NotInsideReaper):
             reaper_barrier_check(traj.states, reaper, t_offset=reaper.tau0 / 2)
+
+    def test_margin_past_the_domain_is_minus_inf(self):
+        # The reaper lives on |y| < pi*C0*tau0 = 0.628; a unit circle leaves it.
+        reaper = GrimReaper(c0=1.0, tau0=0.2)
+        inside = translate(make_ellipse(0.5, 0.1), (-0.6, 0.0))
+        past = translate(make_circle(1.0), (-1.0, 0.0))
+        assert reaper_margins(inside, reaper, -0.1) == pytest.approx(0.1522337, abs=1e-7)
+        assert reaper_margins(past, reaper, -0.1) == -np.inf
+        states = [FlowState(inside, 0.0, 0), FlowState(past, 0.0, 1)]
+        margins = reaper_barrier_check(states, reaper, t_offset=0.1)
+        np.testing.assert_allclose(margins, [0.1522337, -np.inf], atol=1e-7)
 
     def test_matched_lemniscate_comparison(self, lemniscate_run):
         cmp_ = matched_barrier_comparison(lemniscate_run)
