@@ -46,16 +46,16 @@ _GENERATOR_HELP = {"a": "scale / semi-axis", "b": "ellipse minor semi-axis",
                    "r": "circle radius", "ratio": "eight loop ratio",
                    "n": "sample count"}
 
-# The monitor parameters at `report`'s defaults, which `evolve --monitors` runs.
-_MONITOR_DEFAULTS = argparse.Namespace(M=1.0, alpha=0.01, alphas=(0.005, 0.01, 0.0144))
-
-# Monitor reports by name; each reads M, alpha and alphas from the `report`
-# flags or from _MONITOR_DEFAULTS.
+# Each monitor's report function in `monitors` (looked up by name at each
+# call, so a wrapper set on the module attribute sees it) and the `report`
+# flags it reads.  A flag sets the keyword parameter of the same name in
+# lower case; a flag left out, and every parameter under `evolve --monitors`,
+# takes the function's default.
 _MONITORS = {
-    "balanced": lambda traj, p: monitors.balanced_invariant_report(traj),
-    "collapse": lambda traj, p: monitors.collapse_report(traj, p.alphas),
-    "isoperimetric": lambda traj, p: monitors.isoperimetric_report(traj, p.M, p.alpha),
-    "symmetry": lambda traj, p: monitors.symmetry_collapse_check(traj),
+    "balanced": ("balanced_invariant_report", ()),
+    "collapse": ("collapse_report", ("--alphas",)),
+    "isoperimetric": ("isoperimetric_report", ("--M", "--alpha")),
+    "symmetry": ("symmetry_collapse_check", ()),
 }
 
 
@@ -182,7 +182,7 @@ def _run_spec(spec: RunSpec) -> str:
 
     runio.save_run(traj, spec.out_dir)
     for monitor in spec.monitors:
-        rep = _MONITORS[monitor](traj, _MONITOR_DEFAULTS)
+        rep = getattr(monitors, _MONITORS[monitor][0])(traj)
         path = Path(spec.out_dir) / f"report_{monitor}.json"
         path.write_text(rep.to_json() + "\n")
 
@@ -235,14 +235,24 @@ def cmd_lift(args) -> int:
 
 
 def cmd_report(args) -> int:
-    args.alphas = args.alphas or _MONITOR_DEFAULTS.alphas
-    if not 0.0 < args.M < np.inf:
-        raise ValidationError(f"M {args.M!r} is not finite and positive")
-    for alpha in (args.alpha, *args.alphas):
+    report, reads = _MONITORS[args.monitor]
+    params = {}
+    for flag in ("--M", "--alpha", "--alphas"):
+        value = getattr(args, flag[2:])
+        if value is not None:
+            if flag not in reads:
+                raise ValidationError(f"{flag} does not apply to monitor {args.monitor}")
+            params[flag[2:].lower()] = value
+    if "m" in params and not 0.0 < params["m"] < np.inf:
+        raise ValidationError(f"M {params['m']!r} is not finite and positive")
+    if params.get("alphas") == []:
+        raise ValidationError("--alphas must list at least one alpha")
+    # No monitor reads both --alpha and --alphas.
+    for alpha in params.get("alphas", [params["alpha"]] if "alpha" in params else []):
         if not 0.0 <= alpha < np.inf:
             raise ValidationError(f"alpha {alpha!r} is not finite and non-negative")
     traj = runio.load_run(args.run_dir)
-    rep = _MONITORS[args.monitor](traj, args)
+    rep = getattr(monitors, report)(traj, **params)
     out = Path(args.out or Path(args.run_dir) / f"report_{args.monitor}.json")
     out.write_text(rep.to_json() + "\n")
     print(rep.to_text())
@@ -311,9 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="run a monitor over a stored run")
     p.add_argument("run_dir")
     p.add_argument("--monitor", required=True, choices=sorted(_MONITORS))
-    p.add_argument("--M", type=float, default=_MONITOR_DEFAULTS.M)
-    p.add_argument("--alpha", type=float, default=_MONITOR_DEFAULTS.alpha)
-    p.add_argument("--alphas", type=_listed(float, "--alphas"), help="comma-separated alphas")
+    p.add_argument("--M", type=float, help="isoperimetric only")
+    p.add_argument("--alpha", type=float, help="isoperimetric only")
+    p.add_argument("--alphas", type=_listed(float, "--alphas"),
+                   help="comma-separated alphas; collapse only")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_report)
 

@@ -342,14 +342,15 @@ def curve_to_csv(curve, path: str | Path) -> None:
 
 
 def read_curve_csv(path: str | Path, names: list[str]) -> np.ndarray:
-    """The sample columns (all but u) of a curve CSV whose header starts with `names`.
+    """The sample columns (all but u) of a curve CSV whose header is `names`.
 
-    Raises InvalidCurve on a wrong header, on a header with no sample row
-    after it and on a row that is short or not numeric.
+    Raises InvalidCurve on any other header (so a u,x,y,z space curve is no
+    u,x,y plane curve), on a header with no sample row after it and on a row
+    that is short or not numeric.
     """
     with open(path) as fh:
         header = fh.readline().strip()
-        if header.split(",")[:len(names)] != names:
+        if header.split(",") != names:
             raise InvalidCurve(
                 f"unexpected curve CSV header {header[:80]!r}, expected {','.join(names)}"
             )

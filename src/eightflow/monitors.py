@@ -232,7 +232,7 @@ def min_theta_bound(length: float, tau: float) -> float:
     return float(0.25 * np.sqrt(np.pi) * length / np.sqrt(tau) * np.exp(-length**2 / tau))
 
 
-def isoperimetric_report(traj: Trajectory, m: float, alpha: float) -> Report:
+def isoperimetric_report(traj: Trajectory, m: float = 1.0, alpha: float = 0.01) -> Report:
     """Isoperimetric blow-up monitor: Q(tau) = L^2/|A| against M tau^-alpha.
 
     Also evaluates the admissible-alpha threshold for this run's tau0 and

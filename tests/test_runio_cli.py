@@ -476,6 +476,30 @@ class TestCLI:
         assert len(err) == 1 and err[0].startswith("ERROR ValidationError:")
         assert not out.exists() and sorted(run_dir.iterdir()) == before
 
+    @pytest.mark.parametrize("monitor, flags", [
+        ("balanced", ["--M", "5"]), ("balanced", ["--M=-1"]),
+        ("collapse", ["--alpha", "0.01"]), ("isoperimetric", ["--alphas", "0.01"]),
+        ("symmetry", ["--alphas", "0.01"])],
+        ids=["balanced-M", "balanced-negative-M", "collapse-alpha", "isoperimetric-alphas",
+             "symmetry-alphas"])
+    def test_flag_of_another_monitor_exits_1(self, small_run, tmp_path, capsys, monitor, flags):
+        out = tmp_path / "never.json"
+        assert main(["report", str(small_run[1]), "--monitor", monitor, *flags,
+                     "--out", str(out)]) == 1
+        flag = flags[0].split("=")[0]
+        assert capsys.readouterr().err.splitlines() == [
+            f"ERROR ValidationError: {flag} does not apply to monitor {monitor}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("alphas", [",", ""])
+    def test_empty_alphas_exits_1(self, small_run, tmp_path, capsys, alphas):
+        out = tmp_path / "never.json"
+        assert main(["report", str(small_run[1]), "--monitor", "collapse",
+                     "--alphas", alphas, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "ERROR ValidationError: --alphas must list at least one alpha"]
+        assert not out.exists()
+
     def test_out_of_range_cfl_flag_exits_1(self, tmp_path, capsys, curve_csv):
         out = tmp_path / "never"
         assert main(["evolve", "--curve", curve_csv["circle"], "--cfl", "0.6",
@@ -564,6 +588,17 @@ class TestCLI:
         assert len(err) == 1 and err[0].startswith("ERROR InvalidCurve:")
         assert not (tmp_path / "never").exists()
 
+    def test_evolve_space_curve_file_exits_1(self, small_run, tmp_path, capsys):
+        # A lifted snapshot's u,x,y,z header is not the plane-curve header u,x,y.
+        lifted = tmp_path / "lifted"
+        assert main(["lift", str(small_run[1]), "--out-dir", str(lifted)]) == 0
+        capsys.readouterr()
+        assert main(["evolve", "--curve", str(lifted / "snapshots" / "snap_0001.csv"),
+                     "--out-dir", str(tmp_path / "never")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "ERROR InvalidCurve: unexpected curve CSV header 'u,x,y,z', expected u,x,y"]
+        assert not (tmp_path / "never").exists()
+
     def test_evolve_header_only_curve_exits_1(self, tmp_path, capsys):
         path = tmp_path / "header.csv"
         for text in ("u,x,y\n", "u,x,y\n\n  # no rows\n"):
@@ -605,15 +640,24 @@ class TestCLI:
 
 
 class TestImportGraph:
-    def test_cli_import_skips_unused_modules(self):
-        # Each costs import time and resident memory in every CLI process.
+    @staticmethod
+    def loaded(module: str, names: tuple[str, ...]) -> str:
+        """The sorted list of `names` in sys.modules after `import module` in a
+        fresh interpreter, as printed."""
         src = str(Path(eightflow.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        code = ("import sys, eightflow.cli; "
-                "print(sorted(m for m in ('scipy.interpolate', 'scipy.special', "
-                "'multiprocessing', 'concurrent.futures.process') "
-                "if m in sys.modules))")
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert out.strip() == "[]"
+        code = f"import sys, {module}; print(sorted(m for m in {names!r} if m in sys.modules))"
+        return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                              capture_output=True, text=True).stdout.strip()
+
+    def test_cli_import_skips_unused_modules(self):
+        # Each costs import time and resident memory in every CLI process.
+        assert self.loaded("eightflow.cli", ("scipy.interpolate", "scipy.special",
+                                             "multiprocessing",
+                                             "concurrent.futures.process")) == "[]"
+
+    def test_curves_import_skips_flow_and_monitors(self):
+        # The package namespace re-exports nothing, so importing one module
+        # loads only the modules that it imports.
+        assert self.loaded("eightflow.curves", ("eightflow.flow", "eightflow.monitors")) == "[]"
