@@ -144,11 +144,15 @@ def _record_line(rec) -> str:
 
 
 def _listed(kind, flag: str):
-    """The argparse type of a comma-separated list of `kind`s; a malformed list
-    raises ValidationError, so `main` parses inside its error handling."""
+    """The argparse type of a comma-separated list of `kind`s; a malformed list,
+    or one with an empty entry, raises ValidationError, so `main` parses inside
+    its error handling."""
     def parse(s: str) -> list:
+        tokens = s.split(",")
+        if "" in tokens:
+            raise ValidationError(f"{flag} has an empty entry in {s!r}")
         try:
-            return [kind(tok) for tok in s.split(",") if tok]
+            return [kind(tok) for tok in tokens]
         except ValueError:
             raise ValidationError(f"{flag} must be comma-separated numbers, not {s!r}") from None
     return parse
@@ -245,8 +249,6 @@ def cmd_report(args) -> int:
             params[flag[2:].lower()] = value
     if "m" in params and not 0.0 < params["m"] < np.inf:
         raise ValidationError(f"M {params['m']!r} is not finite and positive")
-    if params.get("alphas") == []:
-        raise ValidationError("--alphas must list at least one alpha")
     # No monitor reads both --alpha and --alphas.
     for alpha in params.get("alphas", [params["alpha"]] if "alpha" in params else []):
         if not 0.0 <= alpha < np.inf:

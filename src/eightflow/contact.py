@@ -110,20 +110,17 @@ def lift_defect(plane: cv.PlaneCurve) -> float:
     return float(_height_transport(plane)[0].sum())
 
 
-def lift(
-    plane: cv.PlaneCurve, z_base: float = 0.0, *, require_balanced: bool = True
-) -> SpaceCurve:
+def lift(plane: cv.PlaneCurve, z_base: float = 0.0) -> SpaceCurve:
     """Lift a balanced plane curve to a closed Legendrian curve.
 
     z is the cumulative trapezoidal transport of y x_u starting from z_base
     at node 0.  The wrap-around periodicity defect equals -signed_area, so
-    the lift closes up only for balanced curves; `require_balanced=False`
-    skips that precondition (the returned curve then carries the defect in
-    its final segment).  The returned curve holds `plane` itself.
+    the lift closes up only for balanced curves: any other curve raises
+    NotBalanced.  The returned curve holds `plane` itself.
     """
     area = cv.signed_area(plane)
     length = cv.curve_length(plane)
-    if require_balanced and abs(area) >= _BALANCE_AREA_TOL * length**2:
+    if abs(area) >= _BALANCE_AREA_TOL * length**2:
         raise NotBalanced(
             f"signed area {area:.6g} exceeds {_BALANCE_AREA_TOL:g} * L^2", area
         )
@@ -196,30 +193,21 @@ def contact_gram(curve: SpaceCurve) -> np.ndarray:
     return gram
 
 
-def legendrian_variation(
-    curve: SpaceCurve,
-    f: np.ndarray,
-    dt: float,
-    *,
-    omit_normal_term: bool = False,
-) -> SpaceCurve:
+def legendrian_variation(curve: SpaceCurve, f: np.ndarray, dt: float) -> SpaceCurve:
     """One explicit Euler step of the Legendrian deformation
 
         d(gamma)/dt = (f_u / g) N + f xi,
 
     whose normal coefficient f_u/g is exactly what keeps the motion tangent
     to the space of Legendrian curves: the residual after one step is
-    O(dt^2).  With omit_normal_term=True the N term is dropped and the
-    residual degrades to O(dt), which quantifies why the coefficient is
-    forced.
+    O(dt^2).  Without the N term (a step along xi alone) the residual is
+    O(dt), which quantifies why the coefficient is forced.
     """
     f = np.asarray(f, dtype=float)
     if f.shape != (curve.n,):
         raise InvalidCurve(f"scalar field shape {f.shape} != ({curve.n},)")
     _, normal, reeb = contact_frame(curve)
-    g = np.sqrt(curve.plane.jet.g2)
-    phi = np.zeros_like(f) if omit_normal_term else cv.stencil(f, curve.du).d1 / g
+    phi = cv.stencil(f, curve.du).d1 / np.sqrt(curve.plane.jet.g2)
     velocity = phi[:, None] * normal + f[:, None] * reeb
     xyz = curve.points + dt * velocity
     return SpaceCurve(cv.PlaneCurve(xyz[:, :2]), xyz[:, 2])
-

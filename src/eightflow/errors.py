@@ -30,10 +30,6 @@ class TangentialCrossing(NumericalError):
     """Two polyline segments overlap collinearly; crossing is flagged, not resolved."""
 
 
-class AllFlat(NumericalError):
-    """Every curvature sample is below the inflection-counting threshold."""
-
-
 class NotBalanced(ValidationError):
     """Operation requires zero signed area (and zero total turning where noted)."""
 
@@ -64,10 +60,6 @@ class OutOfDomain(ValidationError):
 
 class Extinct(ValidationError):
     """Exact solution queried at or past its extinction time."""
-
-
-class GeneratorFailed(NumericalError):
-    """Curve generator did not converge to its stated postconditions."""
 
 
 class ExtinctionUnresolved(NumericalError):

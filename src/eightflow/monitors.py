@@ -76,7 +76,7 @@ class Report:
         return json.dumps(
             {"title": self.title, "pass": self.passed,
              "checks": [c.to_dict() for c in self.checks]},
-            indent=2, default=_json_default,
+            indent=2,
         )
 
     def to_text(self) -> str:
@@ -101,14 +101,6 @@ def _fmt(v) -> str:
         return "-"
     if isinstance(v, float):
         return f"{v:.6g}"
-    return str(v)
-
-
-def _json_default(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    if isinstance(v, np.ndarray):
-        return v.tolist()
     return str(v)
 
 

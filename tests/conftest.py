@@ -83,3 +83,12 @@ def asymmetric_run():
 def measured_radius(curve) -> float:
     pts = curve.points
     return float(np.linalg.norm(pts - pts.mean(axis=0), axis=1).mean())
+
+
+def trapezoid_heights(plane, z_base=0.0):
+    """Heights z_i = z_base + sum over j < i of du (w_j + w_{j+1}) / 2, w = y x_u:
+    the trapezoidal transport a Legendrian lift uses, with no balance check, so
+    an unbalanced plane curve keeps its holonomy in the wrap segment."""
+    w = plane.y * plane.jet.d1[:, 0]
+    steps = 0.5 * plane.du * (w + np.roll(w, -1))
+    return z_base + np.concatenate(([0.0], np.cumsum(steps)[:-1]))

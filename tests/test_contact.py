@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import trapezoid_heights
 from eightflow import contact, runio
 from eightflow import curves as cv
 from eightflow.curves import curve_length, signed_area, total_curvature, translate
@@ -54,7 +55,7 @@ class TestLift:
 
     def test_unbalanced_lift_carries_defect(self):
         circle = make_circle(1.0, 256)
-        lifted = contact.lift(circle, 0.0, require_balanced=False)
+        lifted = contact.SpaceCurve(circle, trapezoid_heights(circle))
         profile = contact.legendrian_residual_profile(lifted)
         # Interior segments are transport-exact; the wrap segment absorbs the
         # whole holonomy |defect| = |A_signed| = pi.
@@ -216,14 +217,18 @@ class TestVariation:
         assert 3.5 <= r1 / r2 <= 4.5
 
     def test_omitting_normal_term_first_order(self):
+        # The step along xi alone: the variation without its N term.
         base = contact.lift(make_bernoulli_lemniscate(1.0, 512))
         f = np.sin(2 * np.pi * np.arange(512) / 512)
         dt = 5e-3
-        r1 = contact.legendrian_residual(
-            contact.legendrian_variation(base, f, dt, omit_normal_term=True))
-        r2 = contact.legendrian_residual(
-            contact.legendrian_variation(base, f, dt / 2, omit_normal_term=True))
+        r1, r2 = (contact.legendrian_residual(contact.SpaceCurve(base.plane, base.z + d * f))
+                  for d in (dt, dt / 2))
         assert 1.8 <= r1 / r2 <= 2.2
+
+    def test_field_shape_checked(self, lifted_lemniscate):
+        _, lifted = lifted_lemniscate
+        with pytest.raises(InvalidCurve, match="scalar field shape"):
+            contact.legendrian_variation(lifted, np.zeros(lifted.n - 1), 1e-3)
 
 
 class TestSerialization3D:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from eightflow.diagnostics import DiagnosticsRecord
-from eightflow.errors import ExtinctionUnresolved, OscBelowPi
+from eightflow.errors import ExtinctionUnresolved, OscBelowPi, ValidationError
 from eightflow.flow import FlowConfig, Trajectory, run
 from eightflow.monitors import (
     ALPHA0,
@@ -160,6 +160,10 @@ class TestIsoperimetricReport:
         # = 0.16301233 at L = 1, tau = 1.
         assert min_theta_bound(1.0, 1.0) == pytest.approx(0.1630123, abs=1e-6)
         assert min_theta_bound(1.0, 1e-4) < 1e-300  # exponential domination
+
+    def test_min_theta_bound_needs_positive_length(self):
+        with pytest.raises(ValidationError, match="must be positive"):
+            min_theta_bound(0.0, 1.0)
 
 
 class TestSymmetryCheck:

@@ -397,6 +397,8 @@ class TestCLI:
         {"M": 1.0},
         {"alpha": 0.01},
         {"alphas": [0.01]},
+        {"flow": "bogus"},
+        {"config": {"max_steps": 0}},
     ], ids=["string-t_end", "negative-t_end", "zero-t_end", "nan-t_end", "inf-t_end",
             "string-output_times", "string-output_time",
             "list-config", "number-out_dir", "number-curve_file",
@@ -404,7 +406,7 @@ class TestCLI:
             "negative-output_time", "zero-output_time", "nan-output_time",
             "curve_file-and-generator", "out-of-range-cfl",
             "cfl-above-heun-limit", "removed-remesh_every", "removed-M",
-            "removed-alpha", "removed-alphas"])
+            "removed-alpha", "removed-alphas", "unknown-flow", "zero-max_steps"])
     def test_bad_spec_value_exits_1_before_the_run(self, tmp_path, capsys, monkeypatch,
                                                     entry):
         monkeypatch.chdir(tmp_path)   # a number out_dir would be a relative path
@@ -491,13 +493,22 @@ class TestCLI:
             f"ERROR ValidationError: {flag} does not apply to monitor {monitor}"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("alphas", [",", ""])
-    def test_empty_alphas_exits_1(self, small_run, tmp_path, capsys, alphas):
-        out = tmp_path / "never.json"
-        assert main(["report", str(small_run[1]), "--monitor", "collapse",
-                     "--alphas", alphas, "--out", str(out)]) == 1
+    # The ids "," and "" are the --alphas cases.
+    @pytest.mark.parametrize("flag, value", [
+        ("--alphas", ","), ("--alphas", ""), ("--times", ","), ("--times", "0.01,"),
+        ("--monitors", ","), ("--monitors", "balanced,,symmetry")],
+        ids=[",", "", "times-comma", "times-trailing-comma", "monitors-comma",
+             "monitors-inner-empty"])
+    def test_empty_alphas_exits_1(self, small_run, curve_csv, tmp_path, capsys, flag, value):
+        out = tmp_path / "never"
+        if flag == "--alphas":
+            argv = ["report", str(small_run[1]), "--monitor", "collapse", "--out", str(out)]
+        else:
+            argv = ["evolve", "--curve", curve_csv["circle"], "--t-end", "1e-3",
+                    "--out-dir", str(out)]
+        assert main([*argv, flag, value]) == 1
         assert capsys.readouterr().err.splitlines() == [
-            "ERROR ValidationError: --alphas must list at least one alpha"]
+            f"ERROR ValidationError: {flag} has an empty entry in {value!r}"]
         assert not out.exists()
 
     def test_out_of_range_cfl_flag_exits_1(self, tmp_path, capsys, curve_csv):

@@ -41,6 +41,10 @@ class TestLemniscate:
         with pytest.raises(InvalidCurve):
             make_bernoulli_lemniscate(1.0, 32)
 
+    def test_scale_must_be_positive(self):
+        with pytest.raises(InvalidCurve, match="scale must be positive"):
+            make_bernoulli_lemniscate(0.0)
+
 
 class TestAsymmetricEight:
     def test_ratio_one_is_symmetric_base(self):
@@ -95,6 +99,10 @@ class TestAsymmetricEight:
             make_asymmetric_eight(3.0, 256)
         with pytest.raises(InvalidCurve):
             make_asymmetric_eight(0.4, 256)
+
+    def test_sample_count_floor(self):
+        with pytest.raises(InvalidCurve, match="at least 64 samples"):
+            make_asymmetric_eight(1.5, 32)
 
 
 class TestRoundShapes:

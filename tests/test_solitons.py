@@ -152,3 +152,7 @@ class TestShrinkingCircle:
     def test_extinct(self):
         with pytest.raises(Extinct):
             shrinking_circle(1.0, 0.5)
+
+    def test_radius_must_be_positive(self):
+        with pytest.raises(InvalidCurve, match="initial radius"):
+            shrinking_circle(0.0, 0.1)
