@@ -357,7 +357,9 @@ def read_curve_csv(path: str | Path, names: list[str]) -> np.ndarray:
         if not any(line.split("#", 1)[0].strip() for line in fh):
             raise InvalidCurve(f"no sample rows in {path}")
         fh.seek(start)
-        text = fh.read()
+        # np.loadtxt skips an empty line but not one with only blanks before
+        # its end or its '#', so those blanks go first.
+        text = re.sub(r"\n[ \t]+(?=[\n#]|\Z)", "\n", "\n" + fh.read())
     try:
         table = np.loadtxt(io.StringIO(text), delimiter=",",
                            usecols=tuple(range(1, len(names))), ndmin=2)

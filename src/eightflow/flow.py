@@ -1,4 +1,4 @@
-"""Explicit time stepping for normal-velocity curve evolutions.
+"""Time stepping for normal-velocity curve evolutions.
 
 The workhorse is curve shortening flow, where each point moves with velocity
 
@@ -6,20 +6,30 @@ The workhorse is curve shortening flow, where each point moves with velocity
 
 i.e. speed kappa along the left normal.  The same stepper drives the other
 length gradient flows.  A flow kind is one `Flow` value: its name, its signed
-normal speed `speed(curve)` and its order, which picks the stable step law;
-speed and stepper read one cached stencil jet per stage, `curve.jet`.
+normal speed `speed(curve)` and its order, which picks the step law; speed
+and stepper read one cached stencil jet per stage, `curve.jet`.
 
-Scheme: explicit 2nd-order Runge-Kutta (Heun) with dt = cfl * h_min^2 for
-second-order flows (h_min = shortest segment), dt = CFL4 * h_min^4 for the
-fourth-order diffusion flow; Heun's stability limits bound cfl by 3/8 and
-CFL4 by 3/32.  Every REMESH_EVERY steps the curve is resampled to uniform
-arclength; tangential redistribution does not change the image of the flow
-but keeps nodes from clustering at high curvature.
+Scheme: linearly implicit Euler extrapolation (LIMEX/SEULEX; Deuflhard, SIAM
+Rev. 27, 1985).  A stage of size h solves
+
+    (I - h D2 / (g du^2)) delta = h v,    X <- X + delta,
+
+with v the stage velocity, D2 the three-point periodic second difference and
+g = x_u^2 + y_u^2 frozen at the start of the step, so the stiff part of
+kappa N ~ X_ss is damped (Smereka, J. Sci. Comput. 19, 2003).  Rows of 1, 2
+and 3 stages over the step combine in the Aitken-Neville tableau to T[3,3],
+third order in time.  The fourth-order diffusion flow skips the solve
+(delta = h v): that is extrapolated explicit Euler, stable for real z down
+to -2.5127.  Step laws: dt = cfl * min(|A| / 4 pi, 1 / max kappa^2) for a
+second-order flow, flat in N; dt = CFL4 * h_min^4 for diffusion.  Every
+REMESH_EVERY steps the curve is resampled to uniform arclength; tangential
+redistribution does not change the image of the flow but keeps nodes from
+clustering at high curvature.
 
 Every stop is decided by the run loop, which owns the initial-area
-reference: the area criterion |A| < stop_area_frac * |A|_0 and the loss of
-every self-intersection at the remesh cadence, the end time, and the
-resolution criterion max|kappa| * h_min > STOP_KAPPA_H before every step
+reference: before every step it tests the area criterion |A| <
+stop_area_frac * |A|_0 and the loss of every self-intersection, the end
+time, and the resolution criterion max|kappa| * h_min > STOP_KAPPA_H
 (curvature blows up at the singular time and the mesh cannot follow it).
 No attempt is made to continue past a topology change.
 """
@@ -40,20 +50,24 @@ from .errors import (
     DegenerateTangent,
     InvalidCurve,
     MaxStepsExceeded,
+    SolveFailed,
     StepRejected,
     ValidationError,
 )
+from .tridiag import solve_cyclic
 
 # Signed normal speed of a curve; derivatives come from `curve.jet`.
 SpeedFn = Callable[[cv.PlaneCurve], np.ndarray]
 
 TWO_PI = 2.0 * np.pi
 
-# Heun is stable for real z in [-2, 0]; the 4th-order second difference
-# reaches -16/3 h^-2 and diffusion's -kappa_ss reaches -64/3 h^-4, so the
-# limits are cfl <= 2 * 3/16 and CFL4 <= 2 * 3/64.
-CFL4 = 0.05
-# Steps between remeshes, and between the run's area and topology checks.
+# Extrapolated explicit Euler with rows 1, 2, 3 has the stability polynomial
+# 1 + z + z^2/2 + z^3/6, stable for real z down to -2.5127; diffusion's
+# -kappa_ss reaches -64/3 h^-4, so CFL4 <= 2.5127 * 3/64.
+CFL4 = 0.1
+# Stages per row of the extrapolation tableau (the harmonic sequence).
+_ROWS = (1, 2, 3)
+# Steps between remeshes.
 REMESH_EVERY = 10
 # The largest max|kappa| * h_min the mesh resolves; past it the run stops.
 STOP_KAPPA_H = 0.5
@@ -61,7 +75,8 @@ STOP_KAPPA_H = 0.5
 
 class Flow(NamedTuple):
     """A flow kind: its name, its signed normal speed, and its order, which
-    picks the step law dt = CFL4 * h_min^4 (fourth order) or cfl * h_min^2."""
+    picks the step law dt = CFL4 * h_min^4 and the explicit stage (fourth
+    order) or cfl * min(|A| / 4 pi, 1 / max kappa^2) and the stabilised one."""
 
     kind: str
     speed: SpeedFn
@@ -111,10 +126,11 @@ def checked_times(times, what: str) -> list[float]:
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """What runs set: cfl (see CFL4), the area fraction that stops a run, and
-    max_steps, a resource budget rather than a numerical choice: the only stop
-    of a run with no other end (curve diffusion conserves area), whose steps
-    grow as N^2 under the explicit step law."""
+    """What runs set: cfl, the fraction of min(|A| / 4 pi, 1 / max kappa^2)
+    a second-order step takes (see CFL4 for diffusion), the area fraction
+    that stops a run, and max_steps, a resource budget rather than a
+    numerical choice: the only stop of a run with no other end (curve
+    diffusion conserves area)."""
 
     cfl: float = 0.1
     stop_area_frac: float = 0.01
@@ -164,22 +180,45 @@ def step(
     *,
     flow: Flow = CSF,
     dt_cap: float = np.inf,
+    area: float | None = None,
 ) -> FlowState:
-    """One RK2 step of `flow` with dt = min(its step law, dt_cap), remeshed when
-    its step number is a multiple of REMESH_EVERY; it decides no stop, `run` does.
+    """One linearly implicit Euler extrapolation step of `flow` (see the
+    module docstring) with dt = min(its step law, dt_cap), remeshed when its
+    step number is a multiple of REMESH_EVERY; it decides no stop, `run`
+    does.  `area` is the curve's |A| by compute_record's rule, which the
+    second-order step law reads; a step computes it when not given.
 
     Raises StepRejected, with the stage's fault as its cause, if a stage is not
-    an immersed curve; there is no retry at a smaller dt.
+    an immersed curve or its solve fails; there is no retry at a smaller dt.
     """
     curve = state.curve
-    h_min = float(cv.segment_lengths(curve).min())
-    k1 = _stage_velocity(curve, flow.speed)
-    dt = min(CFL4 * h_min**4 if flow.fourth_order else config.cfl * h_min**2, dt_cap)
+    jet = curve.jet
+    if flow.fourth_order:
+        dt = CFL4 * float(cv.segment_lengths(curve).min()) ** 4
+    else:
+        if area is None:
+            area = loop_split(curve, cx.find_self_intersections(curve))[2]
+        dt = config.cfl * min(area / (2.0 * TWO_PI), 1.0 / float(np.max(jet.kappa**2)))
+    dt = min(dt, dt_cap)
+    v0 = _stage_velocity(curve, flow.speed)
     try:
-        mid = cv.PlaneCurve(curve.points + dt * k1)
-        k2 = _stage_velocity(mid, flow.speed)
-        new_curve = cv.PlaneCurve(curve.points + 0.5 * dt * (k1 + k2))
-    except (InvalidCurve, DegenerateTangent) as exc:
+        # Row j's displacement after _ROWS[j] stages of h = dt / _ROWS[j];
+        # every row's first stage starts from the step's own velocity.
+        table = []
+        for n in _ROWS:
+            h = dt / n
+            c = h / (jet.g2 * curve.du**2)
+            delta = np.zeros_like(v0)
+            for k in range(n):
+                v = _stage_velocity(cv.PlaneCurve(curve.points + delta), flow.speed) if k else v0
+                delta += h * v if flow.fourth_order else solve_cyclic(-c, 1 + 2 * c, -c, h * v)
+            table.append(delta)
+        # The Aitken-Neville tableau, column by column: T[3,3] ends in table[-1].
+        for k in range(1, len(_ROWS)):
+            for j in range(len(_ROWS) - 1, k - 1, -1):
+                table[j] = table[j] + (table[j] - table[j - 1]) / (_ROWS[j] / _ROWS[j - k] - 1)
+        new_curve = cv.PlaneCurve(curve.points + table[-1])
+    except (InvalidCurve, DegenerateTangent, SolveFailed) as exc:
         raise StepRejected(f"stage failed at dt = {dt:.6g}, t = {state.t:.6g}") from exc
 
     new_step = state.step + 1
@@ -198,14 +237,14 @@ def run(
 ) -> Trajectory:
     """Evolve `flow` until a stopping criterion fires, snapshotting at output_times.
 
-    Before each step the loop tests, in order: area and topology (at the
-    check cadence), t >= t_end, the step budget, and max|kappa| * h_min >
-    STOP_KAPPA_H; the first that fires names the stop_reason ("area",
-    "topology", "time" or "curvature").  Snapshots are taken at the first
-    accepted step with t >= requested time (the step size is capped so the
-    step lands on the requested time; no interpolation between steps).  The
-    initial and final states are always included.  Raises ValidationError for
-    a bad output time, MaxStepsExceeded if the step budget runs out first.
+    Before each step the loop tests, in order: area and topology, t >= t_end,
+    the step budget, and max|kappa| * h_min > STOP_KAPPA_H; the first that
+    fires names the stop_reason ("area", "topology", "time" or "curvature").
+    Snapshots are taken at the first accepted step with t >= requested time
+    (the step size is capped so the step lands on the requested time; no
+    interpolation between steps).  The initial and final states are always
+    included.  Raises ValidationError for a bad output time,
+    MaxStepsExceeded if the step budget runs out first.
     """
     pending = checked_times(output_times, "output time")
     state = FlowState(curve=initial, t=0.0, step=0)
@@ -216,16 +255,16 @@ def run(
     states = [state]
     records = [first_record]
     # compute_record's scan and area rule keep the stop like with like; an
-    # embedded run skips the scan.
+    # embedded run skips the scan.  The area also feeds the step law.
     while True:
-        if state.step % REMESH_EVERY == 0:
-            found = [] if embedded else cx.find_self_intersections(state.curve)
-            if loop_split(state.curve, found)[2] < config.stop_area_frac * area0:
-                stop_reason = "area"
-                break
-            if not embedded and not found:
-                stop_reason = "topology"
-                break
+        found = [] if embedded else cx.find_self_intersections(state.curve)
+        area = loop_split(state.curve, found)[2]
+        if area < config.stop_area_frac * area0:
+            stop_reason = "area"
+            break
+        if not embedded and not found:
+            stop_reason = "topology"
+            break
         if t_end is not None and state.t >= t_end - 1e-15:
             stop_reason = "time"
             break
@@ -239,7 +278,7 @@ def run(
         caps = [pending[0] - state.t] if pending else []
         if t_end is not None:
             caps.append(t_end - state.t)
-        state = step(state, config, flow=flow, dt_cap=min(caps, default=np.inf))
+        state = step(state, config, flow=flow, dt_cap=min(caps, default=np.inf), area=area)
         if pending and state.t >= pending[0] - 1e-12:
             while pending and state.t >= pending[0] - 1e-12:
                 pending.pop(0)

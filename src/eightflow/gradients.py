@@ -128,8 +128,9 @@ def evolve_gradient_flow(
 ) -> Trajectory:
     """`flow.run` of `FLOWS[flow_kind]`; ValidationError for another name.
 
-    The diffusion flow steps with dt = flow.CFL4 * h_min^4 (fourth-order
-    stiffness); the others use the parabolic dt = cfl * h_min^2.  The
+    The diffusion flow takes explicit extrapolated steps of dt = flow.CFL4 *
+    h_min^4 (fourth-order stiffness); the others take stabilised steps of
+    dt = cfl * min(|A| / 4 pi, 1 / max kappa^2), a count flat in N.  The
     indefinite flow shares the curve-shortening speed operator, so its
     trajectories coincide bitwise with the csf engine under equal configs.
     """

@@ -431,6 +431,17 @@ class TestSerialization:
         path.write_text(path.read_text() + "# a comment, with commas,\n")
         np.testing.assert_array_equal(cv.curve_from_csv(path).points, curve.points)
 
+    @pytest.mark.parametrize("blank", ["", "   ", "\t", "  # note, with a comma"])
+    def test_csv_blank_lines_skipped(self, tmp_path, blank):
+        # Like np.loadtxt, the reader skips a line that is blank outside its comment.
+        curve = make_circle(1.0, 16)
+        path = tmp_path / "curve.csv"
+        cv.curve_to_csv(curve, path)
+        lines = path.read_text().splitlines(keepends=True)
+        row = blank + "\n"
+        path.write_text("".join(lines[:1] + [row] + lines[1:2] + [row] + lines[2:] + [blank]))
+        np.testing.assert_array_equal(cv.curve_from_csv(path).points, curve.points)
+
     @pytest.mark.parametrize("row", ["0,1", "0,1,abc", "0,,2", "0,1,0,7"])
     def test_csv_malformed_row(self, tmp_path, row):
         path = tmp_path / "bad.csv"

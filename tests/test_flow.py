@@ -14,6 +14,7 @@ from eightflow.errors import (
     AreaNotDecreasing,
     InvalidCurve,
     MaxStepsExceeded,
+    SolveFailed,
     StepRejected,
     ValidationError,
 )
@@ -29,6 +30,7 @@ from eightflow.flow import (
 )
 from eightflow.shapes import (
     _weighted_eight,
+    make_asymmetric_eight,
     make_bernoulli_lemniscate,
     make_circle,
     make_ellipse,
@@ -101,15 +103,14 @@ def config_fault(**values) -> type:
 
 
 class TestConfig:
-    # A config fault is a plain ValidationError, not a curve fault.
-    # The bounds are Heun's stability limits, 3/8 and 3/32: above them a unit
-    # circle stops on a false curvature singularity.
+    # A config fault is a plain ValidationError, not a curve fault.  CFL4
+    # lies inside the explicit extrapolated stage's limit 2.5127 * 3/64.
     def test_cfl_bounds(self):
         assert config_fault(cfl=0.0) is ValidationError
         assert config_fault(cfl=0.4) is ValidationError
         assert config_fault(cfl=0.6) is ValidationError
         assert FlowConfig(cfl=0.375).cfl == 0.375
-        assert 0.0 < flow.CFL4 <= 3 / 32
+        assert 0.0 < flow.CFL4 <= 2.5127 * 3 / 64
 
     def test_area_fraction_bounds(self):
         assert config_fault(stop_area_frac=1.0) is ValidationError
@@ -125,12 +126,21 @@ class TestStep:
         assert curve_length(new.curve) < curve_length(state.curve)
 
     def test_failed_stage_rejected(self):
-        # One attempt, no retry at a smaller dt: the stage's fault is the cause.
+        # One attempt, no retry at a smaller dt: the stage's fault is the cause,
+        # here the stabilised stage's solve of a NaN right-hand side.
         config = FlowConfig()
         state = FlowState(curve=make_circle(1.0, 64), t=0.0, step=0)
         bad_speed = lambda curve: np.full(curve.n, np.nan)
         with pytest.raises(StepRejected) as exc:
             step(state, config, flow=Flow("bad", bad_speed))
+        assert isinstance(exc.value.__cause__, SolveFailed)
+
+    def test_failed_explicit_stage_rejected(self):
+        # A fourth-order flow's stage has no solve: its curve check fails.
+        state = FlowState(curve=make_circle(1.0, 64), t=0.0, step=0)
+        bad_speed = lambda curve: np.full(curve.n, np.nan)
+        with pytest.raises(StepRejected) as exc:
+            step(state, FlowConfig(), flow=Flow("bad", bad_speed, fourth_order=True))
         assert isinstance(exc.value.__cause__, InvalidCurve)
 
     def test_remesh_cadence(self):
@@ -158,10 +168,21 @@ class TestCircleRegression:
         assert errors[256] / errors[512] >= 3.0
 
     def test_stable_at_the_cfl_bound(self):
+        # The largest steps the law allows still meet the radius bound of the
+        # acceptance check (measured 8.8e-4).
         traj = run(make_circle(1.0, 256), FlowConfig(cfl=0.375), t_end=0.375)
         assert traj.stop_reason == "time"
         r_num = measured_radius(traj.states[-1].curve)
-        assert abs(r_num - 0.5) / 0.5 < 1e-6
+        assert abs(r_num - 0.5) / 0.5 < 1e-3
+
+    def test_third_order_in_time(self):
+        # At N=256 the space error is far below the time error, so halving
+        # cfl divides the error by about 2^3 (measured 7.9 and 8.1).
+        errors = []
+        for cfl in (0.2, 0.1, 0.05):
+            final = run(make_circle(1.0, 256), FlowConfig(cfl=cfl), t_end=0.375).states[-1]
+            errors.append(abs(measured_radius(final.curve) - shrinking_circle(1.0, final.t)))
+        assert errors[0] / errors[1] >= 6.0 and errors[1] / errors[2] >= 6.0
 
     def test_extinction_window(self):
         config = FlowConfig(cfl=0.2, stop_area_frac=0.02)
@@ -267,7 +288,7 @@ class TestConservation:
 
 class TestExtinctionEstimate:
     def test_circle_point_estimate(self):
-        config = FlowConfig(cfl=0.2, stop_area_frac=0.3)
+        config = FlowConfig(cfl=0.1, stop_area_frac=0.3)
         traj = run(make_circle(1.0, 128), config,
                    output_times=np.arange(0.02, 0.4, 0.02))
         est = estimate_extinction_time(traj)
@@ -311,11 +332,39 @@ class TestConvergenceOrder:
     def test_halving_du_reduces_circle_error_strongly(self):
         errors = {}
         for n in (64, 128):
-            config = FlowConfig(cfl=0.2, stop_area_frac=0.3)
+            config = FlowConfig(cfl=0.05 * 256 / n, stop_area_frac=0.3)
             traj = run(make_circle(1.0, n), config, output_times=[0.2], t_end=0.2)
             errors[n] = abs(measured_radius(traj.states[-1].curve)
                             - shrinking_circle(1.0, 0.2))
         assert errors[64] / errors[128] >= 3.0
+
+
+class TestStepLaw:
+    """dt = cfl * min(|A| / 4 pi, 1 / max kappa^2) is flat in N, and its
+    curvature term keeps a pinching loop resolved."""
+
+    def test_step_count_flat_in_n(self):
+        config = FlowConfig(cfl=0.02, stop_area_frac=1e-4)
+        steps = {}
+        for n in (256, 1024):
+            traj = run(make_bernoulli_lemniscate(1.0, n), config)
+            assert traj.stop_reason == "area"
+            steps[n] = traj.states[-1].step
+        assert abs(steps[1024] - steps[256]) <= 0.05 * steps[256]
+
+    def test_one_crossing_at_the_largest_cfl(self, monkeypatch):
+        # Without the curvature term one step at cfl 0.375 cuts off the small
+        # loop of this eight (4 crossings); the run checks after every step.
+        counts = []
+
+        def spy(curve, found):
+            counts.append(len(found))
+            return loop_split(curve, found)
+
+        monkeypatch.setattr(flow, "loop_split", spy)
+        traj = run(make_asymmetric_eight(1.5, 256), FlowConfig(cfl=0.375))
+        assert traj.stop_reason == "area"
+        assert len(counts) == traj.states[-1].step + 1 and set(counts) == {1}
 
 
 def lissajous(k: int, n: int = 256) -> PlaneCurve:

@@ -252,14 +252,17 @@ class TestEvolve:
 
     @pytest.mark.parametrize("kind", sorted(FLOWS))
     def test_step_law(self, kind):
-        # dt = CFL4 h_min^4 for the fourth-order diffusion flow, cfl h_min^2
-        # for the others; a smaller cap is taken exactly.
+        # dt = CFL4 h_min^4 for the fourth-order diffusion flow and
+        # cfl min(|A| / 4 pi, 1 / max kappa^2) for the others; a smaller cap
+        # is taken exactly.
         flow = FLOWS[kind]
         assert flow.kind == kind and flow.fourth_order == (kind == "diffusion")
         config = FlowConfig(cfl=0.1)
         curve = wobbly_curve(128)
         h_min = segment_lengths(curve).min()
-        law = CFL4 * h_min**4 if kind == "diffusion" else config.cfl * h_min**2
+        area = abs(signed_area(curve))  # the curve is embedded
+        law = (CFL4 * h_min**4 if kind == "diffusion"
+               else config.cfl * min(area / (4 * np.pi), 1 / np.max(curvature(curve) ** 2)))
         start = FlowState(curve=curve, t=0.0, step=1)
         assert step(start, config, flow=flow).t == law
         assert step(start, config, flow=flow, dt_cap=0.5 * law).t == 0.5 * law

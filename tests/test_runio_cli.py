@@ -214,11 +214,11 @@ class TestCLI:
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
     @pytest.mark.parametrize("flags, last_line", [
-        ([], "push_distance=-0.357625 final_rightmost_x=-0.210015 pushed_past=n/a"),
+        ([], "push_distance=-0.3579488 final_rightmost_x=-0.209894 pushed_past=n/a"),
         (["--c0", "30", "--tau0", "0.05"],
-         "push_distance=-0.3834194 final_rightmost_x=-0.0825661 pushed_past=n/a"),
+         "push_distance=-0.3834194 final_rightmost_x=-0.0825473 pushed_past=n/a"),
         (["--c0", "1", "--tau0", "0.2"],
-         "push_distance=0.1977663 final_rightmost_x=-0.547102 pushed_past=True"),
+         "push_distance=0.1977663 final_rightmost_x=-0.545888 pushed_past=True"),
     ], ids=["matched", "c0-30", "c0-1"])
     def test_compare_reaper_pushed_past(self, reaper_run, capsys, flags, last_line):
         # A barrier that moves right (push <= 0) pushes nothing past it.
@@ -441,7 +441,8 @@ class TestCLI:
 
     def test_step_budget_exits_2(self, tmp_path, capsys, curve_csv):
         out = tmp_path / "never"
-        assert main(["evolve", "--curve", curve_csv["circle"], "--t-end", "1e-3",
+        # One step of the unit circle at cfl 0.1 reaches t = 0.025, not 0.1.
+        assert main(["evolve", "--curve", curve_csv["circle"], "--t-end", "0.1",
                      "--max-steps", "1", "--out-dir", str(out)]) == 2
         assert capsys.readouterr().err.splitlines() == [
             "ERROR MaxStepsExceeded: no stopping criterion after 1 steps"]
