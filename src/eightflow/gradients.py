@@ -129,8 +129,9 @@ def evolve_gradient_flow(
     """`flow.run` of `FLOWS[flow_kind]`; ValidationError for another name.
 
     The diffusion flow takes explicit extrapolated steps of dt = flow.CFL4 *
-    h_min^4 (fourth-order stiffness); the others take stabilised steps of
-    dt = cfl * min(|A| / 4 pi, 1 / max kappa^2), a count flat in N.  The
+    h_min^4 (fourth-order stiffness) and checks area and topology every
+    flow.REMESH_EVERY steps; the others take stabilised steps of dt = cfl *
+    min(|A| / 4 pi, 1 / max kappa^2), a count flat in N.  The
     indefinite flow shares the curve-shortening speed operator, so its
     trajectories coincide bitwise with the csf engine under equal configs.
     """

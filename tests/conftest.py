@@ -28,7 +28,7 @@ def lemniscate_output_times():
 @pytest.fixture(scope="session")
 def lemniscate_run():
     """Unit lemniscate, N=256, evolved to 1% of its initial total area."""
-    config = FlowConfig(cfl=0.02, stop_area_frac=0.01)
+    config = FlowConfig(stop_area_frac=0.01)
     return run(make_bernoulli_lemniscate(1.0, 256), config, lemniscate_output_times())
 
 
@@ -42,7 +42,7 @@ def deep_lemniscate_run(lemniscate_run):
     """
     first, last = lemniscate_run.states[0], lemniscate_run.states[-1]
     area0, area_last = (lemniscate_run.records[k].area_total for k in (0, -1))
-    config = FlowConfig(cfl=0.02, stop_area_frac=1e-4 * area0 / area_last)
+    config = FlowConfig(stop_area_frac=1e-4 * area0 / area_last)
     deep = run(last.curve, config)
     tail = deep.states[-1]
     end = replace(tail, t=last.t + tail.t, step=last.step + tail.step)
@@ -55,11 +55,10 @@ def deep_lemniscate_run(lemniscate_run):
 
 @pytest.fixture(scope="session")
 def circle_runs():
-    """Unit circles at N=256 and N=512 evolved to exactly t = 0.375, with cfl
-    halved as N doubles, so the time error falls with the space error."""
+    """Unit circles at N=256 and N=512 evolved to exactly t = 0.375."""
     out = {}
     for n in (256, 512):
-        config = FlowConfig(cfl=0.05 * 256 / n, stop_area_frac=0.01)
+        config = FlowConfig(stop_area_frac=0.01)
         out[n] = run(make_circle(1.0, n), config, output_times=[0.375], t_end=0.375)
     return out
 
@@ -67,7 +66,7 @@ def circle_runs():
 @pytest.fixture(scope="session")
 def ellipse_run():
     """Convex 2:1 ellipse, N=256, evolved to t = 0.5 (area 2*pi -> pi)."""
-    config = FlowConfig(cfl=0.02, stop_area_frac=0.05)
+    config = FlowConfig(stop_area_frac=0.05)
     times = np.arange(0.025, 0.5, 0.025)
     return run(make_ellipse(2.0, 1.0, 256), config, times, t_end=0.5)
 
@@ -75,7 +74,7 @@ def ellipse_run():
 @pytest.fixture(scope="session")
 def asymmetric_run():
     """Ratio-1.5 eight (convex left loop), evolved to 40% of initial area."""
-    config = FlowConfig(cfl=0.02, stop_area_frac=0.4)
+    config = FlowConfig(stop_area_frac=0.4)
     times = np.arange(0.005, 0.2, 0.005)
     return run(make_asymmetric_eight(1.5, 256), config, times)
 

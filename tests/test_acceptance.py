@@ -9,7 +9,7 @@ lemniscate taken to 1e-4 of its initial area. At the 1% area where
 `lemniscate_run` stops, the isodiametric inequality alone keeps the final
 diameter above 5.64% of the initial one, so a 5% witness needs a deeper run.
 At 1e-4 area the measured values are a diameter ratio of 1.70% and a Q growth
-of 1.96x; both agree to 2e-4 under N -> 2N and cfl -> cfl/2.
+of 1.96x; both agree to 1e-4 under N -> 2N and cfl -> cfl/2.
 """
 
 import numpy as np
@@ -107,7 +107,7 @@ class TestCollapseToPointWitness:
         """The eight shrinks to a point: final diameter under 5% of the initial.
 
         The run stops at 1e-4 residual area, where the measured ratio is 1.70%
-        (N=256 and N=512 at cfl 0.02, N=256 at cfl 0.01) against an
+        (N=256 and N=512 at the default cfl, N=256 at half of it) against an
         isodiametric floor of 0.56%; at 1% area the floor alone (5.64%)
         exceeds the threshold.
         """
@@ -336,8 +336,8 @@ class TestIsoperimetricQuantities:
 
         The eight does not round off on the way to a point (Grayson 1989):
         two round loops have Q = 8*pi = 25.1, below Q0 = 27.5 of the
-        lemniscate. The measured growth at 1e-4 area is 1.9614-1.9616x at
-        N=256 and N=512 at cfl 0.02, N=256 at cfl 0.01; the bound is that
+        lemniscate. The measured growth at 1e-4 area is 1.9614x at N=256 and
+        N=512 at the default cfl, N=256 at half of it; the bound is that
         value rounded down. The former tenfold bound was dropped: the growth
         slows with each decade of area (1.60x at 1e-2, 2.20x at 1e-6, 2.37x
         at 1e-8), and the blow-up rate admitted by the isoperimetric
@@ -353,11 +353,11 @@ class TestIsoperimetricQuantities:
             f"|A| = {area_frac:.1e}",
             growth > 1.9,
             f"measured max growth {growth:.4f}x > 1.9x (converged value "
-            "1.9615x; round loops would fall to 8*pi/Q0 = 0.91x)",
+            "1.9614x; round loops would fall to 8*pi/Q0 = 0.91x)",
         )
         assert ok, (
             f"Q grew {growth:.4f}x by residual area {area_frac:.2e}; the N- "
-            "and cfl-converged value at 1e-4 area is 1.9615x"
+            "and cfl-converged value at 1e-4 area is 1.9614x"
         )
 
     def test_min_theta_rise_beats_heat_kernel_bound(self, lemniscate_run):

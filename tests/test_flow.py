@@ -167,9 +167,17 @@ class TestCircleRegression:
             errors[n] = abs(r_num - shrinking_circle(1.0, traj.states[-1].t))
         assert errors[256] / errors[512] >= 3.0
 
+    def test_default_cfl_meets_the_heun_bound(self, circle_runs):
+        # At the default cfl the time error lies below the space error, and
+        # the radius meets the 1e-6 bound that Heun's steps of cfl * h^2 met
+        # (measured 2.8e-8; Heun read 3.0e-8).
+        r_num = measured_radius(circle_runs[256].states[-1].curve)
+        assert abs(r_num - 0.5) / 0.5 < 1e-6
+
     def test_stable_at_the_cfl_bound(self):
-        # The largest steps the law allows still meet the radius bound of the
-        # acceptance check (measured 8.8e-4).
+        # The largest steps the law allows are 75 times the default's and
+        # trade accuracy for steps: they still meet the radius bound of the
+        # acceptance check (measured 8.8e-4 in 7 steps).
         traj = run(make_circle(1.0, 256), FlowConfig(cfl=0.375), t_end=0.375)
         assert traj.stop_reason == "time"
         r_num = measured_radius(traj.states[-1].curve)
@@ -288,7 +296,7 @@ class TestConservation:
 
 class TestExtinctionEstimate:
     def test_circle_point_estimate(self):
-        config = FlowConfig(cfl=0.1, stop_area_frac=0.3)
+        config = FlowConfig(stop_area_frac=0.3)
         traj = run(make_circle(1.0, 128), config,
                    output_times=np.arange(0.02, 0.4, 0.02))
         est = estimate_extinction_time(traj)
@@ -332,7 +340,7 @@ class TestConvergenceOrder:
     def test_halving_du_reduces_circle_error_strongly(self):
         errors = {}
         for n in (64, 128):
-            config = FlowConfig(cfl=0.05 * 256 / n, stop_area_frac=0.3)
+            config = FlowConfig(stop_area_frac=0.3)
             traj = run(make_circle(1.0, n), config, output_times=[0.2], t_end=0.2)
             errors[n] = abs(measured_radius(traj.states[-1].curve)
                             - shrinking_circle(1.0, 0.2))

@@ -250,6 +250,24 @@ class TestEvolve:
                 state = step(state, config, flow=flow)
             assert curve_length(state.curve) < l0, kind
 
+    def test_h1_at_cfl_0_1_tracks_a_fine_run(self):
+        # The perfbench evolve workload runs h1 on the N=256 lemniscate at
+        # cfl 0.1 (about 15 steps).  Against a run at the default cfl (1/20
+        # the step, itself within 3e-6 of one at a quarter of its step), area
+        # and length at a common end time agree to 5e-4 relative (measured
+        # 2.0e-4 and 1.2e-4; doubling N moves them by 2e-4 and 1e-5).
+        # The end time precedes the 50% area stop, which fires at the first
+        # step past it: at t = 0.0878 for cfl 0.1, 0.0856 for the default.
+        lem = make_bernoulli_lemniscate(1.0, 256)
+        ends = []
+        for cfl in (0.1, FlowConfig().cfl):
+            config = FlowConfig(cfl=cfl, stop_area_frac=0.5)
+            traj = evolve_gradient_flow(lem, "h1", config, t_end=0.08)
+            assert traj.stop_reason == "time"
+            ends.append(np.array([traj.records[-1].area_total,
+                                  curve_length(traj.states[-1].curve)]))
+        assert np.all(np.abs(ends[0] - ends[1]) / ends[1] < 5e-4)
+
     @pytest.mark.parametrize("kind", sorted(FLOWS))
     def test_step_law(self, kind):
         # dt = CFL4 h_min^4 for the fourth-order diffusion flow and

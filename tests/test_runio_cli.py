@@ -441,7 +441,7 @@ class TestCLI:
 
     def test_step_budget_exits_2(self, tmp_path, capsys, curve_csv):
         out = tmp_path / "never"
-        # One step of the unit circle at cfl 0.1 reaches t = 0.025, not 0.1.
+        # One step of the unit circle at the default cfl reaches t = 0.00125, not 0.1.
         assert main(["evolve", "--curve", curve_csv["circle"], "--t-end", "0.1",
                      "--max-steps", "1", "--out-dir", str(out)]) == 2
         assert capsys.readouterr().err.splitlines() == [
