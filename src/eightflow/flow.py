@@ -12,19 +12,23 @@ and stepper read one cached stencil jet per stage, `curve.jet`.
 Scheme: linearly implicit Euler extrapolation (LIMEX/SEULEX; Deuflhard, SIAM
 Rev. 27, 1985).  A stage of size h solves
 
-    (I - h D2 / (g du^2)) delta = h v,    X <- X + delta,
+    (I - h D2 / (g_min du^2)) delta = h v,    X <- X + delta,
 
 with v the stage velocity, D2 the three-point periodic second difference and
-g = x_u^2 + y_u^2 frozen at the start of the step, so the stiff part of
-kappa N ~ X_ss is damped (Smereka, J. Sci. Comput. 19, 2003).  Rows of 1, 2
-and 3 stages over the step combine in the Aitken-Neville tableau to T[3,3],
-third order in time.  The fourth-order diffusion flow skips the solve
-(delta = h v): that is extrapolated explicit Euler, stable for real z down
-to -2.5127.  Step laws: dt = cfl * min(|A| / 4 pi, 1 / max kappa^2) for a
-second-order flow, flat in N; dt = CFL4 * h_min^4 for diffusion.  Every
-REMESH_EVERY steps the curve is resampled to uniform arclength; tangential
-redistribution does not change the image of the flow but keeps nodes from
-clustering at high curvature.
+g_min the least g = x_u^2 + y_u^2 at the start of the step, so the stiff part
+of kappa N ~ X_ss is damped (Smereka, J. Sci. Comput. 19, 2003).  The
+damping needs no exact Jacobian (a W-method; Hairer-Wanner, Solving ODEs II,
+IV.7): frozen at g_min it is never weaker than each node's own 1/g, and its
+constant coefficients make the solve one division in Fourier space by
+1 + h sigma_k / (g_min du^2), sigma_k = 4 sin^2(pi k / N), the symbol of -D2.
+Rows of 1, 2 and 3 stages over the step combine in the Aitken-Neville
+tableau to T[3,3], third order in time.  The fourth-order diffusion flow
+skips the solve (delta = h v): that is extrapolated explicit Euler, stable
+for real z down to -2.5127.  Step laws: dt = cfl * min(|A| / 4 pi,
+1 / max kappa^2) for a second-order flow, flat in N; dt = CFL4 * h_min^4 for
+diffusion.  Every REMESH_EVERY steps the curve is resampled to uniform
+arclength; tangential redistribution does not change the image of the flow
+but keeps nodes from clustering at high curvature.
 
 Every stop is decided by the run loop, which owns the initial-area
 reference: before every step (every REMESH_EVERY steps for diffusion) it
@@ -55,7 +59,6 @@ from .errors import (
     StepRejected,
     ValidationError,
 )
-from .tridiag import factor_cyclic
 
 # Signed normal speed of a curve; derivatives come from `curve.jet`.
 SpeedFn = Callable[[cv.PlaneCurve], np.ndarray]
@@ -193,7 +196,7 @@ def step(
     second-order step law reads; a step computes it when not given.
 
     Raises StepRejected, with the stage's fault as its cause, if a stage is not
-    an immersed curve or its solve fails; there is no retry at a smaller dt.
+    an immersed curve or its speed fails; there is no retry at a smaller dt.
     """
     curve = state.curve
     jet = curve.jet
@@ -203,22 +206,27 @@ def step(
         if area is None:
             area = loop_split(curve, cx.find_self_intersections(curve))[2]
         dt = config.cfl * min(area / (2.0 * TWO_PI), 1.0 / float(np.max(jet.kappa**2)))
+        # The stabilised stage's symbol of -D2 / (g_min du^2) at the rfft
+        # frequencies k = 0 ... N/2.
+        n = curve.n
+        sigma = 4.0 * np.sin(np.pi / n * np.arange(n // 2 + 1)) ** 2
+        symbol = sigma / (jet.g2.min() * curve.du**2)
     dt = min(dt, dt_cap)
     v0 = _stage_velocity(curve, flow.speed)
     try:
-        # Row j's displacement after _ROWS[j] stages of h = dt / _ROWS[j],
-        # which share one factorization (a fourth-order stage solves
-        # nothing); every row's first stage starts from the step's velocity.
+        # Row j's displacement after _ROWS[j] stages of h = dt / _ROWS[j]
+        # (a fourth-order stage solves nothing); every row's first stage
+        # starts from the step's velocity.
         table = []
-        for n in _ROWS:
-            h = dt / n
+        for stages in _ROWS:
+            h = dt / stages
             if flow.fourth_order:
                 solve = np.asarray
             else:
-                c = h / (jet.g2 * curve.du**2)
-                solve = factor_cyclic(-c, 1 + 2 * c, -c)
+                damping = (1.0 + h * symbol)[:, None]
+                solve = lambda rhs: np.fft.irfft(np.fft.rfft(rhs, axis=0) / damping, n=n, axis=0)
             delta = np.zeros_like(v0)
-            for k in range(n):
+            for k in range(stages):
                 v = _stage_velocity(cv.PlaneCurve(curve.points + delta), flow.speed) if k else v0
                 delta += solve(h * v)
             table.append(delta)

@@ -1,15 +1,14 @@
 """Cyclic (periodic) tridiagonal direct solver.
 
 Sherman-Morrison reduction of the two corner entries to a rank-one update
-over a plain tridiagonal system, factored once by LAPACK's dgttrf and solved
-by dgttrs.  O(N) cost, exact up to round-off for diagonally dominant
-systems.  The right-hand side is one column (N,) or k columns (N, k); the
-columns share the factorization.
+over a plain tridiagonal system, factored by LAPACK's dgttrf and solved by
+dgttrs.  O(N) cost, exact up to round-off for diagonally dominant systems.
+The right-hand side is one column (N,) or k columns (N, k); the columns
+share the factorization.  The arclength remesh and the H1 flow each solve
+one system.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
@@ -17,25 +16,27 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 from .errors import SolveFailed
 
 
-def factor_cyclic(
-    lower: np.ndarray, diag: np.ndarray, upper: np.ndarray
-) -> Callable[[np.ndarray], np.ndarray]:
-    """The solver rhs -> x of A x = rhs for the periodic tridiagonal A with
+def solve_cyclic(
+    lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray
+) -> np.ndarray:
+    """Solve A x = rhs for the periodic tridiagonal A with
 
-        A[i, i-1 mod N] = lower[i],  A[i, i] = diag[i],  A[i, i+1 mod N] = upper[i],
+        A[i, i-1 mod N] = lower[i],  A[i, i] = diag[i],  A[i, i+1 mod N] = upper[i].
 
-    factored once for any number of right-hand sides.  lower[0] and
-    upper[N-1] are the cyclic corner entries.  `rhs` is (N,) or (N, k), and
-    x has the same shape.  Raises SolveFailed on a non-finite entry in the
-    system, a right-hand side or a solution, or a singular system.
+    lower[0] and upper[N-1] are the cyclic corner entries.  `rhs` is (N,) or
+    (N, k), and x has the same shape.  Raises SolveFailed on a non-finite
+    entry in the system, the right-hand side or the solution, or a singular
+    system.
     """
     lower = np.asarray(lower, dtype=float)
     diag = np.asarray(diag, dtype=float)
     upper = np.asarray(upper, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
     n = diag.size
     if n < 3:
         raise SolveFailed("cyclic tridiagonal system needs at least 3 unknowns")
-    if not (np.isfinite(lower).all() and np.isfinite(diag).all() and np.isfinite(upper).all()):
+    if not (np.isfinite(lower).all() and np.isfinite(diag).all() and np.isfinite(upper).all()
+            and np.isfinite(rhs).all()):
         raise SolveFailed("non-finite entry in cyclic tridiagonal system")
 
     alpha = lower[0]      # A[0, n-1]
@@ -59,21 +60,8 @@ def factor_cyclic(
     if denom == 0.0 or not np.isfinite(denom):
         raise SolveFailed("singular rank-one correction in cyclic solve")
 
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        rhs = np.asarray(rhs, dtype=float)
-        if not np.isfinite(rhs).all():
-            raise SolveFailed("non-finite entry in cyclic tridiagonal system")
-        x0 = dgttrs(*lu, rhs)[0]
-        x = x0 - np.multiply.outer(q, (x0[0] + ratio * x0[-1]) / denom)
-        if not np.isfinite(x).all():
-            raise SolveFailed("non-finite solution of cyclic tridiagonal system")
-        return x
-
-    return solve
-
-
-def solve_cyclic(
-    lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray
-) -> np.ndarray:
-    """Solve A x = rhs once for the system of `factor_cyclic`."""
-    return factor_cyclic(lower, diag, upper)(rhs)
+    x0 = dgttrs(*lu, rhs)[0]
+    x = x0 - np.multiply.outer(q, (x0[0] + ratio * x0[-1]) / denom)
+    if not np.isfinite(x).all():
+        raise SolveFailed("non-finite solution of cyclic tridiagonal system")
+    return x

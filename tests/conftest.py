@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from eightflow.curves import PlaneCurve, resample_arclength
 from eightflow.flow import FlowConfig, Trajectory, run
 from eightflow.shapes import (
     make_asymmetric_eight,
@@ -77,6 +78,20 @@ def asymmetric_run():
     config = FlowConfig(stop_area_frac=0.4)
     times = np.arange(0.005, 0.2, 0.005)
     return run(make_asymmetric_eight(1.5, 256), config, times)
+
+
+def angenent_oval(n: int, t: float) -> PlaneCurve:
+    """Angenent's oval {e^t cosh x = cos y} at a time t < 0, with N nodes
+    uniform in arclength.  It is an exact solution of curve shortening flow
+    that dies at t = 0; its area is -2 pi t, and its half-extents are
+    arccosh(e^-t) in x and arccos(e^t) in y.  The nodes sample y = y_max sin s
+    and are then respaced by the spline remesh, whose error is O(h^4); a
+    linear respacing would leave an O(h^2) error at the start."""
+    s = 2.0 * np.pi * np.arange(n) / n
+    y = np.arccos(np.exp(t)) * np.sin(s)
+    # Round-off at the top and bottom tips can put the argument just below 1.
+    x = np.sign(np.cos(s)) * np.arccosh(np.maximum(np.exp(-t) * np.cos(y), 1.0))
+    return resample_arclength(PlaneCurve(np.column_stack([x, y])))
 
 
 def measured_radius(curve) -> float:

@@ -5,10 +5,18 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import measured_radius
+from conftest import angenent_oval, measured_radius
 from eightflow import flow
 from eightflow.crossings import find_self_intersections
-from eightflow.curves import PlaneCurve, curve_length, segment_lengths
+from eightflow.curves import (
+    PlaneCurve,
+    curvature,
+    curve_length,
+    segment_lengths,
+    signed_area,
+    x_extent,
+    y_extent,
+)
 from eightflow.diagnostics import compute_record, loop_split
 from eightflow.errors import (
     AreaNotDecreasing,
@@ -36,6 +44,7 @@ from eightflow.shapes import (
     make_ellipse,
 )
 from eightflow.solitons import shrinking_circle
+from eightflow.tridiag import solve_cyclic
 
 
 class TestVelocity:
@@ -117,6 +126,22 @@ class TestConfig:
         assert config_fault(stop_area_frac=0.0) is ValidationError
 
 
+STAGE_START = make_circle(1.0, 64)
+
+
+def nan_speed(curve):
+    return np.full(curve.n, np.nan)
+
+
+def fails_at_a_stage(curve):
+    """Curvature on STAGE_START; on a stage curve, a cyclic solve of a NaN
+    right-hand side, which fails as the h1 speed's solve can."""
+    if curve is STAGE_START:
+        return curvature(curve)
+    ones = np.ones(curve.n)
+    return solve_cyclic(-ones, 4.0 * ones, -ones, np.full(curve.n, np.nan))
+
+
 class TestStep:
     def test_single_step_advances(self):
         config = FlowConfig()
@@ -125,23 +150,19 @@ class TestStep:
         assert new.t > 0 and new.step == 1
         assert curve_length(new.curve) < curve_length(state.curve)
 
-    def test_failed_stage_rejected(self):
-        # One attempt, no retry at a smaller dt: the stage's fault is the cause,
-        # here the stabilised stage's solve of a NaN right-hand side.
-        config = FlowConfig()
-        state = FlowState(curve=make_circle(1.0, 64), t=0.0, step=0)
-        bad_speed = lambda curve: np.full(curve.n, np.nan)
+    @pytest.mark.parametrize("speed, fourth_order, cause", [
+        (nan_speed, False, InvalidCurve),
+        (nan_speed, True, InvalidCurve),
+        (fails_at_a_stage, False, SolveFailed),
+    ], ids=["nan-second-order", "nan-fourth-order", "solve-fails"])
+    def test_failed_stage_rejected(self, speed, fourth_order, cause):
+        # One attempt, no retry at a smaller dt: the stage's fault is the
+        # cause.  A NaN velocity fails the stage curve's check at either
+        # order; a speed's own cyclic solve (h1's) fails with SolveFailed.
+        state = FlowState(curve=STAGE_START, t=0.0, step=0)
         with pytest.raises(StepRejected) as exc:
-            step(state, config, flow=Flow("bad", bad_speed))
-        assert isinstance(exc.value.__cause__, SolveFailed)
-
-    def test_failed_explicit_stage_rejected(self):
-        # A fourth-order flow's stage has no solve: its curve check fails.
-        state = FlowState(curve=make_circle(1.0, 64), t=0.0, step=0)
-        bad_speed = lambda curve: np.full(curve.n, np.nan)
-        with pytest.raises(StepRejected) as exc:
-            step(state, FlowConfig(), flow=Flow("bad", bad_speed, fourth_order=True))
-        assert isinstance(exc.value.__cause__, InvalidCurve)
+            step(state, FlowConfig(), flow=Flow("bad", speed, fourth_order))
+        assert isinstance(exc.value.__cause__, cause)
 
     def test_remesh_cadence(self):
         config = FlowConfig()
@@ -292,6 +313,39 @@ class TestConservation:
         remapped = mirrored[(-np.arange(n)) % n]
         dist = np.abs(final.points - remapped).max()
         assert dist < 1e-6 * curve_length(final)
+
+
+def oval_errors(n: int, cfl: float) -> np.ndarray:
+    """|error| of the x and y half-extents and of the area rate / 2 pi of
+    Angenent's oval at N nodes, evolved from t = -1 to t = -0.3."""
+    start = angenent_oval(n, -1.0)
+    traj = run(start, FlowConfig(cfl=cfl), t_end=0.7)
+    assert traj.stop_reason == "time"
+    final = traj.states[-1]
+    t = final.t - 1.0
+    rate = (signed_area(final.curve) - signed_area(start)) / final.t
+    return np.abs([x_extent(final.curve) / 2 - np.arccosh(np.exp(-t)),
+                   y_extent(final.curve) / 2 - np.arccos(np.exp(t)),
+                   rate / (2 * np.pi) + 1.0])
+
+
+class TestAngenentOval:
+    # The circle's g and curvature are uniform; the oval's are not, so it
+    # witnesses the stage's frozen g_min, the remesh and the step law.
+    def test_fourth_order_in_n(self):
+        # At the default cfl, N=128 -> 256 divides the errors by 17.5, 13.0
+        # and 15.4.  At N=512 the time error is as large as the space error
+        # (at cfl / 4 the N=256 -> 512 ratios read 14, 13 and 13), so the bound
+        # there is on the value: measured 1.2e-8, 3.8e-9 and 3.9e-9.
+        e128, e256, e512 = (oval_errors(n, FlowConfig().cfl) for n in (128, 256, 512))
+        assert (e128 / e256 >= 8.0).all()
+        assert (e512 < 3e-8).all()
+
+    def test_third_order_in_cfl(self):
+        # At N=256 the space error is below 1e-7, so halving cfl from 0.08
+        # divides the errors by about 2^3 (measured 6.2 to 12.9).
+        e = [oval_errors(256, cfl) for cfl in (0.08, 0.04, 0.02)]
+        assert (e[0] / e[1] >= 5.0).all() and (e[1] / e[2] >= 5.0).all()
 
 
 class TestExtinctionEstimate:

@@ -255,7 +255,7 @@ class TestEvolve:
         # cfl 0.1 (about 15 steps).  Against a run at the default cfl (1/20
         # the step, itself within 3e-6 of one at a quarter of its step), area
         # and length at a common end time agree to 5e-4 relative (measured
-        # 2.0e-4 and 1.2e-4; doubling N moves them by 2e-4 and 1e-5).
+        # 3.6e-4 and 2.2e-4; doubling N moves them by 2e-4 and 1e-5).
         # The end time precedes the 50% area stop, which fires at the first
         # step past it: at t = 0.0878 for cfl 0.1, 0.0856 for the default.
         lem = make_bernoulli_lemniscate(1.0, 256)

@@ -1,15 +1,18 @@
-"""Source hygiene: no module imports a name it does not use, and every error
-class is raised somewhere in the package or is the base of one that is."""
+"""Source hygiene: no module imports a name it does not use, every error
+class is raised somewhere in the package or is the base of one that is, and
+every top-level definition is named somewhere outside its own def."""
 
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import pytest
 
 from eightflow import errors
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "eightflow"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "eightflow"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -49,3 +52,27 @@ def test_every_error_class_is_raised_or_a_base():
     unused = [name for name, cls in classes.items()
               if not any(issubclass(r, cls) for r in raised_classes)]
     assert unused == []
+
+
+def referenced_names(tree):
+    """Names the tree uses: identifiers, attributes, and the parts of string
+    constants that are dotted names, since the benchmark's tracer looks
+    functions up by string."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and re.fullmatch(r"[\w.]+", node.value):
+            yield from node.value.split(".")
+
+
+def test_every_definition_is_referenced():
+    named = set()
+    for folder in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            named.update(referenced_names(parsed(path)))
+    orphans = [f"{path.stem}.{node.name}" for path in MODULES for node in parsed(path).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in named]
+    assert orphans == []

@@ -39,12 +39,11 @@ def curve_csv(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def stored_reaper_run(tmp_path_factory, curve_csv):
-    """A stored lemniscate run deep enough for the matched reaper comparison,
-    with the reports of two monitors."""
+    """A stored lemniscate run at the default cfl, deep enough for the
+    matched reaper comparison, with the reports of two monitors."""
     run_dir = tmp_path_factory.mktemp("runs") / "cmp"
     assert main(["evolve", "--curve", curve_csv["lemniscate"],
-                 "--out-dir", str(run_dir), "--stop-area-frac", "0.05",
-                 "--cfl", "0.2", "--times",
+                 "--out-dir", str(run_dir), "--stop-area-frac", "0.05", "--times",
                  ",".join(str(t) for t in np.arange(0.005, 0.12, 0.005)),
                  "--monitors", "collapse,isoperimetric"]) == 0
     return run_dir
@@ -214,11 +213,11 @@ class TestCLI:
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
     @pytest.mark.parametrize("flags, last_line", [
-        ([], "push_distance=-0.3579488 final_rightmost_x=-0.209894 pushed_past=n/a"),
+        ([], "push_distance=-0.3576135 final_rightmost_x=-0.210015 pushed_past=n/a"),
         (["--c0", "30", "--tau0", "0.05"],
-         "push_distance=-0.3834194 final_rightmost_x=-0.0825473 pushed_past=n/a"),
+         "push_distance=-0.3834194 final_rightmost_x=-0.0825662 pushed_past=n/a"),
         (["--c0", "1", "--tau0", "0.2"],
-         "push_distance=0.1977663 final_rightmost_x=-0.545888 pushed_past=True"),
+         "push_distance=0.1977663 final_rightmost_x=-0.547103 pushed_past=True"),
     ], ids=["matched", "c0-30", "c0-1"])
     def test_compare_reaper_pushed_past(self, reaper_run, capsys, flags, last_line):
         # A barrier that moves right (push <= 0) pushes nothing past it.
