@@ -20,22 +20,22 @@ of kappa N ~ X_ss is damped (Smereka, J. Sci. Comput. 19, 2003).  The
 damping needs no exact Jacobian (a W-method; Hairer-Wanner, Solving ODEs II,
 IV.7): frozen at g_min it is never weaker than each node's own 1/g, and its
 constant coefficients make the solve one division in Fourier space by
-1 + h sigma_k / (g_min du^2), sigma_k = 4 sin^2(pi k / N), the symbol of -D2.
-Rows of 1, 2 and 3 stages over the step combine in the Aitken-Neville
-tableau to T[3,3], third order in time.  The fourth-order diffusion flow
-skips the solve (delta = h v): that is extrapolated explicit Euler, stable
-for real z down to -2.5127.  Step laws: dt = cfl * min(|A| / 4 pi,
-1 / max kappa^2) for a second-order flow, flat in N; dt = CFL4 * h_min^4 for
-diffusion.  Every REMESH_EVERY steps the curve is resampled to uniform
-arclength; tangential redistribution does not change the image of the flow
-but keeps nodes from clustering at high curvature.
+1 + h s_k, s_k = sigma_k / (g_min du^2), sigma_k = 4 sin^2(pi k / N) the
+symbol of -D2.  The fourth-order diffusion flow, -kappa_ss N ~ -X_ssss,
+divides by 1 + h s_k^2 (1 + sigma_k / 12): the three-point d^2/ds^2 of kappa
+times the five-point D2 behind kappa, 64/3 h^-4 at the top mode.  Rows of 1,
+2 and 3 stages over the step combine in the Aitken-Neville tableau to
+T[3,3], third order in time.  Step laws, both flat in N: dt = cfl *
+min(|A| / 4 pi, 1 / max kappa^2) for a second-order flow, dt = CFL4 /
+max kappa^4 for diffusion.  Every REMESH_EVERY steps the curve is resampled
+to uniform arclength; tangential redistribution does not change the image of
+the flow but keeps nodes from clustering at high curvature.
 
 Every stop is decided by the run loop, which owns the initial-area
-reference: before every step (every REMESH_EVERY steps for diffusion) it
-tests the area criterion |A| < stop_area_frac * |A|_0 and the loss of every
-self-intersection; before every step it tests the end time and the
-resolution criterion max|kappa| * h_min > STOP_KAPPA_H (curvature blows up
-at the singular time and the mesh cannot follow it).
+reference: before every step it tests the area criterion |A| <
+stop_area_frac * |A|_0, the loss of every self-intersection, the end time
+and the resolution criterion max|kappa| * h_min > STOP_KAPPA_H (curvature
+blows up at the singular time and the mesh cannot follow it).
 No attempt is made to continue past a topology change.
 """
 
@@ -65,10 +65,10 @@ SpeedFn = Callable[[cv.PlaneCurve], np.ndarray]
 
 TWO_PI = 2.0 * np.pi
 
-# Extrapolated explicit Euler with rows 1, 2, 3 has the stability polynomial
-# 1 + z + z^2/2 + z^3/6, stable for real z down to -2.5127; diffusion's
-# -kappa_ss reaches -64/3 h^-4, so CFL4 <= 2.5127 * 3/64.
-CFL4 = 0.1
+# Diffusion's step law dt = CFL4 / max kappa^4.  Its stage damps the top
+# mode's -64/3 h^-4, so the law need not follow h; at 5e-4 an N=256 run's
+# time error lies below its space error (the benchmark's 2:1 ellipse).
+CFL4 = 5e-4
 # Stages per row of the extrapolation tableau (the harmonic sequence).
 _ROWS = (1, 2, 3)
 # Steps between remeshes.
@@ -79,8 +79,8 @@ STOP_KAPPA_H = 0.5
 
 class Flow(NamedTuple):
     """A flow kind: its name, its signed normal speed, and its order, which
-    picks the step law dt = CFL4 * h_min^4 and the explicit stage (fourth
-    order) or cfl * min(|A| / 4 pi, 1 / max kappa^2) and the stabilised one."""
+    picks the step law dt = CFL4 / max kappa^4 and the squared stage symbol
+    (fourth order) or cfl * min(|A| / 4 pi, 1 / max kappa^2)."""
 
     kind: str
     speed: SpeedFn
@@ -131,10 +131,10 @@ def checked_times(times, what: str) -> list[float]:
 @dataclass(frozen=True)
 class FlowConfig:
     """What runs set: cfl, the fraction of min(|A| / 4 pi, 1 / max kappa^2)
-    a second-order step takes (see CFL4 for diffusion), the area fraction
-    that stops a run, and max_steps, a resource budget rather than a
-    numerical choice: the only stop of a run with no other end (curve
-    diffusion conserves area).  At the default cfl the time error of an
+    a second-order step takes (diffusion's is the constant CFL4 of
+    1 / max kappa^4), the area fraction that stops a run, and max_steps, a
+    resource budget rather than a numerical choice: the only stop of a run
+    with no other end (curve diffusion conserves area).  At the default cfl the time error of an
     N=256 run lies below its space error (the circle's radius, the h1 flow's
     area and length, the lemniscate's extinction time); the largest cfl
     trades that margin for fewer steps."""
@@ -200,35 +200,33 @@ def step(
     """
     curve = state.curve
     jet = curve.jet
+    # The stabilised stage's symbol of -D2 / (g_min du^2) at the rfft
+    # frequencies k = 0 ... N/2; a fourth-order stage damps its square times
+    # the five-point D2's 1 + sigma / 12.
+    n = curve.n
+    sigma = 4.0 * np.sin(np.pi / n * np.arange(n // 2 + 1)) ** 2
+    symbol = sigma / (jet.g2.min() * curve.du**2)
+    kappa2 = float(np.max(jet.kappa**2))
     if flow.fourth_order:
-        dt = CFL4 * float(cv.segment_lengths(curve).min()) ** 4
+        symbol = symbol**2 * (1.0 + sigma / 12.0)
+        dt = CFL4 / kappa2**2
     else:
         if area is None:
             area = loop_split(curve, cx.find_self_intersections(curve))[2]
-        dt = config.cfl * min(area / (2.0 * TWO_PI), 1.0 / float(np.max(jet.kappa**2)))
-        # The stabilised stage's symbol of -D2 / (g_min du^2) at the rfft
-        # frequencies k = 0 ... N/2.
-        n = curve.n
-        sigma = 4.0 * np.sin(np.pi / n * np.arange(n // 2 + 1)) ** 2
-        symbol = sigma / (jet.g2.min() * curve.du**2)
+        dt = config.cfl * min(area / (2.0 * TWO_PI), 1.0 / kappa2)
     dt = min(dt, dt_cap)
-    v0 = _stage_velocity(curve, flow.speed)
     try:
-        # Row j's displacement after _ROWS[j] stages of h = dt / _ROWS[j]
-        # (a fourth-order stage solves nothing); every row's first stage
-        # starts from the step's velocity.
+        # Row j's displacement after _ROWS[j] stages of h = dt / _ROWS[j];
+        # every row's first stage starts from the step's velocity.
+        v0 = _stage_velocity(curve, flow.speed)
         table = []
         for stages in _ROWS:
             h = dt / stages
-            if flow.fourth_order:
-                solve = np.asarray
-            else:
-                damping = (1.0 + h * symbol)[:, None]
-                solve = lambda rhs: np.fft.irfft(np.fft.rfft(rhs, axis=0) / damping, n=n, axis=0)
+            damping = (1.0 + h * symbol)[:, None]
             delta = np.zeros_like(v0)
             for k in range(stages):
                 v = _stage_velocity(cv.PlaneCurve(curve.points + delta), flow.speed) if k else v0
-                delta += solve(h * v)
+                delta += np.fft.irfft(np.fft.rfft(h * v, axis=0) / damping, n=n, axis=0)
             table.append(delta)
         # T[3,3] of the Aitken-Neville tableau on the rows 1, 2, 3: weights 1/2, -4, 9/2.
         new_curve = cv.PlaneCurve(curve.points + 0.5 * table[0] - 4.0 * table[1] + 4.5 * table[2])
@@ -251,10 +249,10 @@ def run(
 ) -> Trajectory:
     """Evolve `flow` until a stopping criterion fires, snapshotting at output_times.
 
-    Before each step the loop tests, in order: area and topology (for a
-    fourth-order flow only every REMESH_EVERY steps), t >= t_end, the step
-    budget, and max|kappa| * h_min > STOP_KAPPA_H; the first that fires
-    names the stop_reason ("area", "topology", "time" or "curvature").
+    Before each step the loop tests, in order: area and topology, t >=
+    t_end, the step budget, and max|kappa| * h_min > STOP_KAPPA_H; the first
+    that fires names the stop_reason ("area", "topology", "time" or
+    "curvature").
     Snapshots are taken at the first accepted step with t >= requested time
     (the step size is capped so the step lands on the requested time; no
     interpolation between steps).  The initial and final states are always
@@ -270,20 +268,16 @@ def run(
     states = [state]
     records = [first_record]
     # compute_record's scan and area rule keep the stop like with like; an
-    # embedded run skips the scan.  The area also feeds the step law.  A
-    # fourth-order step reads no area and its h^4 steps creep, so it checks
-    # area and topology at the remesh cadence only.
-    area = None
+    # embedded run skips the scan.  The area also feeds the step law.
     while True:
-        if not (flow.fourth_order and state.step % REMESH_EVERY):
-            found = [] if embedded else cx.find_self_intersections(state.curve)
-            area = loop_split(state.curve, found)[2]
-            if area < config.stop_area_frac * area0:
-                stop_reason = "area"
-                break
-            if not embedded and not found:
-                stop_reason = "topology"
-                break
+        found = [] if embedded else cx.find_self_intersections(state.curve)
+        area = loop_split(state.curve, found)[2]
+        if area < config.stop_area_frac * area0:
+            stop_reason = "area"
+            break
+        if not embedded and not found:
+            stop_reason = "topology"
+            break
         if t_end is not None and state.t >= t_end - 1e-15:
             stop_reason = "time"
             break

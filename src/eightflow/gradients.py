@@ -128,12 +128,12 @@ def evolve_gradient_flow(
 ) -> Trajectory:
     """`flow.run` of `FLOWS[flow_kind]`; ValidationError for another name.
 
-    The diffusion flow takes explicit extrapolated steps of dt = flow.CFL4 *
-    h_min^4 (fourth-order stiffness) and checks area and topology every
-    flow.REMESH_EVERY steps; the others take stabilised steps of dt = cfl *
-    min(|A| / 4 pi, 1 / max kappa^2), a count flat in N.  The
-    indefinite flow shares the curve-shortening speed operator, so its
-    trajectories coincide bitwise with the csf engine under equal configs.
+    Every flow takes stabilised steps, a count flat in N: dt = flow.CFL4 /
+    max kappa^4 for the fourth-order diffusion flow, whose stage damps the
+    squared symbol, and dt = cfl * min(|A| / 4 pi, 1 / max kappa^2) for the
+    others.  The indefinite flow shares the curve-shortening speed
+    operator, so its trajectories coincide bitwise with the csf engine under
+    equal configs.
     """
     if flow_kind not in FLOWS:
         raise ValidationError(f"unknown flow kind {flow_kind!r}; pick from {tuple(FLOWS)}")

@@ -113,13 +113,14 @@ def config_fault(**values) -> type:
 
 class TestConfig:
     # A config fault is a plain ValidationError, not a curve fault.  CFL4
-    # lies inside the explicit extrapolated stage's limit 2.5127 * 3/64.
+    # is at most 1e-3, the largest value measured whose N=256 time error on
+    # the 2:1 ellipse lies below the space error (2.6e-6 against 9.6e-6).
     def test_cfl_bounds(self):
         assert config_fault(cfl=0.0) is ValidationError
         assert config_fault(cfl=0.4) is ValidationError
         assert config_fault(cfl=0.6) is ValidationError
         assert FlowConfig(cfl=0.375).cfl == 0.375
-        assert 0.0 < flow.CFL4 <= 2.5127 * 3 / 64
+        assert 0.0 < flow.CFL4 <= 1e-3
 
     def test_area_fraction_bounds(self):
         assert config_fault(stop_area_frac=1.0) is ValidationError
@@ -133,11 +134,9 @@ def nan_speed(curve):
     return np.full(curve.n, np.nan)
 
 
-def fails_at_a_stage(curve):
-    """Curvature on STAGE_START; on a stage curve, a cyclic solve of a NaN
-    right-hand side, which fails as the h1 speed's solve can."""
-    if curve is STAGE_START:
-        return curvature(curve)
+def failing_solve(curve):
+    """A cyclic solve of a NaN right-hand side, which fails as the h1 speed's
+    solve can; it fails on the step's start curve, before any stage curve."""
     ones = np.ones(curve.n)
     return solve_cyclic(-ones, 4.0 * ones, -ones, np.full(curve.n, np.nan))
 
@@ -153,12 +152,15 @@ class TestStep:
     @pytest.mark.parametrize("speed, fourth_order, cause", [
         (nan_speed, False, InvalidCurve),
         (nan_speed, True, InvalidCurve),
-        (fails_at_a_stage, False, SolveFailed),
-    ], ids=["nan-second-order", "nan-fourth-order", "solve-fails"])
+        (failing_solve, False, SolveFailed),
+        (failing_solve, True, SolveFailed),
+    ], ids=["nan-second-order", "nan-fourth-order", "solve-fails",
+            "solve-fails-fourth-order"])
     def test_failed_stage_rejected(self, speed, fourth_order, cause):
         # One attempt, no retry at a smaller dt: the stage's fault is the
         # cause.  A NaN velocity fails the stage curve's check at either
-        # order; a speed's own cyclic solve (h1's) fails with SolveFailed.
+        # order; a speed's own cyclic solve (h1's) fails with SolveFailed,
+        # here already on the step's start curve.
         state = FlowState(curve=STAGE_START, t=0.0, step=0)
         with pytest.raises(StepRejected) as exc:
             step(state, FlowConfig(), flow=Flow("bad", speed, fourth_order))

@@ -11,8 +11,10 @@ from eightflow.curves import (
     reverse,
     segment_lengths,
     signed_area,
+    x_extent,
 )
 from eightflow.errors import SolveFailed, ValidationError
+from eightflow import flow
 from eightflow.flow import CFL4, FlowConfig, FlowState, run, step
 from eightflow.gradients import (
     FLOWS,
@@ -24,7 +26,7 @@ from eightflow.gradients import (
     h1_gradient,
     h1_weak_form_defect,
 )
-from eightflow.shapes import make_bernoulli_lemniscate, make_circle
+from eightflow.shapes import make_bernoulli_lemniscate, make_circle, make_ellipse
 from eightflow.tridiag import solve_cyclic
 
 
@@ -32,6 +34,15 @@ def wobbly_curve(n=256):
     u = 2 * np.pi * np.arange(n) / n
     r = 1 + 0.2 * np.cos(3 * u) + 0.1 * np.sin(2 * u)
     return resample_arclength(PlaneCurve(np.column_stack([r * np.cos(u), r * np.sin(u)])))
+
+
+def diffused_ellipse(n, cfl4, monkeypatch):
+    """The 2:1 ellipse at N = n under curve diffusion to t = 0.002 with
+    flow.CFL4 = cfl4 (the benchmark's diffusion run at n = 128)."""
+    monkeypatch.setattr(flow, "CFL4", cfl4)
+    traj = evolve_gradient_flow(make_ellipse(2.0, 1.0, n), "diffusion", FlowConfig(), t_end=0.002)
+    assert traj.stop_reason == "time"
+    return traj.states[-1]
 
 
 def arclength_positions(curve):
@@ -164,6 +175,39 @@ class TestCurveDiffusion:
             state = step(state, config, flow=FLOWS["diffusion"])
         assert np.abs(state.curve.points - start.points).max() < 1e-4
 
+    def test_step_count_flat_in_n(self, monkeypatch):
+        # dt = CFL4 / max kappa^4 reads no spacing.
+        for n in (128, 256, 512):
+            assert diffused_ellipse(n, CFL4, monkeypatch).step == 44
+
+    def test_time_error_below_space_error(self, monkeypatch):
+        # At N=256 the x extent at CFL4 is 5.4e-8 from a run at CFL4 / 8, and
+        # N=256 -> 512 (both at CFL4 / 8) moves it by 1.9e-5, so the time
+        # error lies well below the space error.  The y extent's space error
+        # (2.8e-8) is too small to serve.
+        fine = {n: x_extent(diffused_ellipse(n, CFL4 / 8, monkeypatch).curve)
+                for n in (256, 512)}
+        coarse = x_extent(diffused_ellipse(256, CFL4, monkeypatch).curve)
+        assert abs(coarse - fine[256]) < 0.1 * abs(fine[256] - fine[512])
+
+    def test_stiff_modes_damped(self):
+        # Radial noise of 1e-3 excites every mode up to N/2, whose -64/3 h^-4
+        # an explicit step cannot take at dt = CFL4 / max kappa^4: the stage
+        # damps it, the spread about the mean radius falls from 3.1e-3 to
+        # 7.3e-5 in 50 steps, and the law's dt grows as kappa smooths.
+        circle = make_circle(1.0, 256)
+        noise = 1e-3 * np.random.default_rng(0).standard_normal(circle.n)
+        state = FlowState(curve=PlaneCurve(circle.points * (1 + noise)[:, None]), t=0.0, step=0)
+
+        def spread(curve):
+            r = np.linalg.norm(curve.points - curve.points.mean(axis=0), axis=1)
+            return np.abs(r - r.mean()).max()
+
+        assert spread(state.curve) > 3e-3
+        for _ in range(50):
+            state = step(state, FlowConfig(), flow=FLOWS["diffusion"])
+        assert spread(state.curve) < 1e-4
+
     def test_perturbed_circle_conserves_signed_area(self):
         config = FlowConfig()
         start = wobbly_curve(128)
@@ -270,17 +314,17 @@ class TestEvolve:
 
     @pytest.mark.parametrize("kind", sorted(FLOWS))
     def test_step_law(self, kind):
-        # dt = CFL4 h_min^4 for the fourth-order diffusion flow and
-        # cfl min(|A| / 4 pi, 1 / max kappa^2) for the others; a smaller cap
-        # is taken exactly.
+        # dt = CFL4 / max kappa^4 for the fourth-order diffusion flow and
+        # cfl min(|A| / 4 pi, 1 / max kappa^2) for the others, both flat in
+        # N; a smaller cap is taken exactly.
         flow = FLOWS[kind]
         assert flow.kind == kind and flow.fourth_order == (kind == "diffusion")
         config = FlowConfig(cfl=0.1)
         curve = wobbly_curve(128)
-        h_min = segment_lengths(curve).min()
         area = abs(signed_area(curve))  # the curve is embedded
-        law = (CFL4 * h_min**4 if kind == "diffusion"
-               else config.cfl * min(area / (4 * np.pi), 1 / np.max(curvature(curve) ** 2)))
+        kappa2 = np.max(curvature(curve) ** 2)
+        law = (CFL4 / kappa2**2 if kind == "diffusion"
+               else config.cfl * min(area / (4 * np.pi), 1 / kappa2))
         start = FlowState(curve=curve, t=0.0, step=1)
         assert step(start, config, flow=flow).t == law
         assert step(start, config, flow=flow, dt_cap=0.5 * law).t == 0.5 * law
