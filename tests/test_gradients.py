@@ -191,10 +191,11 @@ class TestCurveDiffusion:
         assert abs(coarse - fine[256]) < 0.1 * abs(fine[256] - fine[512])
 
     def test_stiff_modes_damped(self):
-        # Radial noise of 1e-3 excites every mode up to N/2, whose -64/3 h^-4
-        # an explicit step cannot take at dt = CFL4 / max kappa^4: the stage
-        # damps it, the spread about the mean radius falls from 3.1e-3 to
-        # 7.3e-5 in 50 steps, and the law's dt grows as kappa smooths.
+        # Radial noise of 1e-3 excites every mode up to N/2.  As kappa
+        # smooths, the law's dt grows to about 1e4 times the explicit limit
+        # 2.5127 * 3/64 h^4 of the top mode's -64/3 h^-4; the stage damps
+        # it, and the spread about the mean radius falls from 3.1e-3 to
+        # 7.3e-5 in 50 steps.
         circle = make_circle(1.0, 256)
         noise = 1e-3 * np.random.default_rng(0).standard_normal(circle.n)
         state = FlowState(curve=PlaneCurve(circle.points * (1 + noise)[:, None]), t=0.0, step=0)
