@@ -31,6 +31,8 @@ from __future__ import annotations
 import io
 import re
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -329,13 +331,20 @@ def scale(curve: PlaneCurve, factor: float) -> PlaneCurve:
 # values; a file is written in one call and read back with numpy's C parser,
 # which rounds exactly like float().
 
+@lru_cache(maxsize=8)
+def _u_column(n: int, du: float) -> list[str]:
+    """The %.17g strings of u = 0, du, ..., (n - 1) du, which every snapshot
+    of an n-sample run writes alike."""
+    return ["%.17g" % u for u in (np.arange(n) * du).tolist()]
+
+
 def curve_to_csv(curve, path: str | Path) -> None:
     """Write any curve with `points`, `n` and `du` as u,x,y[,z] rows."""
-    table = np.column_stack((np.arange(curve.n) * curve.du, curve.points))
-    names = ["u", "x", "y", "z"][:table.shape[1]]
-    row = ",".join(["%.17g"] * len(names)) + "\n"
+    points = curve.points
+    row = ",".join(["%s"] + ["%.17g"] * points.shape[1]) + "\n"
+    values = chain.from_iterable(zip(_u_column(curve.n, curve.du), *points.T.tolist()))
     with open(path, "w") as fh:
-        fh.write(",".join(names) + "\n" + row * curve.n % tuple(table.ravel().tolist()))
+        fh.write(",".join("uxyz"[:points.shape[1] + 1]) + "\n" + row * curve.n % tuple(values))
 
 
 def read_curve_csv(path: str | Path, names: list[str]) -> np.ndarray:

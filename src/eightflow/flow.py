@@ -267,15 +267,19 @@ def run(
 
     states = [state]
     records = [first_record]
-    # compute_record's scan and area rule keep the stop like with like; an
-    # embedded run skips the scan.  The area also feeds the step law.
+    # compute_record's scan and area rule keep the stop like with like: a
+    # state just recorded reads its record, and an embedded run skips the
+    # scan.  The area also feeds the step law.
     while True:
-        found = [] if embedded else cx.find_self_intersections(state.curve)
-        area = loop_split(state.curve, found)[2]
+        if embedded or states[-1] is not state:
+            found = [] if embedded else cx.find_self_intersections(state.curve)
+            crossings, area = len(found), loop_split(state.curve, found)[2]
+        else:
+            crossings, area = records[-1].crossing_count, records[-1].area_total
         if area < config.stop_area_frac * area0:
             stop_reason = "area"
             break
-        if not embedded and not found:
+        if not embedded and not crossings:
             stop_reason = "topology"
             break
         if t_end is not None and state.t >= t_end - 1e-15:

@@ -2,17 +2,21 @@
 
     run_dir/
       diagnostics.csv    one row per snapshot (t,L,A_signed,A_total,...)
-      metadata.json      config, flow kind, stop reason, unreached outputs
+      metadata.json      config, flow kind, stop reason, unreached outputs,
+                         snapshot times and steps, records, snapshot sha256s
       snapshots/snap_NNNN.csv   curve samples per snapshot (u,x,y)
 
-A lifted run mirrors the layout with u,x,y,z snapshot files and a
-`residual` column appended to the diagnostics.
+`load_run` reads the records, one JSON list per DiagnosticsRecord field
+(exact, as JSON writes floats by repr), and not diagnostics.csv.  A lifted
+run mirrors the layout with u,x,y,z snapshot files and a `residual` column
+appended to the diagnostics, and holds no records or digests.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
-from dataclasses import asdict
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,20 +34,29 @@ def check_new_run_dir(run_dir) -> None:
         raise ValidationError(f"{run_dir} already holds a run; choose a new out_dir")
 
 
-def _write_run(run_dir, header: str, rows, curves, meta: dict) -> Path:
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _write_run(run_dir, header: str, rows, curves, meta: dict, digests: bool = False) -> Path:
     """The one run-directory writer: diagnostics.csv from a header and rows,
-    one snapshot CSV per curve, then metadata.json."""
+    one snapshot CSV per curve, then metadata.json, which holds the snapshot
+    files' sha256 under `snapshot_sha256` when `digests` is set."""
     run_dir = Path(run_dir)
     snap_dir = run_dir / "snapshots"
     snap_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "diagnostics.csv").write_text("".join(line + "\n" for line in (header, *rows)))
-    for k, curve in enumerate(curves):
-        curve_to_csv(curve, snap_dir / f"snap_{k:04d}.csv")
+    paths = [snap_dir / f"snap_{k:04d}.csv" for k in range(len(curves))]
+    for curve, path in zip(curves, paths):
+        curve_to_csv(curve, path)
+    if digests:
+        meta = {**meta, "snapshot_sha256": [_sha256(path) for path in paths]}
     (run_dir / "metadata.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
     return run_dir
 
 
 def save_run(traj: Trajectory, run_dir: str | Path) -> Path:
+    """Write a trajectory's run directory (see the module docstring)."""
     meta = {
         "flow_kind": traj.flow_kind,
         "stop_reason": traj.stop_reason,
@@ -51,37 +64,69 @@ def save_run(traj: Trajectory, run_dir: str | Path) -> Path:
         "snapshot_times": [s.t for s in traj.states],
         "snapshot_steps": [s.step for s in traj.states],
         "unreached_outputs": traj.unreached_outputs,
+        "records": {f.name: [getattr(rec, f.name) for rec in traj.records]
+                    for f in fields(DiagnosticsRecord)},
     }
     return _write_run(run_dir, DiagnosticsRecord.CSV_COLUMNS,
                       [rec.csv_row() for rec in traj.records],
-                      [s.curve for s in traj.states], meta)
+                      [s.curve for s in traj.states], meta, digests=True)
+
+
+def _matches(stored, fresh) -> bool:
+    """Whether a stored record value is `fresh`, compute_record's now: floats
+    (the crossing point's too) to a relative 1e-9, which a last-bit numpy or
+    CPU difference passes, and ints, None and the crossing segments exactly."""
+    if isinstance(fresh, float):
+        return isinstance(stored, float) and np.isclose(stored, fresh, rtol=1e-9, atol=1e-12,
+                                                        equal_nan=True)
+    if isinstance(fresh, tuple) and isinstance(stored, tuple) and len(stored) == len(fresh):
+        return all(map(_matches, stored, fresh))
+    return stored == fresh
 
 
 def load_run(run_dir: str | Path) -> Trajectory:
-    """The trajectory of a stored run; its records are recomputed.
+    """The trajectory of a stored run, its records read from metadata.json.
 
     Raises ValidationError when metadata.json is not JSON or lacks a key,
     when its snapshot times and steps differ in length or do not both start
-    at 0 and strictly increase (the times finite, the steps ints), or when its
-    config is not a valid FlowConfig.
+    at 0 and strictly increase (the times finite, the steps ints), when its
+    config is not a valid FlowConfig, when it lacks the records or digests
+    (an older run: re-run it), when a snapshot's sha256 is not its digest, or
+    when compute_record disagrees with the last record (a stale run).
     """
     run_dir = Path(run_dir)
     path = run_dir / "metadata.json"
     try:
         meta = json.loads(path.read_text())
         times, steps = meta["snapshot_times"], meta["snapshot_steps"]
-        snapshots = list(zip(times, steps, strict=True))
         if (times[:1] != [0] or checked_times(times[1:], f"{path} snapshot time") != times[1:]
                 or any(type(s) is not int for s in steps) or sorted(set(steps)) != steps
                 or steps[:1] != [0]):
             raise ValidationError(f"{path}: snapshot times and steps must start at 0 and increase")
         stop_reason, flow_kind = meta["stop_reason"], meta["flow_kind"]
         config = FlowConfig.from_dict(meta["config"])
-    except (ValueError, KeyError, TypeError) as exc:
+        if "records" not in meta or "snapshot_sha256" not in meta:
+            raise ValidationError(f"{path} holds no records or snapshot digests, as a run saved "
+                                  "by an older version; re-run it")
+        columns = meta["records"]
+        records = [DiagnosticsRecord(**{
+            name: tuple(value) if isinstance(value, list) else value
+            for name, value in zip(columns, row)
+        }) for row in zip(*columns.values(), strict=True)]
+        snapshots = list(zip(times, steps, meta["snapshot_sha256"], records, strict=True))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ValidationError(f"malformed {path}: {exc!r}") from exc
-    states = [FlowState(curve=curve_from_csv(run_dir / "snapshots" / f"snap_{k:04d}.csv"),
-                        t=t, step=step) for k, (t, step) in enumerate(snapshots)]
-    return Trajectory(states=states, records=[compute_record(s.curve, s.t) for s in states],
+    states = []
+    for k, (t, step, digest, _) in enumerate(snapshots):
+        snap = run_dir / "snapshots" / f"snap_{k:04d}.csv"
+        states.append(FlowState(curve=curve_from_csv(snap), t=t, step=step))
+        if _sha256(snap) != digest:
+            raise ValidationError(f"{snap} differs from the snapshot the run saved")
+    fresh = compute_record(states[-1].curve, states[-1].t)
+    if not all(map(_matches, astuple(records[-1]), astuple(fresh))):
+        raise ValidationError(f"{path}: the last record is not what the diagnostics give for "
+                              "the last snapshot; re-run it")
+    return Trajectory(states=states, records=records,
                       stop_reason=stop_reason, config=config, flow_kind=flow_kind,
                       unreached_outputs=meta.get("unreached_outputs", []))
 

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import angenent_oval, measured_radius
+from conftest import angenent_oval, lemniscate_output_times, measured_radius
 from eightflow import flow
 from eightflow.crossings import find_self_intersections
 from eightflow.curves import (
@@ -418,7 +418,8 @@ class TestStepLaw:
 
     def test_one_crossing_at_the_largest_cfl(self, monkeypatch):
         # Without the curvature term one step at cfl 0.375 cuts off the small
-        # loop of this eight (4 crossings); the run checks after every step.
+        # loop of this eight (4 crossings); the run checks after every step,
+        # and the initial state's check reads its record.
         counts = []
 
         def spy(curve, found):
@@ -428,7 +429,8 @@ class TestStepLaw:
         monkeypatch.setattr(flow, "loop_split", spy)
         traj = run(make_asymmetric_eight(1.5, 256), FlowConfig(cfl=0.375))
         assert traj.stop_reason == "area"
-        assert len(counts) == traj.states[-1].step + 1 and set(counts) == {1}
+        assert traj.records[0].crossing_count == 1
+        assert len(counts) == traj.states[-1].step and set(counts) == {1}
 
 
 def lissajous(k: int, n: int = 256) -> PlaneCurve:
@@ -447,7 +449,9 @@ class TestCrossingTracker:
         (lissajous(5), 4),
     ])
     def test_area_matches_record(self, monkeypatch, curve, crossings):
-        # The run's area stop compares its check's area with the first record's.
+        # The run's area stop compares its check's area with the first
+        # record's; an embedded run's check splits the area itself, any
+        # other check of a recorded state reads the record.
         checks = []
 
         def spy(snapshot, found):
@@ -460,7 +464,7 @@ class TestCrossingTracker:
         traj = run(curve, FlowConfig(), t_end=0.0)
         assert traj.stop_reason == "time"
         assert rec.crossing_count == crossings
-        assert checks == [(rec.area_total, crossings)]
+        assert checks == ([(rec.area_total, 0)] if crossings == 0 else [])
 
     def test_record_keeps_the_scanned_crossing(self):
         curve = make_bernoulli_lemniscate(1.0, 256)
@@ -470,6 +474,31 @@ class TestCrossingTracker:
         assert rec.crossing_point == tuple(crossing.point)
         rec = compute_record(make_circle(1.0, 64), 0.0)
         assert rec.crossing_segments is None and rec.crossing_point is None
+
+    def test_each_state_scanned_once(self, monkeypatch):
+        # The benchmark's lemniscate run: a recorded state's check reads its
+        # record, so only the last state is scanned twice, by its check and
+        # then by its record (145 scans; a scan per check and record took 209).
+        scanned, checks = [], []
+        scan = flow.cx.find_self_intersections
+
+        def counting_scan(curve):
+            scanned.append(curve)
+            return scan(curve)
+
+        def spy(curve, found):
+            checks.append((curve, len(found)))
+            return loop_split(curve, found)
+
+        monkeypatch.setattr(flow.cx, "find_self_intersections", counting_scan)
+        monkeypatch.setattr(flow, "loop_split", spy)
+        traj = run(make_bernoulli_lemniscate(1.0, 256), FlowConfig(cfl=0.1),
+                   lemniscate_output_times())
+        steps = traj.states[-1].step
+        assert traj.stop_reason == "area" and len(traj.states) == 65
+        assert len({id(c) for c in scanned}) == steps + 1
+        assert len(scanned) == steps + 2 == 145
+        assert checks[-1] == (traj.states[-1].curve, traj.records[-1].crossing_count)
 
     def test_lost_crossing_stops_on_topology(self, monkeypatch):
         # The first record finds the eight's crossing; the run's scan then

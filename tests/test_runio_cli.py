@@ -1,5 +1,6 @@
 """Run directory persistence and the command-line interface."""
 
+import dataclasses
 import json
 import os
 import shutil
@@ -11,10 +12,10 @@ import numpy as np
 import pytest
 
 import eightflow
-from eightflow import cli, runio, solitons
+from eightflow import cli, crossings, runio, solitons
 from eightflow.cli import _GENERATORS, main
 from eightflow.errors import RowCountMismatch, ValidationError
-from eightflow.flow import FlowConfig, run
+from eightflow.flow import FlowConfig, Trajectory, run
 from eightflow.shapes import make_bernoulli_lemniscate, make_circle
 
 
@@ -40,12 +41,12 @@ def curve_csv(tmp_path_factory):
 @pytest.fixture(scope="module")
 def stored_reaper_run(tmp_path_factory, curve_csv):
     """A stored lemniscate run at the default cfl, deep enough for the
-    matched reaper comparison, with the reports of two monitors."""
+    matched reaper comparison, with the report of every monitor."""
     run_dir = tmp_path_factory.mktemp("runs") / "cmp"
     assert main(["evolve", "--curve", curve_csv["lemniscate"],
                  "--out-dir", str(run_dir), "--stop-area-frac", "0.05", "--times",
                  ",".join(str(t) for t in np.arange(0.005, 0.12, 0.005)),
-                 "--monitors", "collapse,isoperimetric"]) == 0
+                 "--monitors", ",".join(cli._MONITORS)]) == 0
     return run_dir
 
 
@@ -102,7 +103,9 @@ class TestRunIO:
 class TestMalformedMetadata:
     @pytest.mark.parametrize("damage", ["not-json", "no-snapshot-steps", "short-snapshot-steps",
                                         "unknown-config-field", "str-time", "nan-time",
-                                        "decreasing-times", "str-step", "stored-cfl4"])
+                                        "decreasing-times", "str-step", "stored-cfl4",
+                                        "no-records", "no-digests", "short-digests",
+                                        "stale-last-record"])
     def test_rejected(self, small_run, tmp_path, capsys, damage):
         run_dir = shutil.copytree(small_run[1], tmp_path / "run")
         path = run_dir / "metadata.json"
@@ -124,6 +127,14 @@ class TestMalformedMetadata:
         elif damage == "stored-cfl4":
             # A run stored while cfl4 was a config field; it is now flow.CFL4.
             meta["config"]["cfl4"] = 0.05
+        elif damage in ("no-records", "no-digests"):
+            # A run saved before metadata.json held its records and digests.
+            del meta["records" if damage == "no-records" else "snapshot_sha256"]
+        elif damage == "short-digests":
+            meta["snapshot_sha256"].pop()
+        elif damage == "stale-last-record":
+            # A run saved before a change to compute_record.
+            meta["records"]["length"][-1] *= 1.0 + 1e-6
         path.write_text("{" if damage == "not-json" else json.dumps(meta))
         with pytest.raises(ValidationError):
             runio.load_run(run_dir)
@@ -133,6 +144,71 @@ class TestMalformedMetadata:
             assert main(argv) == 1
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("ERROR ValidationError:")
+            if damage in ("no-records", "no-digests", "stale-last-record"):
+                assert err[0].endswith("; re-run it")
+
+
+def same_record(a, b) -> bool:
+    """Field for field equality, NaN equal to NaN."""
+    return all(x == y or x != x and y != y
+               for x, y in zip(dataclasses.astuple(a), dataclasses.astuple(b), strict=True))
+
+
+class TestStoredRecords:
+    """save_run stores the records and snapshot digests that load_run reads."""
+
+    @pytest.fixture(scope="class")
+    def circle_run(self, tmp_path_factory):
+        traj = run(make_circle(1.0, 64), FlowConfig(), output_times=[0.005], t_end=0.01)
+        out = tmp_path_factory.mktemp("runs") / "circle"
+        runio.save_run(traj, out)
+        return traj, out
+
+    @pytest.mark.parametrize("which", ["small_run", "circle_run"])
+    def test_records_round_trip(self, request, which):
+        traj, out = request.getfixturevalue(which)
+        back = runio.load_run(out).records
+        assert len(back) == len(traj.records)
+        assert all(same_record(a, b) for a, b in zip(traj.records, back))
+        last = back[-1]
+        if which == "circle_run":
+            assert last.crossing_segments is None and np.isnan(last.loop_a1)
+        else:
+            assert last.crossing_segments == traj.records[-1].crossing_segments is not None
+
+    def test_edited_snapshot_rejected(self, small_run, tmp_path, capsys):
+        run_dir = shutil.copytree(small_run[1], tmp_path / "run")
+        snap = run_dir / "snapshots" / "snap_0002.csv"
+        lines = snap.read_text().splitlines()
+        u, x, y = lines[5].split(",")
+        lines[5] = f"{u},{float(x) + 1e-9!r},{y}"
+        snap.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValidationError) as info:
+            runio.load_run(run_dir)
+        assert str(snap) in str(info.value)
+        assert main(["report", str(run_dir), "--monitor", "balanced"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"ERROR ValidationError: {snap} differs from the snapshot the run saved"]
+
+    def test_load_computes_one_record(self, lemniscate_run, tmp_path, monkeypatch):
+        # Only the last snapshot's record is recomputed, as a check.
+        stored = Trajectory(states=lemniscate_run.states[:65],
+                            records=lemniscate_run.records[:65],
+                            stop_reason="partial", config=lemniscate_run.config)
+        runio.save_run(stored, tmp_path / "run")
+        calls = {"record": 0, "scan": 0}
+        record, scan = runio.compute_record, crossings.find_self_intersections
+
+        def counting(key, fn):
+            def wrapped(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(runio, "compute_record", counting("record", record))
+        monkeypatch.setattr(crossings, "find_self_intersections", counting("scan", scan))
+        assert len(runio.load_run(tmp_path / "run").states) == 65
+        assert calls == {"record": 1, "scan": 1}
 
 
 class TestCLI:
@@ -275,8 +351,10 @@ class TestCLI:
         margins = margin_column(reaper_run)
         assert np.isnan(margins[-1])
 
-    @pytest.mark.parametrize("monitor", ["collapse", "isoperimetric"])
+    @pytest.mark.parametrize("monitor", sorted(cli._MONITORS))
     def test_evolve_monitors_match_report_defaults(self, stored_reaper_run, tmp_path, monitor):
+        # evolve reports from the records it computed, report from the
+        # records the load read back: the bytes agree.
         out = tmp_path / f"{monitor}.json"
         assert main(["report", str(stored_reaper_run), "--monitor", monitor,
                      "--out", str(out)]) == 0
