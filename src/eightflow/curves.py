@@ -347,14 +347,15 @@ def curve_to_csv(curve, path: str | Path) -> None:
         fh.write(",".join("uxyz"[:points.shape[1] + 1]) + "\n" + row * curve.n % tuple(values))
 
 
-def read_curve_csv(path: str | Path, names: list[str]) -> np.ndarray:
-    """The sample columns (all but u) of a curve CSV whose header is `names`.
+def read_curve_csv(path: str | Path, names: list[str], data: bytes | None = None) -> np.ndarray:
+    """The sample columns (all but u) of a curve CSV whose header is `names`,
+    parsed from the file's bytes `data` if given, else from `path`.
 
     Raises InvalidCurve on any other header (so a u,x,y,z space curve is no
     u,x,y plane curve), on a header with no sample row after it and on a row
     that is not numeric or has more or fewer columns than the header.
     """
-    with open(path) as fh:
+    with open(path) if data is None else io.TextIOWrapper(io.BytesIO(data)) as fh:
         header = fh.readline().strip()
         if header.split(",") != names:
             raise InvalidCurve(
@@ -383,6 +384,6 @@ def read_curve_csv(path: str | Path, names: list[str]) -> np.ndarray:
     return table
 
 
-def curve_from_csv(path: str | Path) -> PlaneCurve:
-    return PlaneCurve(read_curve_csv(path, ["u", "x", "y"]))
+def curve_from_csv(path: str | Path, data: bytes | None = None) -> PlaneCurve:
+    return PlaneCurve(read_curve_csv(path, ["u", "x", "y"], data))
 

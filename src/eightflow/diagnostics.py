@@ -16,9 +16,11 @@ class DiagnosticsRecord:
     self-intersection, |signed area| otherwise (see `loop_split`).
     crossing_point and crossing_segments (the intersecting segment pair, as in
     `crossings.Crossing`) describe the first crossing found and are None when
-    the curve has none.  isoperimetric_q is L^2 / area_total.  theta_min, the
-    minimum of the unwrapped tangent angle (not a CSV column), is comparable
-    across snapshots while node 0 stays materially anchored, as in the flows.
+    the curve has none; crossing_angle is `crossings.crossing_interior_angle`
+    there if it is the only crossing, else NaN.  isoperimetric_q is
+    L^2 / area_total.  theta_min, the minimum of the unwrapped tangent angle,
+    is comparable across snapshots while node 0 stays materially anchored, as
+    in the flows.  It, crossing_angle and y_extent are not CSV columns.
     """
 
     t: float
@@ -34,7 +36,9 @@ class DiagnosticsRecord:
     crossing_count: int
     crossing_point: tuple[float, float] | None
     crossing_segments: tuple[int, int] | None
+    crossing_angle: float
     x_extent: float
+    y_extent: float
     isoperimetric_q: float
 
     CSV_COLUMNS = (
@@ -89,6 +93,9 @@ def compute_record(curve: cv.PlaneCurve, t: float) -> DiagnosticsRecord:
         crossing_count=len(found),
         crossing_point=tuple(map(float, found[0].point)) if found else None,
         crossing_segments=found[0].segments if found else None,
+        crossing_angle=(cx.crossing_interior_angle(curve, found[0].segments)
+                        if len(found) == 1 else float("nan")),
         x_extent=cv.x_extent(curve),
+        y_extent=cv.y_extent(curve),
         isoperimetric_q=q,
     )

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from numbers import Real
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -167,9 +167,10 @@ class FlowState:
 
 @dataclass
 class Trajectory:
-    """Snapshots of one run plus per-snapshot diagnostics and the stop reason."""
+    """Snapshots of one run plus per-snapshot diagnostics and the stop reason;
+    `states` is a list, or a loaded run's lazily parsed sequence (`runio.load_run`)."""
 
-    states: list[FlowState]
+    states: Sequence[FlowState]
     records: list[DiagnosticsRecord]
     stop_reason: str
     config: FlowConfig
@@ -178,7 +179,7 @@ class Trajectory:
 
     @property
     def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.states])
+        return np.array([r.t for r in self.records])
 
 
 def step(

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import crossings as cx
 from . import curves as cv
 from .errors import ExtinctionUnresolved, OscBelowPi, ValidationError
 from .flow import Trajectory, estimate_extinction_time
@@ -116,15 +115,6 @@ def _snapshot_taus(traj: Trajectory) -> np.ndarray:
     return est.t_max - traj.times
 
 
-def crossing_angles(traj: Trajectory) -> np.ndarray:
-    """Interior crossing angle per snapshot (NaN where crossings != 1)."""
-    out = np.full(len(traj.states), np.nan)
-    for k, (state, rec) in enumerate(zip(traj.states, traj.records)):
-        if rec.crossing_count == 1:
-            out[k] = cx.crossing_interior_angle(state.curve, rec.crossing_segments)
-    return out
-
-
 def balanced_invariant_report(traj: Trajectory) -> Report:
     """Conservation and monotonicity checks for balanced figure-eight runs.
 
@@ -162,7 +152,7 @@ def balanced_invariant_report(traj: Trajectory) -> Report:
                 [lo, hi], in_window)
 
         if ok:
-            angles = crossing_angles(traj)
+            angles = np.array([r.crossing_angle for r in recs])
             mid = 0.5 * (angles[:-1] + angles[1:])
             predicted = -TWO_PI - 2.0 * mid
             mismatch = float(np.nanmax(np.abs(rates - predicted) / np.abs(predicted)))
@@ -238,9 +228,8 @@ def isoperimetric_report(traj: Trajectory, m: float = 1.0, alpha: float = 0.01) 
 
     rep = Report("isoperimetric blow-up")
     # The inscribed polygon's length deficit puts a circle's discrete Q a
-    # hair under 4*pi; allow exactly that O(h^2) slack.
-    n_min = min(s.curve.n for s in traj.states)
-    floor = FOUR_PI * (1.0 - (TWO_PI / n_min) ** 2)
+    # hair under 4*pi; allow exactly that O(h^2) slack.  A run keeps its N.
+    floor = FOUR_PI * (1.0 - (TWO_PI / traj.states[-1].curve.n) ** 2)
     rep.add("Q_at_least_4pi", float(qs.min()), floor, bool(qs.min() >= floor))
     if qs.max() < 1.01 * qs.min():
         rep.add("Q_blow_up", float(qs.max() / qs.min()), None, None,
@@ -327,7 +316,7 @@ def symmetry_collapse_check(traj: Trajectory) -> Report:
                 dec or inc)
 
     ell = np.array([r.x_extent for r in traj.records])
-    hgt = np.array([cv.y_extent(s.curve) for s in traj.states])
+    hgt = np.array([r.y_extent for r in traj.records])
     rep.add("x_extent_decay", float(ell[-1] / ell[0]), None, None)
     rep.add("y_extent_decay", float(hgt[-1] / hgt[0]), None, None,
             "y-oscillation decays with the x-oscillation")

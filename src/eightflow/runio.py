@@ -7,15 +7,17 @@
       snapshots/snap_NNNN.csv   curve samples per snapshot (u,x,y)
 
 `load_run` reads the records, one JSON list per DiagnosticsRecord field
-(exact, as JSON writes floats by repr), and not diagnostics.csv.  A lifted
-run mirrors the layout with u,x,y,z snapshot files and a `residual` column
-appended to the diagnostics, and holds no records or digests.
+(exact, as JSON writes floats by repr), and not diagnostics.csv.  It checks
+every snapshot's sha256 but parses a snapshot when a caller first uses it.
+A lifted run mirrors the layout with u,x,y,z snapshot files and a `residual`
+column appended to the diagnostics, and holds no records or digests.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Sequence
 from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
@@ -34,8 +36,8 @@ def check_new_run_dir(run_dir) -> None:
         raise ValidationError(f"{run_dir} already holds a run; choose a new out_dir")
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def _write_run(run_dir, header: str, rows, curves, meta: dict, digests: bool = False) -> Path:
@@ -50,7 +52,7 @@ def _write_run(run_dir, header: str, rows, curves, meta: dict, digests: bool = F
     for curve, path in zip(curves, paths):
         curve_to_csv(curve, path)
     if digests:
-        meta = {**meta, "snapshot_sha256": [_sha256(path) for path in paths]}
+        meta = {**meta, "snapshot_sha256": [_sha256(path.read_bytes()) for path in paths]}
     (run_dir / "metadata.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
     return run_dir
 
@@ -84,15 +86,42 @@ def _matches(stored, fresh) -> bool:
     return stored == fresh
 
 
+class _Snapshots(Sequence):
+    """A loaded run's states.  Each is parsed on first use from the (path,
+    bytes) whose digest load_run checked, and kept; the bytes go once parsed."""
+
+    def __init__(self, files: list[tuple[Path, bytes] | None], times: list, steps: list[int]):
+        self._files, self._times, self._steps = files, times, steps
+        self._states: list[FlowState | None] = [None] * len(files)
+
+    def __len__(self) -> int:
+        return len(self._states)
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(len(self))[k]]
+        k = range(len(self))[k]
+        if self._states[k] is None:
+            curve = curve_from_csv(*self._files[k])
+            self._states[k] = FlowState(curve=curve, t=self._times[k], step=self._steps[k])
+            self._files[k] = None
+        return self._states[k]
+
+
 def load_run(run_dir: str | Path) -> Trajectory:
-    """The trajectory of a stored run, its records read from metadata.json.
+    """The trajectory of a stored run: its records read from metadata.json,
+    every snapshot's sha256 checked now, and each state parsed on first use.
 
     Raises ValidationError when metadata.json is not JSON or lacks a key,
     when its snapshot times and steps differ in length or do not both start
     at 0 and strictly increase (the times finite, the steps ints), when its
-    config is not a valid FlowConfig, when it lacks the records or digests
-    (an older run: re-run it), when a snapshot's sha256 is not its digest, or
-    when compute_record disagrees with the last record (a stale run).
+    config is not a valid FlowConfig, when it lacks the digests or a record
+    field (an older run: re-run it), when the records' times are not the
+    snapshot times, when a snapshot's sha256 is not its digest, or when
+    compute_record disagrees with the last record (a stale run).
     """
     run_dir = Path(run_dir)
     path = run_dir / "metadata.json"
@@ -105,10 +134,11 @@ def load_run(run_dir: str | Path) -> Trajectory:
             raise ValidationError(f"{path}: snapshot times and steps must start at 0 and increase")
         stop_reason, flow_kind = meta["stop_reason"], meta["flow_kind"]
         config = FlowConfig.from_dict(meta["config"])
-        if "records" not in meta or "snapshot_sha256" not in meta:
-            raise ValidationError(f"{path} holds no records or snapshot digests, as a run saved "
-                                  "by an older version; re-run it")
-        columns = meta["records"]
+        columns = meta.get("records", {})
+        names = {f.name for f in fields(DiagnosticsRecord)}
+        if "snapshot_sha256" not in meta or not names <= columns.keys():
+            raise ValidationError(f"{path} holds no snapshot digests or not every record "
+                                  "field, as a run saved by an older version; re-run it")
         records = [DiagnosticsRecord(**{
             name: tuple(value) if isinstance(value, list) else value
             for name, value in zip(columns, row)
@@ -116,12 +146,16 @@ def load_run(run_dir: str | Path) -> Trajectory:
         snapshots = list(zip(times, steps, meta["snapshot_sha256"], records, strict=True))
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ValidationError(f"malformed {path}: {exc!r}") from exc
-    states = []
-    for k, (t, step, digest, _) in enumerate(snapshots):
+    files = []
+    for k, (t, _, digest, record) in enumerate(snapshots):
+        if record.t != t:
+            raise ValidationError(f"{path}: record {k} is not at snapshot time {t!r}")
         snap = run_dir / "snapshots" / f"snap_{k:04d}.csv"
-        states.append(FlowState(curve=curve_from_csv(snap), t=t, step=step))
-        if _sha256(snap) != digest:
+        data = snap.read_bytes()
+        if _sha256(data) != digest:
             raise ValidationError(f"{snap} differs from the snapshot the run saved")
+        files.append((snap, data))
+    states = _Snapshots(files, times, steps)
     fresh = compute_record(states[-1].curve, states[-1].t)
     if not all(map(_matches, astuple(records[-1]), astuple(fresh))):
         raise ValidationError(f"{path}: the last record is not what the diagnostics give for "

@@ -123,9 +123,10 @@ class TestLiftTrajectory:
 
     def test_loaded_run_lift_reuses_the_stored_curves(self, lemniscate_run, tmp_path,
                                                       monkeypatch):
-        # A load reads the stored records and computes only the last curve's
-        # (to check it), so the lift builds no PlaneCurve and evaluates one
-        # stencil for each other curve, which the residuals then share.
+        # A load reads the stored records and parses and computes only the
+        # last curve's (to check it), so the lift builds one PlaneCurve, the
+        # parse, and evaluates one stencil for each other curve, which the
+        # residuals then share.
         short = Trajectory(states=lemniscate_run.states[:4], records=lemniscate_run.records[:4],
                            stop_reason="partial", config=lemniscate_run.config)
         runio.save_run(short, tmp_path / "run")
@@ -145,7 +146,7 @@ class TestLiftTrajectory:
         monkeypatch.setattr(cv, "stencil", counting_stencil)
         lifted = contact.lift_trajectory(loaded)
         residuals = [contact.legendrian_residual(c) for c in lifted]
-        assert len(built) == 0 and len(stencils) == len(loaded.states) - 1
+        assert len(built) == len(stencils) == len(loaded.states) - 1
         assert max(residuals) < 1e-8
 
 

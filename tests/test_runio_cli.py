@@ -14,6 +14,7 @@ import pytest
 import eightflow
 from eightflow import cli, crossings, runio, solitons
 from eightflow.cli import _GENERATORS, main
+from eightflow.curves import y_extent
 from eightflow.errors import RowCountMismatch, ValidationError
 from eightflow.flow import FlowConfig, Trajectory, run
 from eightflow.shapes import make_bernoulli_lemniscate, make_circle
@@ -105,7 +106,8 @@ class TestMalformedMetadata:
                                         "unknown-config-field", "str-time", "nan-time",
                                         "decreasing-times", "str-step", "stored-cfl4",
                                         "no-records", "no-digests", "short-digests",
-                                        "stale-last-record"])
+                                        "stale-last-record", "old-records",
+                                        "stale-crossing-angle", "record-times"])
     def test_rejected(self, small_run, tmp_path, capsys, damage):
         run_dir = shutil.copytree(small_run[1], tmp_path / "run")
         path = run_dir / "metadata.json"
@@ -135,6 +137,13 @@ class TestMalformedMetadata:
         elif damage == "stale-last-record":
             # A run saved before a change to compute_record.
             meta["records"]["length"][-1] *= 1.0 + 1e-6
+        elif damage == "old-records":
+            # A run saved before the records held the crossing angle.
+            del meta["records"]["crossing_angle"]
+        elif damage == "stale-crossing-angle":
+            meta["records"]["crossing_angle"][-1] *= 1.0 + 1e-6
+        elif damage == "record-times":
+            meta["records"]["t"][1] = meta["snapshot_times"][2]
         path.write_text("{" if damage == "not-json" else json.dumps(meta))
         with pytest.raises(ValidationError):
             runio.load_run(run_dir)
@@ -144,7 +153,8 @@ class TestMalformedMetadata:
             assert main(argv) == 1
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("ERROR ValidationError:")
-            if damage in ("no-records", "no-digests", "stale-last-record"):
+            if damage in ("no-records", "no-digests", "stale-last-record", "old-records",
+                          "stale-crossing-angle"):
                 assert err[0].endswith("; re-run it")
 
 
@@ -186,9 +196,23 @@ class TestStoredRecords:
         with pytest.raises(ValidationError) as info:
             runio.load_run(run_dir)
         assert str(snap) in str(info.value)
-        assert main(["report", str(run_dir), "--monitor", "balanced"]) == 1
-        assert capsys.readouterr().err.splitlines() == [
-            f"ERROR ValidationError: {snap} differs from the snapshot the run saved"]
+        # collapse reads no curve but the last, yet the load checks them all.
+        for monitor in ("balanced", "collapse"):
+            assert main(["report", str(run_dir), "--monitor", monitor]) == 1
+            assert capsys.readouterr().err.splitlines() == [
+                f"ERROR ValidationError: {snap} differs from the snapshot the run saved"]
+
+    @pytest.mark.parametrize("which", ["small_run", "circle_run"])
+    def test_records_hold_the_angle_and_y_extent(self, request, which):
+        traj, _ = request.getfixturevalue(which)
+        for state, rec in zip(traj.states, traj.records, strict=True):
+            if rec.crossing_count == 1:
+                angle = crossings.crossing_interior_angle(state.curve, rec.crossing_segments)
+                assert rec.crossing_angle == angle
+            else:
+                assert np.isnan(rec.crossing_angle)
+            assert rec.y_extent == y_extent(state.curve)
+        assert traj.times.tolist() == [s.t for s in traj.states]
 
     def test_load_computes_one_record(self, lemniscate_run, tmp_path, monkeypatch):
         # Only the last snapshot's record is recomputed, as a check.
@@ -209,6 +233,70 @@ class TestStoredRecords:
         monkeypatch.setattr(crossings, "find_self_intersections", counting("scan", scan))
         assert len(runio.load_run(tmp_path / "run").states) == 65
         assert calls == {"record": 1, "scan": 1}
+
+
+class TestLazyStates:
+    """A load checks every snapshot's digest but parses a state on first use."""
+
+    @pytest.fixture(scope="class")
+    def stored(self, lemniscate_run, tmp_path_factory):
+        traj = Trajectory(states=lemniscate_run.states[:65], records=lemniscate_run.records[:65],
+                          stop_reason="partial", config=lemniscate_run.config)
+        out = tmp_path_factory.mktemp("runs") / "lem65"
+        runio.save_run(traj, out)
+        return traj, out
+
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        """The snapshot numbers that runio.curve_from_csv parses, in order."""
+        out, parse = [], runio.curve_from_csv
+
+        def counting(path, *args):
+            out.append(int(Path(path).stem.split("_")[1]))
+            return parse(path, *args)
+
+        monkeypatch.setattr(runio, "curve_from_csv", counting)
+        return out
+
+    @pytest.mark.parametrize("argv, count", [
+        (["report", "--monitor", "collapse"], 1),
+        (["report", "--monitor", "balanced"], 1),
+        (["report", "--monitor", "isoperimetric"], 1),
+        (["report", "--monitor", "symmetry"], 2),
+        (["lift"], 65),
+    ])
+    def test_commands_parse_what_they_read(self, stored, tmp_path, parsed, argv, count):
+        run_dir = shutil.copytree(stored[1], tmp_path / "run")
+        assert main([argv[0], str(run_dir), *argv[1:]]) == 0
+        assert len(parsed) == len(set(parsed)) == count and parsed[0] == 64
+
+    def test_compare_reaper_parses_its_window(self, stored, tmp_path, parsed):
+        run_dir = shutil.copytree(stored[1], tmp_path / "run")
+        window = len(solitons.matched_barrier_comparison(stored[0]).margins)
+        assert 1 < window < 64
+        assert main(["compare-reaper", str(run_dir)]) == 0
+        assert sorted(parsed) == [*range(window), 64]
+
+    def test_states_match_an_eager_load(self, stored, parsed):
+        traj = runio.load_run(stored[1])
+        eager = [runio.curve_from_csv(stored[1] / "snapshots" / f"snap_{k:04d}.csv")
+                 for k in range(65)]
+        parsed.clear()
+        assert traj.states[3] is traj.states[3] and parsed == [3]
+
+        def same(states, curves):
+            return len(states) == len(curves) and all(
+                np.array_equal(s.curve.points, c.points) for s, c in zip(states, curves))
+
+        assert same([traj.states[-1]], eager[-1:])
+        assert same(traj.states[:7], eager[:7]) and same(traj.states[::9], eager[::9])
+        assert same(list(traj.states), eager)
+        assert [s.t for s in traj.states] == [s.t for s in stored[0].states]
+        assert [s.step for s in traj.states] == [s.step for s in stored[0].states]
+        assert traj.times.tolist() == [s.t for s in stored[0].states]
+        assert sorted(parsed) == list(range(64))
+        with pytest.raises(IndexError):
+            traj.states[65]
 
 
 class TestCLI:
@@ -699,13 +787,14 @@ class TestCLI:
             assert not (tmp_path / "never").exists()
 
     def test_report_on_header_only_snapshot_exits_1(self, small_run, tmp_path, capsys):
+        # A load checks every snapshot's digest before it parses any.
         run_dir = shutil.copytree(small_run[1], tmp_path / "run")
         snap = run_dir / "snapshots" / "snap_0001.csv"
         snap.write_text("u,x,y\n")
         before = sorted(run_dir.iterdir())
         assert main(["report", str(run_dir), "--monitor", "balanced"]) == 1
         assert capsys.readouterr().err.splitlines() == [
-            f"ERROR InvalidCurve: no sample rows in {snap}"]
+            f"ERROR ValidationError: {snap} differs from the snapshot the run saved"]
         assert sorted(run_dir.iterdir()) == before
 
     def test_evolve_malformed_json_curve_exits_1(self, tmp_path, capsys):
