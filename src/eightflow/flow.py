@@ -42,6 +42,7 @@ No attempt is made to continue past a topology change.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from numbers import Real
 from typing import Callable, NamedTuple, Sequence
 
@@ -75,6 +76,15 @@ _ROWS = (1, 2, 3)
 REMESH_EVERY = 10
 # The largest max|kappa| * h_min the mesh resolves; past it the run stops.
 STOP_KAPPA_H = 0.5
+
+
+@lru_cache(maxsize=8)
+def _minus_d2_symbol(n: int) -> np.ndarray:
+    """sigma_k = 4 sin^2(pi k / N), the symbol of the three-point -D2 at the
+    rfft frequencies k = 0 ... N/2; the stabilised stage damps it."""
+    sigma = 4.0 * np.sin(np.pi / n * np.arange(n // 2 + 1)) ** 2
+    sigma.setflags(write=False)
+    return sigma
 
 
 class Flow(NamedTuple):
@@ -201,11 +211,10 @@ def step(
     """
     curve = state.curve
     jet = curve.jet
-    # The stabilised stage's symbol of -D2 / (g_min du^2) at the rfft
-    # frequencies k = 0 ... N/2; a fourth-order stage damps its square times
-    # the five-point D2's 1 + sigma / 12.
+    # The stabilised stage's symbol of -D2 / (g_min du^2); a fourth-order
+    # stage damps its square times the five-point D2's 1 + sigma / 12.
     n = curve.n
-    sigma = 4.0 * np.sin(np.pi / n * np.arange(n // 2 + 1)) ** 2
+    sigma = _minus_d2_symbol(n)
     symbol = sigma / (jet.g2.min() * curve.du**2)
     kappa2 = float(np.max(jet.kappa**2))
     if flow.fourth_order:
@@ -217,20 +226,23 @@ def step(
         dt = config.cfl * min(area / (2.0 * TWO_PI), 1.0 / kappa2)
     dt = min(dt, dt_cap)
     try:
-        # Row j's displacement after _ROWS[j] stages of h = dt / _ROWS[j];
-        # every row's first stage starts from the step's velocity.
-        v0 = _stage_velocity(curve, flow.speed)
+        # Row j's displacement after _ROWS[j] stages of h = dt / _ROWS[j], in
+        # Fourier space: a stage adds h v_k / (1 + h s_k), and only a stage
+        # curve and the final combination go back to points.  Every row's
+        # first stage starts from the step's velocity.
+        v0 = np.fft.rfft(_stage_velocity(curve, flow.speed), axis=0)
         table = []
         for stages in _ROWS:
             h = dt / stages
-            damping = (1.0 + h * symbol)[:, None]
-            delta = np.zeros_like(v0)
-            for k in range(stages):
-                v = _stage_velocity(cv.PlaneCurve(curve.points + delta), flow.speed) if k else v0
-                delta += np.fft.irfft(np.fft.rfft(h * v, axis=0) / damping, n=n, axis=0)
+            gain = (h / (1.0 + h * symbol))[:, None]
+            delta = gain * v0
+            for _ in range(1, stages):
+                stage = cv.PlaneCurve(curve.points + np.fft.irfft(delta, n=n, axis=0))
+                delta += gain * np.fft.rfft(_stage_velocity(stage, flow.speed), axis=0)
             table.append(delta)
         # T[3,3] of the Aitken-Neville tableau on the rows 1, 2, 3: weights 1/2, -4, 9/2.
-        new_curve = cv.PlaneCurve(curve.points + 0.5 * table[0] - 4.0 * table[1] + 4.5 * table[2])
+        combined = 0.5 * table[0] - 4.0 * table[1] + 4.5 * table[2]
+        new_curve = cv.PlaneCurve(curve.points + np.fft.irfft(combined, n=n, axis=0))
     except (InvalidCurve, DegenerateTangent, SolveFailed) as exc:
         raise StepRejected(f"stage failed at dt = {dt:.6g}, t = {state.t:.6g}") from exc
 

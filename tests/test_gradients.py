@@ -50,17 +50,31 @@ def arclength_positions(curve):
     return np.concatenate([[0.0], np.cumsum(seg[:-1])])
 
 
-def random_cyclic_system(rng, n):
-    """(lower, diag, upper, dense) of a diagonally dominant cyclic system."""
-    lower = rng.uniform(-1, 0, n)
-    upper = rng.uniform(-1, 0, n)
-    diag = 3.0 + rng.uniform(0, 1, n)
+def dense_cyclic(lower, diag, upper):
+    """The dense matrix of the cyclic system (lower, diag, upper)."""
+    n = diag.size
     dense = np.zeros((n, n))
     for i in range(n):
         dense[i, i] = diag[i]
         dense[i, (i - 1) % n] = lower[i]
         dense[i, (i + 1) % n] = upper[i]
-    return lower, diag, upper, dense
+    return dense
+
+
+def random_cyclic_system(rng, n):
+    """(lower, diag, upper, dense) of a diagonally dominant cyclic system."""
+    lower = rng.uniform(-1, 0, n)
+    upper = rng.uniform(-1, 0, n)
+    diag = 3.0 + rng.uniform(0, 1, n)
+    return lower, diag, upper, dense_cyclic(lower, diag, upper)
+
+
+def h1_cyclic_system(n):
+    """(lower, diag, upper) of the H1 solve I - d^2/ds^2 at uniform spacing
+    h = 2 pi / n: diagonal 1 + 2/h^2 against off-diagonals -1/h^2, so each
+    row is dominant by 1 only."""
+    off = np.full(n, -((n / (2 * np.pi)) ** 2))
+    return off, 1.0 - 2.0 * off, off
 
 
 class TestCyclicTridiagonal:
@@ -71,6 +85,12 @@ class TestCyclicTridiagonal:
             rhs = rng.standard_normal(n)
             x = solve_cyclic(lower, diag, upper, rhs)
             assert np.abs(x - np.linalg.solve(dense, rhs)).max() < 1e-11
+        rng = np.random.default_rng(4)
+        for n in (8, 64, 257, 512):
+            system = h1_cyclic_system(n)
+            rhs = rng.standard_normal(n)
+            x = solve_cyclic(*system, rhs)
+            assert np.abs(x - np.linalg.solve(dense_cyclic(*system), rhs)).max() < 1e-11
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_multi_column_against_dense_solve(self, k):
@@ -105,6 +125,18 @@ class TestCyclicTridiagonal:
         system[which][5] = bad
         with pytest.raises(SolveFailed, match="non-finite entry"):
             solve_cyclic(*system)
+
+    @pytest.mark.parametrize("diag0, diag1", [(0.0, 4.0), (1.0, 0.5)])
+    def test_zero_pivot_rejected(self, diag0, diag1):
+        # The Thomas factorization does not pivot: a zero diagonal corner
+        # (the rank-one update divides by it) or a zero pivot further down
+        # (here 0.5 - 1 * (1 / 2) at row 1, after the corner doubles diag0)
+        # stops the solve.
+        ones = np.ones(8)
+        diag = np.full(8, 4.0)
+        diag[:2] = diag0, diag1
+        with pytest.raises(SolveFailed, match="zero pivot"):
+            solve_cyclic(ones, diag, ones, ones)
 
     def test_overflowing_solution_rejected(self):
         # A residual test cannot catch this: comparisons with NaN are False.
