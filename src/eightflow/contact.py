@@ -8,7 +8,10 @@ X = d/dx + y d/dz, Y = d/dy, Z = d/dz are g-orthonormal.  A closed curve
 
     T = (x_u X + y_u Y) / g_u,    N = (-y_u X + x_u Y) / g_u,
 
-g_u = sqrt(x_u^2 + y_u^2), is an orthonormal frame along the curve.
+g_u = sqrt(x_u^2 + y_u^2), is an orthonormal frame along the curve.  The
+module lifts plane curves and measures the Legendrian residual; the frame,
+the Reeb-direction angle function and the Legendrian variations are test
+oracles of this geometry (tests/oracles.py), not code paths of a run.
 
 Discretization convention: heights are transported by the trapezoidal rule,
 z_{i+1} = z_i + du * (w_i + w_{i+1}) / 2 with w = y * x_u, and the
@@ -29,10 +32,9 @@ import numpy as np
 
 from . import curves as cv
 from .errors import InvalidCurve, NotBalanced
-from .flow import Trajectory, csf_velocity
+from .flow import Trajectory
 
 _BALANCE_AREA_TOL = 1e-6      # |A_signed| < tol * L^2 for lifting
-_BALANCE_TURNING_TOL = 1e-3   # |integral of kappa ds| < tol for angle functions
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,12 +106,6 @@ def legendrian_residual(curve: SpaceCurve) -> float:
     return float(legendrian_residual_profile(curve).max())
 
 
-def lift_defect(plane: cv.PlaneCurve) -> float:
-    """Holonomy of the height transport around the curve: equals the
-    discrete quadrature of integral(y x_u du) = -signed_area exactly."""
-    return float(_height_transport(plane)[0].sum())
-
-
 def lift(plane: cv.PlaneCurve, z_base: float = 0.0) -> SpaceCurve:
     """Lift a balanced plane curve to a closed Legendrian curve.
 
@@ -142,72 +138,3 @@ def lift_trajectory(traj: Trajectory, z_base: float = 0.0) -> list[SpaceCurve]:
         except NotBalanced as exc:
             raise NotBalanced(f"snapshot at t = {state.t:.6g}: {exc}", exc.value) from None
     return lifted
-
-
-def legendrian_angle(curve: cv.PlaneCurve) -> np.ndarray:
-    """Reeb-direction speed lambda of the lifted flow at each sample.
-
-        lambda(u) = -y(0) x_t(0) + integral_0^u kappa g du,
-
-    where x_t(0) is the horizontal flow velocity at node 0.  Single-valued
-    only for balanced curves (total turning zero); the cumulative quadrature
-    reuses the turning quadrature, so the periodicity defect of lambda is
-    identically the discrete total curvature.
-    """
-    turning = cv.total_curvature(curve)
-    if abs(turning) > _BALANCE_TURNING_TOL:
-        raise NotBalanced(
-            f"total turning {turning:.6g} exceeds {_BALANCE_TURNING_TOL:g}", turning
-        )
-    jet = curve.jet
-    _, cum = _transport(jet.kappa * np.sqrt(jet.g2), curve.du)
-    x_t0 = csf_velocity(curve)[0, 0]
-    return -curve.y[0] * x_t0 + cum
-
-
-def contact_frame(curve: SpaceCurve) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(T, N, xi) along the curve, in coordinate components (N, 3) each.
-
-    For a Legendrian curve the triple is g-orthonormal with eta(T) = 0; the
-    z-components encode the contact twisting (X = d/dx + y d/dz).
-    """
-    d1, _, g2, _ = curve.plane.jet
-    x_u, y_u = d1.T
-    g = np.sqrt(g2)
-    y = curve.plane.y
-    tangent = np.column_stack([x_u / g, y_u / g, y * x_u / g])
-    normal = np.column_stack([-y_u / g, x_u / g, -y * y_u / g])
-    reeb = np.zeros_like(tangent)
-    reeb[:, 2] = 1.0
-    return tangent, normal, reeb
-
-
-def contact_gram(curve: SpaceCurve) -> np.ndarray:
-    """(N, 3, 3) Gram matrices of {T, N, xi} under g = dx^2 + dy^2 + eta^2."""
-    frame = np.stack(contact_frame(curve), axis=1)  # (N, 3 vectors, 3 comps)
-    eta = frame[:, :, 2] - curve.plane.y[:, None] * frame[:, :, 0]
-    gram = (
-        np.einsum("nia,nja->nij", frame[:, :, :2], frame[:, :, :2])
-        + np.einsum("ni,nj->nij", eta, eta)
-    )
-    return gram
-
-
-def legendrian_variation(curve: SpaceCurve, f: np.ndarray, dt: float) -> SpaceCurve:
-    """One explicit Euler step of the Legendrian deformation
-
-        d(gamma)/dt = (f_u / g) N + f xi,
-
-    whose normal coefficient f_u/g is exactly what keeps the motion tangent
-    to the space of Legendrian curves: the residual after one step is
-    O(dt^2).  Without the N term (a step along xi alone) the residual is
-    O(dt), which quantifies why the coefficient is forced.
-    """
-    f = np.asarray(f, dtype=float)
-    if f.shape != (curve.n,):
-        raise InvalidCurve(f"scalar field shape {f.shape} != ({curve.n},)")
-    _, normal, reeb = contact_frame(curve)
-    phi = cv.stencil(f, curve.du).d1 / np.sqrt(curve.plane.jet.g2)
-    velocity = phi[:, None] * normal + f[:, None] * reeb
-    xyz = curve.points + dt * velocity
-    return SpaceCurve(cv.PlaneCurve(xyz[:, :2]), xyz[:, 2])

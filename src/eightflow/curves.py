@@ -304,25 +304,8 @@ def _periodic_spline_samples(curve: PlaneCurve) -> np.ndarray:
     return out.T
 
 
-def reverse(curve: PlaneCurve) -> PlaneCurve:
-    """Opposite orientation; sample 0 is kept first."""
-    return PlaneCurve(np.roll(curve.points[::-1], 1, axis=0))
-
-
 def translate(curve: PlaneCurve, offset) -> PlaneCurve:
     return PlaneCurve(curve.points + np.asarray(offset, dtype=float))
-
-
-def rotate(curve: PlaneCurve, angle: float) -> PlaneCurve:
-    c, s = np.cos(angle), np.sin(angle)
-    rot = np.array([[c, -s], [s, c]])
-    return PlaneCurve(curve.points @ rot.T)
-
-
-def scale(curve: PlaneCurve, factor: float) -> PlaneCurve:
-    if factor <= 0:
-        raise InvalidCurve("scale factor must be positive")
-    return PlaneCurve(curve.points * factor)
 
 
 # ---------------------------------------------------------------------------

@@ -36,11 +36,6 @@ def _neighbours(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ext[:-2], ext[2:]
 
 
-def _ds_weights(spacing: np.ndarray) -> np.ndarray:
-    """Centered quadrature weights against ds: (spacing[i-1] + spacing[i]) / 2."""
-    return 0.5 * (spacing + _neighbours(spacing)[0])
-
-
 def _d_ds(f: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Centered d/ds at nodes spaced b[i] = s_{i+1} - s_i."""
     a = _neighbours(b)[0]              # s_i - s_{i-1}
@@ -90,21 +85,6 @@ def h1_gradient(curve: cv.PlaneCurve) -> tuple[np.ndarray, np.ndarray]:
     """Solve (I - d^2/ds^2) zeta = kappa_s; return (zeta, normal speed -zeta_s)."""
     b, _, zeta = _h1_solve(curve)
     return zeta, -_d_ds(zeta, b)
-
-
-def h1_weak_form_defect(curve: cv.PlaneCurve) -> float:
-    """Defect of the energy identity int(zeta kappa_s ds) = int(zeta^2 + zeta_s^2) ds.
-
-    The gradient energy uses the staggered per-segment differences, for which
-    summation by parts against the divergence-form solve is exact; the defect
-    is therefore at the level of the solve residual.
-    """
-    spacing, kappa_s, zeta = _h1_solve(curve)
-    w = _ds_weights(spacing)
-    lhs = float((zeta * kappa_s * w).sum())
-    staggered = (cv.cyclic_next(zeta) - zeta) ** 2 / spacing
-    rhs = float((zeta * zeta * w).sum() + staggered.sum())
-    return abs(lhs - rhs)
 
 
 # Every flow kind by name; the indefinite-metric flow moves with the curve

@@ -8,7 +8,8 @@
 
 `load_run` reads the records, one JSON list per DiagnosticsRecord field
 (exact, as JSON writes floats by repr), and not diagnostics.csv.  It checks
-every snapshot's sha256 but parses a snapshot when a caller first uses it.
+every snapshot's sha256, holds only the digests, and parses a snapshot
+when a caller first uses it, reading and checking the file again then.
 A lifted run mirrors the layout with u,x,y,z snapshot files and a `residual`
 column appended to the diagnostics, and holds no records or digests.
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from collections.abc import Sequence
 from dataclasses import asdict, astuple, fields
 from pathlib import Path
@@ -77,20 +79,34 @@ def save_run(traj: Trajectory, run_dir: str | Path) -> Path:
 def _matches(stored, fresh) -> bool:
     """Whether a stored record value is `fresh`, compute_record's now: floats
     (the crossing point's too) to a relative 1e-9, which a last-bit numpy or
-    CPU difference passes, and ints, None and the crossing segments exactly."""
+    CPU difference passes, and ints, None and the crossing segments exactly.
+    The float rule is np.isclose's (atol 1e-12, equal_nan), without numpy."""
     if isinstance(fresh, float):
-        return isinstance(stored, float) and np.isclose(stored, fresh, rtol=1e-9, atol=1e-12,
-                                                        equal_nan=True)
+        if not isinstance(stored, float):
+            return False
+        if math.isfinite(stored) and math.isfinite(fresh):
+            return abs(stored - fresh) <= 1e-12 + 1e-9 * abs(fresh)
+        return stored == fresh or (stored != stored and fresh != fresh)
     if isinstance(fresh, tuple) and isinstance(stored, tuple) and len(stored) == len(fresh):
         return all(map(_matches, stored, fresh))
     return stored == fresh
 
 
-class _Snapshots(Sequence):
-    """A loaded run's states.  Each is parsed on first use from the (path,
-    bytes) whose digest load_run checked, and kept; the bytes go once parsed."""
+def _checked_bytes(path: str, digest: str) -> bytes:
+    """The bytes of a snapshot file; ValidationError unless their sha256 is `digest`."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if _sha256(data) != digest:
+        raise ValidationError(f"{path} differs from the snapshot the run saved")
+    return data
 
-    def __init__(self, files: list[tuple[Path, bytes] | None], times: list, steps: list[int]):
+
+class _Snapshots(Sequence):
+    """A loaded run's states.  Each is parsed on first use from its file,
+    checked again against its digest (ValidationError if it changed since
+    the load), and kept."""
+
+    def __init__(self, files: list[tuple[str, str] | None], times: list, steps: list[int]):
         self._files, self._times, self._steps = files, times, steps
         self._states: list[FlowState | None] = [None] * len(files)
 
@@ -105,7 +121,8 @@ class _Snapshots(Sequence):
             return [self[i] for i in range(len(self))[k]]
         k = range(len(self))[k]
         if self._states[k] is None:
-            curve = curve_from_csv(*self._files[k])
+            path, digest = self._files[k]
+            curve = curve_from_csv(path, _checked_bytes(path, digest))
             self._states[k] = FlowState(curve=curve, t=self._times[k], step=self._steps[k])
             self._files[k] = None
         return self._states[k]
@@ -121,7 +138,8 @@ def load_run(run_dir: str | Path) -> Trajectory:
     config is not a valid FlowConfig, when it lacks the digests or a record
     field (an older run: re-run it), when the records' times are not the
     snapshot times, when a snapshot's sha256 is not its digest, or when
-    compute_record disagrees with the last record (a stale run).
+    compute_record disagrees with the last record (a stale run).  A state
+    whose file changed after the load raises ValidationError on first use.
     """
     run_dir = Path(run_dir)
     path = run_dir / "metadata.json"
@@ -135,26 +153,24 @@ def load_run(run_dir: str | Path) -> Trajectory:
         stop_reason, flow_kind = meta["stop_reason"], meta["flow_kind"]
         config = FlowConfig.from_dict(meta["config"])
         columns = meta.get("records", {})
-        names = {f.name for f in fields(DiagnosticsRecord)}
-        if "snapshot_sha256" not in meta or not names <= columns.keys():
+        names = [f.name for f in fields(DiagnosticsRecord)]
+        if "snapshot_sha256" not in meta or not set(names) <= columns.keys():
             raise ValidationError(f"{path} holds no snapshot digests or not every record "
                                   "field, as a run saved by an older version; re-run it")
-        records = [DiagnosticsRecord(**{
-            name: tuple(value) if isinstance(value, list) else value
-            for name, value in zip(columns, row)
-        }) for row in zip(*columns.values(), strict=True)]
+        records = [DiagnosticsRecord(*[tuple(value) if isinstance(value, list) else value
+                                       for value in row])
+                   for row in zip(*[columns[name] for name in names], strict=True)]
         snapshots = list(zip(times, steps, meta["snapshot_sha256"], records, strict=True))
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ValidationError(f"malformed {path}: {exc!r}") from exc
     files = []
+    snap_dir = run_dir / "snapshots"
     for k, (t, _, digest, record) in enumerate(snapshots):
         if record.t != t:
             raise ValidationError(f"{path}: record {k} is not at snapshot time {t!r}")
-        snap = run_dir / "snapshots" / f"snap_{k:04d}.csv"
-        data = snap.read_bytes()
-        if _sha256(data) != digest:
-            raise ValidationError(f"{snap} differs from the snapshot the run saved")
-        files.append((snap, data))
+        snap = f"{snap_dir}/snap_{k:04d}.csv"
+        _checked_bytes(snap, digest)
+        files.append((snap, digest))
     states = _Snapshots(files, times, steps)
     fresh = compute_record(states[-1].curve, states[-1].t)
     if not all(map(_matches, astuple(records[-1]), astuple(fresh))):

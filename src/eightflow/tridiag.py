@@ -18,15 +18,17 @@ import numpy as np
 from .errors import SolveFailed
 
 
-def _substitute(sub: list, pivots: list, ratios: list, column: list) -> list:
-    """x with L U x = column: L has `pivots` on its diagonal and `sub` below
-    it, U has ones on its diagonal and `ratios` above it."""
+def _forward(sub: list, pivots: list, column: list) -> list:
+    """y with L y = column: L has `pivots` on its diagonal and `sub` below it."""
     y = 0.0
-    forward = [y := (f - s * y) / p for s, p, f in zip(sub, pivots, column)]
+    return [y := (f - s * y) / p for s, p, f in zip(sub, pivots, column)]
+
+
+def _back(ratios: list, forward: list) -> list:
+    """x with U x = forward, last entry first: U has ones on its diagonal and
+    `ratios` above it."""
     x = 0.0
-    back = [x := y - r * x for r, y in zip(reversed(ratios), reversed(forward))]
-    back.reverse()
-    return back
+    return [x := y - r * x for r, y in zip(reversed(ratios), reversed(forward))]
 
 
 def solve_cyclic(
@@ -39,44 +41,45 @@ def solve_cyclic(
     lower[0] and upper[N-1] are the cyclic corner entries.  `rhs` is (N,) or
     (N, k), and x has the same shape.  Raises SolveFailed on a non-finite
     entry in the system, the right-hand side or the solution, a zero pivot
-    or a singular rank-one correction.
+    or a singular rank-one correction.  One conversion makes the system and
+    `rhs` lists, one makes the solutions an array, and the rank-one
+    column's forward sweep runs in the factorization loop.
     """
-    lower = np.asarray(lower, dtype=float)
-    diag = np.asarray(diag, dtype=float)
-    upper = np.asarray(upper, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    n = diag.size
+    n = np.size(diag)
     if n < 3:
         raise SolveFailed("cyclic tridiagonal system needs at least 3 unknowns")
-    if not (np.isfinite(lower).all() and np.isfinite(diag).all() and np.isfinite(upper).all()
-            and np.isfinite(rhs).all()):
+    rows = np.vstack((lower, diag, upper, rhs.reshape(n, -1).T), dtype=float)
+    if not np.isfinite(rows).all():
         raise SolveFailed("non-finite entry in cyclic tridiagonal system")
 
-    sub = lower.tolist()
-    sup = upper.tolist()
-    d_mod = diag.tolist()
+    sub, d_mod, sup, *columns = rows.tolist()
     alpha = sub[0]        # A[0, n-1]
     beta = sup[-1]        # A[n-1, 0]
     gamma = -d_mod[0]
     sub[0] = sup[-1] = 0.0
+    # u = (gamma, 0, ..., 0, beta) and v = (1, 0, ..., 0, alpha / gamma)
+    u = [gamma] + [0.0] * (n - 2) + [beta]
     try:
         d_mod[0] -= gamma
         d_mod[-1] -= alpha * beta / gamma
         pivots = []
         ratios = []
-        r = 0.0
-        for s, d, c in zip(sub, d_mod, sup):
+        forward_u = []
+        r = y = 0.0
+        for s, d, c, f in zip(sub, d_mod, sup, u):
             p = d - s * r
             r = c / p
+            y = (f - s * y) / p
             pivots.append(p)
             ratios.append(r)
+            forward_u.append(y)
     except ZeroDivisionError:
         raise SolveFailed("zero pivot in cyclic tridiagonal solve") from None
-    # u = (gamma, 0, ..., 0, beta) and v = (1, 0, ..., 0, alpha / gamma)
-    u = [gamma] + [0.0] * (n - 2) + [beta]
-    columns = np.array([_substitute(sub, pivots, ratios, column)
-                        for column in [u, *rhs.reshape(n, -1).T.tolist()]], dtype=float).T
-    q, x0 = columns[:, 0], columns[:, 1:]
+    solved = [_back(ratios, forward_u)]
+    solved += [_back(ratios, _forward(sub, pivots, column)) for column in columns]
+    reversed_solutions = np.array(solved, dtype=float)
+    q, x0 = reversed_solutions[0, ::-1], reversed_solutions[1:, ::-1].T
     v_last = alpha / gamma
     denom = 1.0 + q[0] + v_last * q[-1]
     if denom == 0.0 or not np.isfinite(denom):

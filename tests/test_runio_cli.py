@@ -202,6 +202,15 @@ class TestStoredRecords:
             assert capsys.readouterr().err.splitlines() == [
                 f"ERROR ValidationError: {snap} differs from the snapshot the run saved"]
 
+    @pytest.mark.parametrize("a, b", [(1.0, 1.0 + 1e-9), (0.0, 1e-12), (np.nan, np.nan),
+                                      (np.inf, np.inf), (np.inf, -np.inf), (1.0, np.nan),
+                                      (1.0, 1.0 + 3e-9), (5.0, np.inf)])
+    def test_matches_agrees_with_isclose(self, a, b):
+        # The stale-record check's float rule is np.isclose's, either way round.
+        for stored, fresh in ((a, b), (b, a)):
+            expected = np.isclose(stored, fresh, rtol=1e-9, atol=1e-12, equal_nan=True)
+            assert runio._matches(stored, fresh) == expected
+
     @pytest.mark.parametrize("which", ["small_run", "circle_run"])
     def test_records_hold_the_angle_and_y_extent(self, request, which):
         traj, _ = request.getfixturevalue(which)
@@ -276,6 +285,21 @@ class TestLazyStates:
         assert 1 < window < 64
         assert main(["compare-reaper", str(run_dir)]) == 0
         assert sorted(parsed) == [*range(window), 64]
+
+    def test_snapshot_rewritten_after_the_load_raises_at_first_use(self, stored, tmp_path):
+        # The load holds digests, not bytes: a state reads its file when first
+        # used and checks it against the digest again.
+        run_dir = shutil.copytree(stored[1], tmp_path / "run")
+        traj = runio.load_run(run_dir)
+        snap = run_dir / "snapshots" / "snap_0003.csv"
+        lines = snap.read_text().splitlines()
+        u, x, y = lines[5].split(",")
+        lines[5] = f"{u},{float(x) + 1e-9!r},{y}"
+        snap.write_text("\n".join(lines) + "\n")
+        assert traj.states[2].t == stored[0].states[2].t
+        with pytest.raises(ValidationError) as info:
+            traj.states[3]
+        assert str(info.value) == f"{snap} differs from the snapshot the run saved"
 
     def test_states_match_an_eager_load(self, stored, parsed):
         traj = runio.load_run(stored[1])
