@@ -73,37 +73,26 @@ class SpaceCurve:
         return np.column_stack([self.plane.points, self.z])
 
 
-def _transport(w: np.ndarray, du: float) -> tuple[np.ndarray, np.ndarray]:
-    """Trapezoidal transport of w du: (increment per segment, sum before each node)."""
-    increments = 0.5 * du * (w + cv.cyclic_next(w))
-    return increments, np.concatenate([[0.0], np.cumsum(increments[:-1])])
-
-
 def _height_transport(plane: cv.PlaneCurve) -> tuple[np.ndarray, np.ndarray]:
-    """`_transport` of y x_u, the height a Legendrian lift gains."""
-    return _transport(plane.y * plane.jet.d1[:, 0], plane.du)
-
-
-def legendrian_residual_profile(curve: SpaceCurve) -> np.ndarray:
-    """Per-segment violation of z_u = y x_u against the trapezoidal transport.
-
-    Entry i compares the height increment across segment i -> i+1 (mod N)
-    with the transport of y x_u; for a smooth non-Legendrian curve it
-    approximates |z_u - y x_u| at the segment midpoint.  The wrap-around
-    entry sees any overall non-periodicity of z.
-    """
-    inc, _ = _height_transport(curve.plane)
-    dz = cv.cyclic_next(curve.z) - curve.z
-    return np.abs(dz - inc) / curve.du
+    """Trapezoidal transport of y x_u du, the height a Legendrian lift gains:
+    (increment per segment, sum before each node)."""
+    w = plane.y * plane.jet.d1[:, 0]
+    increments = 0.5 * plane.du * (w + cv.cyclic_next(w))
+    return increments, np.concatenate([[0.0], np.cumsum(increments[:-1])])
 
 
 def legendrian_residual(curve: SpaceCurve) -> float:
     """Max violation of z_u = y x_u against the trapezoidal transport.
 
-    Zero (to round-off) exactly for curves produced by `lift`; for a curve
-    that is not Legendrian the value approximates max|z_u - y x_u|.
+    Segment i -> i+1 (mod N) compares its height increment with the
+    transport of y x_u, and the wrap-around segment sees any overall
+    non-periodicity of z.  Zero (to round-off) exactly for curves produced
+    by `lift`; for a curve that is not Legendrian the value approximates
+    max|z_u - y x_u|.
     """
-    return float(legendrian_residual_profile(curve).max())
+    inc, _ = _height_transport(curve.plane)
+    dz = cv.cyclic_next(curve.z) - curve.z
+    return float((np.abs(dz - inc) / curve.du).max())
 
 
 def lift(plane: cv.PlaneCurve, z_base: float = 0.0) -> SpaceCurve:
@@ -117,9 +106,7 @@ def lift(plane: cv.PlaneCurve, z_base: float = 0.0) -> SpaceCurve:
     area = cv.signed_area(plane)
     length = cv.curve_length(plane)
     if abs(area) >= _BALANCE_AREA_TOL * length**2:
-        raise NotBalanced(
-            f"signed area {area:.6g} exceeds {_BALANCE_AREA_TOL:g} * L^2", area
-        )
+        raise NotBalanced(f"signed area {area:.6g} exceeds {_BALANCE_AREA_TOL:g} * L^2")
     _, z = _height_transport(plane)
     return SpaceCurve(plane, z_base + z)
 
@@ -136,5 +123,5 @@ def lift_trajectory(traj: Trajectory, z_base: float = 0.0) -> list[SpaceCurve]:
         try:
             lifted.append(lift(state.curve, z_base))
         except NotBalanced as exc:
-            raise NotBalanced(f"snapshot at t = {state.t:.6g}: {exc}", exc.value) from None
+            raise NotBalanced(f"snapshot at t = {state.t:.6g}: {exc}") from None
     return lifted

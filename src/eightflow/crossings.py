@@ -174,19 +174,13 @@ def _collinear_overlap(p1, p2, q1, q2) -> bool:
     return max(a1, b1) < min(a2, b2)
 
 
-def loop_areas(curve: PlaneCurve, crossing: Crossing) -> tuple[float, float]:
-    """Unsigned shoelace areas (A1, A2) of the two loops at the crossing.
-
-    Each loop polygon is the crossing point followed by its loop's vertices.
-    A1 + A2 is the total enclosed area; for a figure-eight the signed area is
-    their difference, up to orientation.
-    """
-    a1, a2 = loop_signed_areas(curve, crossing)
-    return abs(a1), abs(a2)
-
-
 def loop_signed_areas(curve: PlaneCurve, crossing: Crossing) -> tuple[float, float]:
-    """Signed shoelace areas of the two loops (orientation preserved)."""
+    """Signed shoelace areas (A1, A2) of the two loops at the crossing.
+
+    Each loop polygon is the crossing point followed by its loop's vertices,
+    in the curve's orientation.  |A1| + |A2| is the total enclosed area; for
+    a figure-eight A1 + A2 is the signed area.
+    """
     i, j = crossing.segments
     pts = curve.points
     poly1 = np.vstack([crossing.point, pts[i + 1:j + 1]])

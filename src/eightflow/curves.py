@@ -100,10 +100,6 @@ class PlaneCurve:
         return self.points[:, 1]
 
     @property
-    def u(self) -> np.ndarray:
-        return np.arange(self.n) * self.du
-
-    @property
     def jet(self) -> Jet:
         """`stencil` of the samples, computed on first use and kept read-only."""
         if self._jet is None:
@@ -120,36 +116,32 @@ def cyclic_next(values: np.ndarray) -> np.ndarray:
 
 
 class Jet(NamedTuple):
-    """One `stencil` evaluation; g2 and kappa are None for 1-D values."""
+    """One `stencil` evaluation."""
 
     d1: np.ndarray
     d2: np.ndarray
-    g2: np.ndarray | None
-    kappa: np.ndarray | None
+    g2: np.ndarray
+    kappa: np.ndarray
 
 
-def stencil(values: np.ndarray, du: float) -> Jet:
-    """4th-order periodic central differences along axis 0.
+def stencil(points: np.ndarray, du: float) -> Jet:
+    """4th-order periodic central differences of an (N, 2) point array.
 
-    `values` is 1-D or an (N, 2) point array.  It is padded once with two
-    ghost rows at each end, so the four shifted copies are slices of one
-    array.  For a point array the jet also carries g2 = x_u^2 + y_u^2 and
-    the signed curvature; DegenerateTangent is raised where g2 falls below
-    the floor.
+    The points are padded once with two ghost rows at each end, so the four
+    shifted copies are slices of one array.  The jet also carries
+    g2 = x_u^2 + y_u^2 and the signed curvature; DegenerateTangent is raised
+    where g2 falls below the floor.
     """
-    ext = np.concatenate((values[-2:], values, values[:2]))
+    ext = np.concatenate((points[-2:], points, points[:2]))
     m2, m1, p1, p2 = ext[:-4], ext[1:-3], ext[3:-1], ext[4:]
     d1 = (-p2 + 8.0 * p1 - 8.0 * m1 + m2) / (12.0 * du)
-    d2 = (-p2 + 16.0 * p1 - 30.0 * values + 16.0 * m1 - m2) / (12.0 * du * du)
-    g2 = kappa = None
-    if values.ndim == 2:
-        x_u, y_u = d1.T
-        g2 = x_u * x_u + y_u * y_u
-        g2_min = g2.min()
-        if g2_min < _TANGENT_FLOOR:
-            raise DegenerateTangent(f"parameter speed collapsed to {g2_min:.3e}")
-        kappa = (x_u * d2[:, 1] - y_u * d2[:, 0]) / g2 ** 1.5
-    return Jet(d1, d2, g2, kappa)
+    d2 = (-p2 + 16.0 * p1 - 30.0 * points + 16.0 * m1 - m2) / (12.0 * du * du)
+    x_u, y_u = d1.T
+    g2 = x_u * x_u + y_u * y_u
+    g2_min = g2.min()
+    if g2_min < _TANGENT_FLOOR:
+        raise DegenerateTangent(f"parameter speed collapsed to {g2_min:.3e}")
+    return Jet(d1, d2, g2, (x_u * d2[:, 1] - y_u * d2[:, 0]) / g2 ** 1.5)
 
 
 def derivatives(curve: PlaneCurve) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -330,20 +322,18 @@ def curve_to_csv(curve, path: str | Path) -> None:
         fh.write(",".join("uxyz"[:points.shape[1] + 1]) + "\n" + row * curve.n % tuple(values))
 
 
-def read_curve_csv(path: str | Path, names: list[str], data: bytes | None = None) -> np.ndarray:
-    """The sample columns (all but u) of a curve CSV whose header is `names`,
-    parsed from the file's bytes `data` if given, else from `path`.
+def curve_from_csv(path: str | Path, data: bytes | None = None) -> PlaneCurve:
+    """The plane curve of a u,x,y CSV, parsed from the file's bytes `data` if
+    given, else from `path`.
 
     Raises InvalidCurve on any other header (so a u,x,y,z space curve is no
-    u,x,y plane curve), on a header with no sample row after it and on a row
-    that is not numeric or has more or fewer columns than the header.
+    plane curve), on a header with no sample row after it and on a row that
+    is not numeric or has more or fewer than three columns.
     """
     with open(path) if data is None else io.TextIOWrapper(io.BytesIO(data)) as fh:
         header = fh.readline().strip()
-        if header.split(",") != names:
-            raise InvalidCurve(
-                f"unexpected curve CSV header {header[:80]!r}, expected {','.join(names)}"
-            )
+        if header != "u,x,y":
+            raise InvalidCurve(f"unexpected curve CSV header {header[:80]!r}, expected u,x,y")
         # Checked here, since np.loadtxt only warns on a file with no rows;
         # like np.loadtxt, this skips blank lines and text after a '#'.
         start = fh.tell()
@@ -354,19 +344,14 @@ def read_curve_csv(path: str | Path, names: list[str], data: bytes | None = None
         # its end or its '#', so those blanks go first.
         text = re.sub(r"\n[ \t]+(?=[\n#]|\Z)", "\n", "\n" + fh.read())
     try:
-        table = np.loadtxt(io.StringIO(text), delimiter=",",
-                           usecols=tuple(range(1, len(names))), ndmin=2)
+        table = np.loadtxt(io.StringIO(text), delimiter=",", usecols=(1, 2), ndmin=2)
     except ValueError as exc:
         raise InvalidCurve(f"malformed row in {path}: {exc}") from None
     # np.loadtxt rejects a row without the last column it reads but passes a
     # longer one, whose extra commas show in the count outside comments.
     # (Parsing the u column too would find it, at a third more time per file.)
     commas = text.count(",") - sum(c.count(",") for c in re.findall("#.*", text))
-    if commas != (len(names) - 1) * len(table):
-        raise InvalidCurve(f"malformed row in {path}: a row has more than {len(names)} columns")
-    return table
-
-
-def curve_from_csv(path: str | Path, data: bytes | None = None) -> PlaneCurve:
-    return PlaneCurve(read_curve_csv(path, ["u", "x", "y"], data))
+    if commas != 2 * len(table):
+        raise InvalidCurve(f"malformed row in {path}: a row has more than 3 columns")
+    return PlaneCurve(table)
 

@@ -67,7 +67,7 @@ def loop_split(
     keeps the total well-defined.
     """
     if len(found) == 1:
-        a1, a2 = cx.loop_areas(curve, found[0])
+        a1, a2 = map(abs, cx.loop_signed_areas(curve, found[0]))
         return a1, a2, a1 + a2
     return float("nan"), float("nan"), abs(cv.signed_area(curve))
 

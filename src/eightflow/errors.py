@@ -33,10 +33,6 @@ class TangentialCrossing(NumericalError):
 class NotBalanced(ValidationError):
     """Operation requires zero signed area (and zero total turning where noted)."""
 
-    def __init__(self, message: str, value: float = 0.0):
-        super().__init__(message)
-        self.value = value
-
 
 class StepRejected(NumericalError):
     """A time step's stage is not an immersed curve; the step is not retried."""

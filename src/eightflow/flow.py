@@ -50,6 +50,7 @@ import numpy as np
 
 from . import crossings as cx
 from . import curves as cv
+from .curves import TWO_PI
 from .diagnostics import DiagnosticsRecord, compute_record, loop_split
 from .errors import (
     AreaNotDecreasing,
@@ -63,8 +64,6 @@ from .errors import (
 
 # Signed normal speed of a curve; derivatives come from `curve.jet`.
 SpeedFn = Callable[[cv.PlaneCurve], np.ndarray]
-
-TWO_PI = 2.0 * np.pi
 
 # Diffusion's step law dt = CFL4 / max kappa^4.  Its stage damps the top
 # mode's -64/3 h^-4, so the law need not follow h; at 5e-4 an N=256 run's

@@ -59,8 +59,8 @@ def curve_diffusion_speed(curve: cv.PlaneCurve) -> np.ndarray:
     return -_d2_ds2(cv.curvature(curve), cv.segment_lengths(curve))
 
 
-def _h1_solve(curve: cv.PlaneCurve) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(spacing, kappa_s, zeta) of the solve (I - d^2/ds^2) zeta = kappa_s.
+def h1_gradient(curve: cv.PlaneCurve) -> tuple[np.ndarray, np.ndarray]:
+    """Solve (I - d^2/ds^2) zeta = kappa_s; return (zeta, normal speed -zeta_s).
 
     The cyclic tridiagonal system is solved directly; the solve residual must
     come out below 1e-8 (it cannot fail for positive spacing, checked
@@ -78,12 +78,6 @@ def _h1_solve(curve: cv.PlaneCurve) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     residual = np.abs(zeta - _d2_ds2(zeta, b) - kappa_s).max()
     if residual > _H1_RESIDUAL_TOL * max(1.0, np.abs(kappa_s).max()):
         raise SolveFailed(f"h1 solve residual {residual:.3e} above tolerance")
-    return b, kappa_s, zeta
-
-
-def h1_gradient(curve: cv.PlaneCurve) -> tuple[np.ndarray, np.ndarray]:
-    """Solve (I - d^2/ds^2) zeta = kappa_s; return (zeta, normal speed -zeta_s)."""
-    b, _, zeta = _h1_solve(curve)
     return zeta, -_d_ds(zeta, b)
 
 

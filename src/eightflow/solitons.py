@@ -48,11 +48,6 @@ class GrimReaper:
         """Half-height pi*C0*tau0 of the open domain in y."""
         return np.pi * self.c0 * self.tau0
 
-    @property
-    def speed(self) -> float:
-        """Horizontal translation speed (leftward): 1 / (2 C0 tau0)."""
-        return 1.0 / (2.0 * self.c0 * self.tau0)
-
 
 def reaper_value(reaper: GrimReaper, y, t: float):
     """Evaluate G(y, t); raises OutOfDomain beyond the cosine window."""

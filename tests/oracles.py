@@ -3,10 +3,12 @@
 The contact-geometry oracles check the paper's statements about Legendrian
 curves in (R^3, eta = dz - y dx), not code paths of the CLI: the
 Reeb-direction angle function, the {T, N, xi} frame and its Gram matrix, and
-the Legendrian variation (f_s) N + f xi.  They use the package's own height
-transport (`contact._transport`), so the discrete identities they witness
-are the lift's.  `h1_weak_form_defect` checks the package's own h1 solve,
-and the plane transforms build test curves.
+the Legendrian variation (f_s) N + f xi.  They integrate with the
+trapezoidal rule of the package's height transport
+(`contact._height_transport`), so the discrete identities they witness are
+the lift's.  `legendrian_residual_profile` is the per-segment form of the
+package's residual, `h1_weak_form_defect` checks the package's own h1
+solve, and the plane transforms build test curves.
 """
 
 from __future__ import annotations
@@ -17,9 +19,23 @@ from eightflow import contact
 from eightflow import curves as cv
 from eightflow.errors import InvalidCurve, NotBalanced
 from eightflow.flow import csf_velocity
-from eightflow.gradients import _h1_solve
+from eightflow.gradients import _d_ds, h1_gradient
 
 BALANCE_TURNING_TOL = 1e-3   # |integral of kappa ds| < tol for angle functions
+
+
+def transport(w: np.ndarray, du: float) -> tuple[np.ndarray, np.ndarray]:
+    """Trapezoidal transport of w du: (increment per segment, sum before each node)."""
+    increments = 0.5 * du * (w + cv.cyclic_next(w))
+    return increments, np.concatenate([[0.0], np.cumsum(increments[:-1])])
+
+
+def legendrian_residual_profile(curve: contact.SpaceCurve) -> np.ndarray:
+    """Per-segment violation of z_u = y x_u whose maximum is
+    `contact.legendrian_residual`: entry i compares the height increment
+    across segment i -> i+1 (mod N) with the transport of y x_u."""
+    inc, _ = contact._height_transport(curve.plane)
+    return np.abs(cv.cyclic_next(curve.z) - curve.z - inc) / curve.du
 
 
 def lift_defect(plane: cv.PlaneCurve) -> float:
@@ -40,11 +56,9 @@ def legendrian_angle(curve: cv.PlaneCurve) -> np.ndarray:
     """
     turning = cv.total_curvature(curve)
     if abs(turning) > BALANCE_TURNING_TOL:
-        raise NotBalanced(
-            f"total turning {turning:.6g} exceeds {BALANCE_TURNING_TOL:g}", turning
-        )
+        raise NotBalanced(f"total turning {turning:.6g} exceeds {BALANCE_TURNING_TOL:g}")
     jet = curve.jet
-    _, cum = contact._transport(jet.kappa * np.sqrt(jet.g2), curve.du)
+    _, cum = transport(jet.kappa * np.sqrt(jet.g2), curve.du)
     x_t0 = csf_velocity(curve)[0, 0]
     return -curve.y[0] * x_t0 + cum
 
@@ -88,7 +102,10 @@ def legendrian_variation(curve: contact.SpaceCurve, f: np.ndarray, dt: float) ->
     if f.shape != (curve.n,):
         raise InvalidCurve(f"scalar field shape {f.shape} != ({curve.n},)")
     _, normal, reeb = contact_frame(curve)
-    phi = cv.stencil(f, curve.du).d1 / np.sqrt(curve.plane.jet.g2)
+    # The 4th-order periodic difference of `curves.stencil`, on one column.
+    f_u = (-np.roll(f, -2) + 8.0 * np.roll(f, -1) - 8.0 * np.roll(f, 1)
+           + np.roll(f, 2)) / (12.0 * curve.du)
+    phi = f_u / np.sqrt(curve.plane.jet.g2)
     velocity = phi[:, None] * normal + f[:, None] * reeb
     xyz = curve.points + dt * velocity
     return contact.SpaceCurve(cv.PlaneCurve(xyz[:, :2]), xyz[:, 2])
@@ -101,13 +118,15 @@ def ds_weights(spacing: np.ndarray) -> np.ndarray:
 
 def h1_weak_form_defect(curve: cv.PlaneCurve) -> float:
     """Defect of the energy identity int(zeta kappa_s ds) = int(zeta^2 + zeta_s^2) ds
-    of the package's h1 solve (`gradients._h1_solve`).
+    of the package's h1 solve (`gradients.h1_gradient`).
 
     The gradient energy uses the staggered per-segment differences, for which
     summation by parts against the divergence-form solve is exact; the defect
     is therefore at the level of the solve residual.
     """
-    spacing, kappa_s, zeta = _h1_solve(curve)
+    zeta, _ = h1_gradient(curve)
+    spacing = cv.segment_lengths(curve)
+    kappa_s = _d_ds(cv.curvature(curve), spacing)
     w = ds_weights(spacing)
     lhs = float((zeta * kappa_s * w).sum())
     staggered = (cv.cyclic_next(zeta) - zeta) ** 2 / spacing

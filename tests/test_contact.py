@@ -34,7 +34,7 @@ class TestResidual:
         n = 256
         u = 2 * np.pi * np.arange(n) / n
         curve = space_curve(np.column_stack([np.cos(u), np.sin(u), u]))
-        profile = contact.legendrian_residual_profile(curve)
+        profile = oracles.legendrian_residual_profile(curve)
         # Direct evaluation of z_u - y x_u = 1 + sin^2 u at segment midpoints;
         # the wrap-around segment carries the 2*pi jump of z and is excluded.
         mid = u[:-1] + np.pi / n
@@ -44,9 +44,8 @@ class TestResidual:
 
 class TestLift:
     def test_circle_rejected(self):
-        with pytest.raises(NotBalanced) as info:
+        with pytest.raises(NotBalanced, match="signed area 3.14"):
             contact.lift(make_circle(1.0, 256))
-        assert abs(info.value.value - np.pi) < 1e-3
 
     def test_defect_equals_minus_signed_area(self):
         # Holds exactly (same quadrature), even for unbalanced curves.
@@ -57,7 +56,7 @@ class TestLift:
     def test_unbalanced_lift_carries_defect(self):
         circle = make_circle(1.0, 256)
         lifted = contact.SpaceCurve(circle, trapezoid_heights(circle))
-        profile = contact.legendrian_residual_profile(lifted)
+        profile = oracles.legendrian_residual_profile(lifted)
         # Interior segments are transport-exact; the wrap segment absorbs the
         # whole holonomy |defect| = |A_signed| = pi.
         assert profile[:-1].max() < 1e-10
@@ -241,23 +240,12 @@ class TestSerialization3D:
         _, lifted = lifted_lemniscate
         path = tmp_path / "curve3.csv"
         cv.curve_to_csv(lifted, path)
-        back = read_space_curve(path)
+        back = space_curve(np.loadtxt(path, delimiter=",", skiprows=1, usecols=(1, 2, 3)))
         np.testing.assert_array_equal(back.points, lifted.points)
         again = tmp_path / "again.csv"
         cv.curve_to_csv(back, again)
         assert again.read_bytes() == path.read_bytes()
 
-    @pytest.mark.parametrize("text", ["u,x,y,z\n0,1,2\n", "u,x,y\n0,1,2\n"])
-    def test_malformed_file_rejected(self, tmp_path, text):
-        path = tmp_path / "bad.csv"
-        path.write_text(text)
-        with pytest.raises(InvalidCurve):
-            read_space_curve(path)
-
 
 def space_curve(xyz):
     return contact.SpaceCurve(cv.PlaneCurve(xyz[:, :2]), xyz[:, 2])
-
-
-def read_space_curve(path):
-    return space_curve(cv.read_curve_csv(path, ["u", "x", "y", "z"]))

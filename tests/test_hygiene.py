@@ -1,7 +1,7 @@
 """Source hygiene: no module imports a name it does not use, every error
 class is raised somewhere in the package or is the base of one that is, and
-every top-level definition is used outside its own def, by the package or
-the benchmark and not only by the tests."""
+every top-level definition and class member is used outside its own def, by
+the package or the benchmark and not only by the tests."""
 
 import ast
 import inspect
@@ -176,3 +176,27 @@ def test_every_definition_is_reached_without_the_tests():
     """The package is what a run reaches: a definition that only tests use
     belongs in the tests (tests/oracles.py), not under src/."""
     assert orphans(("src", "perfbench")) == []
+
+
+def test_every_class_member_is_reached_without_the_tests():
+    """Every method or property of a package class is read as an attribute
+    (`curve.jet`, `RunSpec.from_dict`) under src/ or perfbench/, outside its
+    own body.  Dunders and dataclass or NamedTuple fields are exempt.  The
+    check matches names, not types, so a member named like one that is read
+    passes: a `GrimReaper.speed` property would pass because `Flow.speed` is
+    read."""
+    reads = {}
+    for folder in ("src", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            for node in ast.walk(parsed(path)):
+                if isinstance(node, ast.Attribute):
+                    reads.setdefault(node.attr, []).append((path, node.lineno))
+    unread = [f"{path.stem}.{cls.name}.{fn.name}"
+              for path in MODULES for cls in ast.walk(parsed(path))
+              if isinstance(cls, ast.ClassDef)
+              for fn in cls.body
+              if isinstance(fn, ast.FunctionDef)
+              and not (fn.name.startswith("__") and fn.name.endswith("__"))
+              and not any(where != path or not fn.lineno <= line <= fn.end_lineno
+                          for where, line in reads.get(fn.name, []))]
+    assert unread == []

@@ -11,7 +11,10 @@ from eightflow.flow import FlowConfig, Trajectory, run
 from eightflow.monitors import (
     ALPHA0,
     C1,
+    C2_LITERAL,
     THRESHOLD_PREFACTOR,
+    _halving_pairs,
+    _snapshot_taus,
     balanced_invariant_report,
     collapse_report,
     isoperimetric_report,
@@ -164,6 +167,64 @@ class TestIsoperimetricReport:
     def test_min_theta_bound_needs_positive_length(self):
         with pytest.raises(ValidationError, match="must be positive"):
             min_theta_bound(0.0, 1.0)
+
+
+def per_snapshot_pairs(taus):
+    """The (j, k) pairs as a loop over the snapshots finds them: for each j,
+    the k whose tau is nearest taus[j] / 2, kept for a ratio in [0.4, 0.6]."""
+    pairs = []
+    for j in range(len(taus)):
+        ratio = taus / taus[j]
+        k = int(np.argmin(np.abs(ratio - 0.5)))
+        if 0.4 <= ratio[k] <= 0.6 and k != j:
+            pairs.append((j, k))
+    return pairs
+
+
+def edge_taus(seed):
+    """Positive non-increasing taus with ties, exact distance ties and
+    ratios on, just inside and just outside 0.4 and 0.6."""
+    rng = np.random.default_rng(seed)
+    base = np.exp(-np.cumsum(rng.uniform(0.05, 1.2, 12))) * 2.0 ** int(rng.integers(-8, 3))
+    picked = base[rng.integers(0, len(base), 3)]
+    edges = np.concatenate([picked * 0.4, picked * 0.6])
+    near = np.concatenate([np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+    # 9/16 and 7/16 of a power of two lie exactly 1/16 either side of half.
+    dyadic = 2.0 ** -int(rng.integers(1, 6)) * np.array([1.0, 0.5625, 0.4375])
+    taus = np.concatenate([base, base[rng.integers(0, len(base), 3)], edges, near, dyadic])
+    return np.sort(rng.choice(taus, size=int(rng.integers(8, len(taus))), replace=False))[::-1]
+
+
+class TestHalvingPairs:
+    def test_lemniscate_run_pairs(self, lemniscate_run):
+        taus = _snapshot_taus(lemniscate_run)
+        pairs = per_snapshot_pairs(taus)
+        assert len(pairs) > 0
+        assert list(zip(*map(np.ndarray.tolist, _halving_pairs(taus)))) == pairs
+
+    def test_report_rows_match_the_loop(self, lemniscate_run):
+        # The reports square arrays (x * x) where this loop squares scalars
+        # (libm pow); the two may differ by one unit in the last place.
+        taus = _snapshot_taus(lemniscate_run)
+        recs = lemniscate_run.records
+        pairs = per_snapshot_pairs(taus)
+        margins = [recs[k].theta_min - recs[j].theta_min
+                   - min_theta_bound(recs[j].length, taus[j]) for j, k in pairs]
+        rise = check_by_name(isoperimetric_report(lemniscate_run), "min_theta_rise_vs_bound")
+        assert rise.value == pytest.approx(min(margins), rel=1e-12)
+        assert rise.passed == all(m >= 0 for m in margins)
+        assert rise.note == f"{len(pairs)} tau -> tau/2 pairs checked"
+        rows = {c.name: c.value for c in collapse_report(lemniscate_run).checks}
+        for name, c2 in (("penalty", -C2_LITERAL), ("literal", C2_LITERAL)):
+            held = all(recs[k].x_extent / recs[j].x_extent
+                       <= 1.0 - C1 + c2 * taus[j] / recs[j].x_extent ** 2 for j, k in pairs)
+            assert rows[f"contraction_bound_c2_{name}"] == held
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_ties_and_edge_ratios(self, seed):
+        taus = edge_taus(seed)
+        assert np.all(taus > 0) and np.all(np.diff(taus) <= 0)
+        assert list(zip(*map(np.ndarray.tolist, _halving_pairs(taus)))) == per_snapshot_pairs(taus)
 
 
 class TestSymmetryCheck:

@@ -59,7 +59,7 @@ class TestReaperValue:
             + reaper_value(reaper, ys - h, 0.0)
         ) / h**2
         assert np.abs(g_t - g_yy / (1 + g_y**2)).max() < 1e-5
-        assert np.abs(g_t + reaper.speed).max() < 1e-10
+        assert np.abs(g_t + 1.0 / (2.0 * reaper.c0 * reaper.tau0)).max() < 1e-10
 
 
 class TestPushDistance:
