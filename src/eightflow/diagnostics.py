@@ -20,7 +20,9 @@ class DiagnosticsRecord:
     there if it is the only crossing, else NaN.  isoperimetric_q is
     L^2 / area_total.  theta_min, the minimum of the unwrapped tangent angle,
     is comparable across snapshots while node 0 stays materially anchored, as
-    in the flows.  It, crossing_angle and y_extent are not CSV columns.
+    in the flows.  The ten CSV_COLUMNS are t, length, area_signed, area_total,
+    total_curvature, osc_theta, inflections, crossing_count, x_extent (ell)
+    and isoperimetric_q (Q); the other seven fields are not CSV columns.
     """
 
     t: float

@@ -113,9 +113,6 @@ class _Snapshots(Sequence):
     def __len__(self) -> int:
         return len(self._states)
 
-    def __iter__(self):
-        return (self[k] for k in range(len(self)))
-
     def __getitem__(self, k):
         if isinstance(k, slice):
             return [self[i] for i in range(len(self))[k]]

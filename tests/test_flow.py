@@ -174,6 +174,28 @@ class TestStep:
         seg = segment_lengths(state.curve)
         assert (seg.max() - seg.min()) / seg.mean() < 0.01
 
+    @pytest.mark.parametrize("start, stop_area_frac", [
+        (make_bernoulli_lemniscate(1.0, 256), 0.01),
+        (make_asymmetric_eight(1.5, 256), 0.4),
+    ], ids=["lemniscate", "asymmetric-eight"])
+    def test_run_remeshes_uniform_in_one_pass(self, monkeypatch, start, stop_area_frac):
+        # The remesh makes one spline pass; every remesh a run makes must
+        # still leave the segment lengths within 0.5% of each other.
+        spreads = []
+        remesh = flow.cv.resample_arclength
+
+        def spy(curve):
+            out = remesh(curve)
+            seg = segment_lengths(out)
+            spreads.append((seg.max() - seg.min()) / seg.mean())
+            return out
+
+        monkeypatch.setattr(flow.cv, "resample_arclength", spy)
+        traj = run(start, FlowConfig(cfl=0.1, stop_area_frac=stop_area_frac))
+        assert traj.stop_reason == "area"
+        assert len(spreads) == traj.states[-1].step // flow.REMESH_EVERY > 0
+        assert max(spreads) <= 0.005
+
 
 class TestCircleRegression:
     def test_radius_tracks_exact_solution(self, circle_runs):

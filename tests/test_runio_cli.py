@@ -801,13 +801,15 @@ class TestCLI:
         assert not (tmp_path / "never").exists()
 
     def test_evolve_header_only_curve_exits_1(self, tmp_path, capsys):
+        # A comment is no empty line, so a file with one has a malformed row.
         path = tmp_path / "header.csv"
-        for text in ("u,x,y\n", "u,x,y\n\n  # no rows\n"):
+        for text, fault in (("u,x,y\n", "no sample rows"), ("u,x,y\n\n\n", "no sample rows"),
+                            ("u,x,y\n\n  # no rows\n", "malformed row")):
             path.write_text(text)
             assert main(["evolve", "--curve", str(path),
                          "--out-dir", str(tmp_path / "never")]) == 1
-            assert capsys.readouterr().err.splitlines() == [
-                f"ERROR InvalidCurve: no sample rows in {path}"]
+            (line,) = capsys.readouterr().err.splitlines()
+            assert line.startswith(f"ERROR InvalidCurve: {fault} in {path}")
             assert not (tmp_path / "never").exists()
 
     def test_report_on_header_only_snapshot_exits_1(self, small_run, tmp_path, capsys):
