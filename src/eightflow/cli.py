@@ -280,8 +280,9 @@ def cmd_compare_reaper(args) -> int:
     runio.append_margin_column(args.run_dir, padded)
     print(f"margins: min={np.nanmin(margins):.6g} "
           f"all_positive={bool(np.all(margins > 0))}")
-    # A barrier that does not move left pushes nothing past it.
-    pushed = "n/a" if push <= 0 else final_x <= -push + 1e-2
+    # A barrier that does not move left pushes nothing past it; the slack is
+    # 1% of the push, so the verdict does not change with the curve's scale.
+    pushed = "n/a" if push <= 0 else final_x <= -0.99 * push
     print(f"push_distance={push:.7g} final_rightmost_x={final_x:.6g} pushed_past={pushed}")
     return 0
 

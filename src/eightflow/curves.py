@@ -281,10 +281,6 @@ def resample_arclength(curve: PlaneCurve) -> PlaneCurve:
     return PlaneCurve(out.T)
 
 
-def translate(curve: PlaneCurve, offset) -> PlaneCurve:
-    return PlaneCurve(curve.points + np.asarray(offset, dtype=float))
-
-
 # ---------------------------------------------------------------------------
 # Serialization: one format, CSV with header u,x,y (u,x,y,z for a space
 # curve).  17 significant digits make a round trip return the same float64

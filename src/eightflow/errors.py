@@ -50,10 +50,6 @@ class SolveFailed(NumericalError):
     """Linear solve produced an unacceptable residual."""
 
 
-class OutOfDomain(ValidationError):
-    """Evaluation outside the comparison solution's domain of definition."""
-
-
 class Extinct(ValidationError):
     """Exact solution queried at or past its extinction time."""
 

@@ -13,20 +13,20 @@ principle; running the comparison over [-tau0/2, 0] pushes the barrier left
 by 1/(4 C0) + 2 C0 tau0 log cos(1/2) relative to its initial rightmost
 reach (positive only when tau0 is small against 1/C0^2).
 
-Orientation convention: leftward = decreasing x.  Callers translate and
-reflect their curve so its rightmost points sit at x = 0, matching the
+Orientation convention: leftward = decreasing x.  `barrier_comparison`
+shifts x so the first snapshot's rightmost points sit at x = 0, matching the
 rectangle (-inf, 0] x [-C0 tau0, C0 tau0].
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import PlaneCurve, translate, x_extent
-from .errors import Extinct, InvalidCurve, NotInsideReaper, OutOfDomain
-from .flow import FlowState, Trajectory, estimate_extinction_time
+from .curves import x_extent
+from .errors import Extinct, InvalidCurve, NotInsideReaper
+from .flow import Trajectory, estimate_extinction_time
 
 _LOG_COS_HALF = float(np.log(np.cos(0.5)))  # -0.13058...
 
@@ -49,18 +49,14 @@ class GrimReaper:
         return np.pi * self.c0 * self.tau0
 
 
-def reaper_value(reaper: GrimReaper, y, t: float):
-    """Evaluate G(y, t); raises OutOfDomain beyond the cosine window."""
-    y = np.asarray(y, dtype=float)
-    if np.any(np.abs(y) >= reaper.half_width):
-        raise OutOfDomain(f"|y| must stay below pi*C0*tau0 = {reaper.half_width:.6g}")
+def reaper_value(reaper: GrimReaper, y: np.ndarray, t: float) -> np.ndarray:
+    """G(y, t) on an array of y in the domain |y| < pi*C0*tau0 (not tested)."""
     scale = 2.0 * reaper.c0 * reaper.tau0
-    value = (
+    return (
         -scale * _LOG_COS_HALF
         + scale * np.log(np.cos(y / scale))
         - (t + 0.5 * reaper.tau0) / scale
     )
-    return value if value.ndim else float(value)
 
 
 def push_distance(c0: float, tau0: float) -> float:
@@ -69,47 +65,9 @@ def push_distance(c0: float, tau0: float) -> float:
         1/(4 C0) + 2 C0 tau0 log cos(1/2),
 
     positive iff tau0 < 1 / (8 C0^2 |log cos(1/2)|); the signed value is
-    returned either way and interpretation is left to the caller.  Raises
-    InvalidCurve, as `GrimReaper` does, unless both are finite and positive.
+    returned either way and interpretation is left to the caller.
     """
-    GrimReaper(c0, tau0)
     return 1.0 / (4.0 * c0) + 2.0 * c0 * tau0 * _LOG_COS_HALF
-
-
-def rectangle_containment(curve: PlaneCurve, c0: float, tau0: float) -> bool:
-    """Is every sample inside the closed rectangle (-inf, 0] x [-C0 tau0, C0 tau0]?
-
-    The caller is responsible for translating the curve so its rightmost
-    points have x = 0; boundary samples count as contained.
-    """
-    half = c0 * tau0
-    return bool(np.all(curve.x <= 0.0) and np.all(np.abs(curve.y) <= half))
-
-
-def reaper_margins(curve: PlaneCurve, reaper: GrimReaper, t: float) -> float:
-    """min over samples of G(y_i, t) - x_i; -inf if a sample leaves G's domain."""
-    y = curve.y
-    if np.any(np.abs(y) >= reaper.half_width):
-        return float("-inf")
-    return float(np.min(reaper_value(reaper, y, t) - curve.x))
-
-
-def reaper_barrier_check(
-    states: list[FlowState], reaper: GrimReaper, t_offset: float
-) -> np.ndarray:
-    """Per-state barrier margins min_i (G(y_i, t - t_offset) - x_i).
-
-    The reaper clock runs as t_reaper = t_flow - t_offset, so a comparison
-    over the window [-tau0/2, 0] uses t_offset = t_start + tau0/2.  The
-    first state must sit strictly inside the reaper region; afterwards
-    a nonpositive margin is a reported finding, not an error.
-    """
-    margins = np.array([reaper_margins(s.curve, reaper, s.t - t_offset) for s in states])
-    if not margins[0] > 0.0:
-        raise NotInsideReaper(
-            f"initial margin {margins[0]:.6g} is not strictly positive"
-        )
-    return margins
 
 
 def shrinking_circle(r0: float, t: float) -> float:
@@ -133,24 +91,33 @@ class BarrierComparison:
 
 
 def barrier_comparison(traj: Trajectory, reaper: GrimReaper) -> BarrierComparison:
-    """Run a grim-reaper barrier comparison against a trajectory.
+    """Compare a trajectory with a grim reaper over tau0/2 of flow time.
 
-    The whole trajectory is translated so the initial rightmost point sits at
-    x = 0, the reaper clock starts at -tau0/2 at the first snapshot, and
-    margins are collected through `reaper_barrier_check` over the snapshots of
-    the following tau0/2 of flow time.  Raises NotInsideReaper when the
-    initial snapshot is not strictly inside the reaper region.
+    The window is the snapshots with t <= t_start + tau0/2, each read at
+    (x + shift, y), the shift putting the first one's rightmost x at 0, on
+    the reaper clock t - t_start - tau0/2.  A snapshot's margin is
+    min_i (G(y_i, t) - x_i), or -inf when some |y_i| >= pi C0 tau0; the first
+    must be positive (else NotInsideReaper), later ones are findings.  The
+    first snapshot is contained in (-inf, 0] x [-C0 tau0, C0 tau0] when every
+    |y_i| <= C0 tau0, since its shifted x <= 0 by construction.
     """
     t_offset = float(traj.times[0]) + 0.5 * reaper.tau0
     keep = int(np.searchsorted(traj.times, t_offset + 1e-12, side="right"))
-    shift = -float(traj.states[0].curve.x.max())
-    window = [replace(s, curve=translate(s.curve, (shift, 0.0))) for s in traj.states[:keep]]
+    window = traj.states[:keep]
+    shift = -float(window[0].curve.x.max())
+    margins = np.full(keep, -np.inf)
+    for i, state in enumerate(window):
+        x, y = state.curve.x + shift, state.curve.y
+        if np.abs(y).max() < reaper.half_width:
+            margins[i] = np.min(reaper_value(reaper, y, state.t - t_offset) - x)
+    if not margins[0] > 0.0:
+        raise NotInsideReaper(f"initial margin {margins[0]:.6g} is not strictly positive")
     return BarrierComparison(
         reaper=reaper,
-        margins=reaper_barrier_check(window, reaper, t_offset),
+        margins=margins,
         push=push_distance(reaper.c0, reaper.tau0),
-        final_rightmost_x=float(window[-1].curve.x.max()),
-        initial_contained=rectangle_containment(window[0].curve, reaper.c0, reaper.tau0),
+        final_rightmost_x=float(x.max()),
+        initial_contained=bool(np.abs(window[0].curve.y).max() <= reaper.c0 * reaper.tau0),
     )
 
 

@@ -149,3 +149,7 @@ def scale(curve: cv.PlaneCurve, factor: float) -> cv.PlaneCurve:
     if factor <= 0:
         raise InvalidCurve("scale factor must be positive")
     return cv.PlaneCurve(curve.points * factor)
+
+
+def translate(curve: cv.PlaneCurve, offset) -> cv.PlaneCurve:
+    return cv.PlaneCurve(curve.points + np.asarray(offset, dtype=float))

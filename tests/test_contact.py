@@ -7,7 +7,7 @@ import oracles
 from conftest import trapezoid_heights
 from eightflow import contact, runio
 from eightflow import curves as cv
-from eightflow.curves import curve_length, signed_area, total_curvature, translate
+from eightflow.curves import curve_length, signed_area, total_curvature
 from eightflow.errors import InvalidCurve, NotBalanced
 from eightflow.flow import REMESH_EVERY, FlowConfig, Trajectory, csf_velocity, run
 from eightflow.shapes import make_bernoulli_lemniscate, make_circle
@@ -160,7 +160,7 @@ class TestLegendrianAngle:
     def test_base_value_definition(self):
         # Shift the eight off the x-axis so y(0) != 0 and the normalization
         # term is exercised exactly.
-        plane = translate(make_bernoulli_lemniscate(1.0, 256), (0.0, 0.7))
+        plane = oracles.translate(make_bernoulli_lemniscate(1.0, 256), (0.0, 0.7))
         lam = oracles.legendrian_angle(plane)
         x_t0 = csf_velocity(plane)[0, 0]
         assert lam[0] == -plane.y[0] * x_t0

@@ -273,7 +273,7 @@ class TestExtents:
 
     def test_translation_invariance(self):
         curve = make_ellipse(2.0, 1.0, 128)
-        shifted = cv.translate(curve, (3.7, -1.2))
+        shifted = oracles.translate(curve, (3.7, -1.2))
         assert abs(cv.x_extent(curve) - cv.x_extent(shifted)) < 1e-12
 
 

@@ -412,6 +412,23 @@ class TestCLI:
         assert main(["compare-reaper", str(reaper_run), *flags]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == last_line
 
+    @pytest.mark.parametrize("c0, tau0, verdict", [(0.2, 5.0, "False"), (1.0, 0.2, "True")])
+    def test_compare_reaper_pushed_past_is_scale_free(self, tmp_path, capsys, c0, tau0,
+                                                      verdict):
+        # Scaling a curve by s scales its flow's times by s^2, and the reaper
+        # (C0 / s, s^2 tau0) scales push and positions by s: same verdict.
+        for s in (1.0, 0.01):
+            curve, run_dir = str(tmp_path / f"lem{s}.csv"), str(tmp_path / f"lem{s}")
+            assert main(["generate", "lemniscate", "--a", str(s), "--n", "128",
+                         "--out", curve]) == 0
+            assert main(["evolve", "--curve", curve, "--out-dir", run_dir, "--cfl", "0.2",
+                         "--stop-area-frac", "0.25", "--times",
+                         ",".join(str(t * s * s) for t in (0.02, 0.04, 0.06, 0.08))]) == 0
+            capsys.readouterr()
+            assert main(["compare-reaper", run_dir, "--c0", str(c0 / s),
+                         "--tau0", str(s * s * tau0)]) == 0
+            assert capsys.readouterr().out.endswith(f" pushed_past={verdict}\n")
+
     def test_compare_reaper_appends_margin(self, reaper_run, capsys):
         assert main(["compare-reaper", str(reaper_run)]) == 0
         header = (reaper_run / "diagnostics.csv").read_text().splitlines()[0]

@@ -3,29 +3,35 @@
 import numpy as np
 import pytest
 
-from eightflow.curves import PlaneCurve, translate
-from eightflow.errors import Extinct, InvalidCurve, NotInsideReaper, OutOfDomain
-from eightflow.flow import FlowConfig, FlowState, run
+from eightflow.curves import PlaneCurve
+from eightflow.diagnostics import compute_record
+from eightflow.errors import Extinct, InvalidCurve, NotInsideReaper
+from eightflow.flow import FlowConfig, FlowState, Trajectory, run
 from eightflow.shapes import make_bernoulli_lemniscate, make_circle, make_ellipse
 from eightflow.solitons import (
     GrimReaper,
+    barrier_comparison,
     matched_barrier_comparison,
     push_distance,
-    reaper_barrier_check,
-    reaper_margins,
     reaper_value,
-    rectangle_containment,
     shrinking_circle,
 )
 
 LOG_COS_HALF = np.log(np.cos(0.5))  # ~ -0.1305844
 
 
+def snapshots(*curves, dt=0.05):
+    """A trajectory of the given curves at t = 0, dt, 2 dt, ..."""
+    states = [FlowState(curve, k * dt, k) for k, curve in enumerate(curves)]
+    return Trajectory(states=states, records=[compute_record(s.curve, s.t) for s in states],
+                      stop_reason="t_end", config=FlowConfig())
+
+
 class TestReaperValue:
     def test_initial_apex_positive(self):
         for c0, tau0 in ((1.0, 0.1), (4.0, 0.02), (0.5, 1.0)):
             reaper = GrimReaper(c0, tau0)
-            apex = reaper_value(reaper, 0.0, -tau0 / 2)
+            (apex,) = reaper_value(reaper, np.zeros(1), -tau0 / 2)
             assert apex == pytest.approx(-2 * c0 * tau0 * LOG_COS_HALF)
             assert apex > 0
 
@@ -37,13 +43,8 @@ class TestReaperValue:
 
     def test_frozen_value(self):
         # Independent evaluation: 0.2*log cos(0.5) - 0.25 = -0.22388312.
-        value = reaper_value(GrimReaper(1.0, 0.1), 0.0, 0.0)
+        (value,) = reaper_value(GrimReaper(1.0, 0.1), np.zeros(1), 0.0)
         assert value == pytest.approx(-0.2238831, abs=1e-6)
-
-    def test_out_of_domain(self):
-        reaper = GrimReaper(1.0, 0.1)
-        with pytest.raises(OutOfDomain):
-            reaper_value(reaper, reaper.half_width, 0.0)
 
     def test_translating_solution_identity(self):
         # G satisfies the graph flow G_t = G_yy / (1 + G_y^2) exactly; checked
@@ -77,63 +78,55 @@ class TestPushDistance:
         assert push_distance(1.0, tau_star * 0.999) > 0
         assert push_distance(1.0, tau_star * 1.001) < 0
 
-    def test_invalid_parameters(self):
-        with pytest.raises(InvalidCurve):
-            push_distance(-1.0, 0.1)
-
     @pytest.mark.parametrize("c0, tau0", [(np.nan, 0.2), (np.inf, 0.2), (1.0, np.nan),
                                           (1.0, np.inf)])
     def test_non_finite_parameters(self, c0, tau0):
         with pytest.raises(InvalidCurve):
             GrimReaper(c0, tau0)
-        with pytest.raises(InvalidCurve):
-            push_distance(c0, tau0)
 
 
 class TestRectangle:
     def test_translated_lemniscate_contained(self):
-        curve = make_bernoulli_lemniscate(1.0, 256)
-        shifted = translate(curve, (-float(curve.x.max()), 0.0))
-        # Height of the unit lemniscate is sqrt(2)/2 ~ 0.354 < c0*tau0 = 0.5.
-        assert rectangle_containment(shifted, 1.0, 0.5)
-        assert not rectangle_containment(shifted, 1.0, 0.1)
-
-    def test_circle_at_origin_fails(self):
-        assert not rectangle_containment(make_circle(1.0, 64), 1.0, 10.0)
+        # barrier_comparison puts the rightmost point at x = 0.  The height of
+        # the unit lemniscate is sqrt(2)/4 ~ 0.354: below C0*tau0 = 0.5, above
+        # 0.2, and inside both reapers' domains.
+        traj = snapshots(make_bernoulli_lemniscate(1.0, 256))
+        assert barrier_comparison(traj, GrimReaper(1.0, 0.5)).initial_contained
+        assert not barrier_comparison(traj, GrimReaper(1.0, 0.2)).initial_contained
 
     def test_boundary_counts_as_contained(self):
         u = 2 * np.pi * np.arange(64) / 64
         curve = PlaneCurve(np.column_stack([0.5 * np.cos(u) - 0.5, 0.5 * np.sin(u)]))
-        assert rectangle_containment(curve, 1.0, 0.5)
+        assert np.abs(curve.y).max() == 0.5
+        assert barrier_comparison(snapshots(curve), GrimReaper(1.0, 0.5)).initial_contained
 
 
 class TestBarrier:
     def test_circle_left_of_slow_wide_reaper(self):
         reaper = GrimReaper(c0=0.2, tau0=5.0)  # wide and slow
         config = FlowConfig(cfl=0.2, stop_area_frac=0.3)
-        circle = translate(make_circle(0.5, 64), (-2.0, 0.0))
-        traj = run(circle, config, output_times=[0.02, 0.04, 0.06])
-        margins = reaper_barrier_check(traj.states, reaper, t_offset=reaper.tau0 / 2)
+        traj = run(make_circle(0.5, 64), config, output_times=[0.02, 0.04, 0.06])
+        margins = barrier_comparison(traj, reaper).margins
+        assert len(margins) == len(traj.states)
         assert np.all(margins > 0)
 
     def test_initial_margin_must_be_positive(self):
-        reaper = GrimReaper(c0=1.0, tau0=0.1)
-        config = FlowConfig(cfl=0.2, stop_area_frac=0.3)
-        circle = translate(make_circle(0.5, 64), (5.0, 0.0))  # right of barrier
-        traj = run(circle, config, t_end=1e-4)
-        with pytest.raises(NotInsideReaper):
-            reaper_barrier_check(traj.states, reaper, t_offset=reaper.tau0 / 2)
+        # Inside the domain |y| < 0.314, but at |y| = 0.3 the reaper's graph
+        # lies at x = -0.50, left of the shifted ellipse's top at x = -0.05.
+        traj = snapshots(make_ellipse(0.05, 0.3, 256))
+        with pytest.raises(NotInsideReaper, match="initial margin -0.4"):
+            barrier_comparison(traj, GrimReaper(c0=1.0, tau0=0.1))
 
     def test_margin_past_the_domain_is_minus_inf(self):
         # The reaper lives on |y| < pi*C0*tau0 = 0.628; a unit circle leaves it.
+        # The ellipse's first margin is the apex -2 C0 tau0 log cos(1/2) at its
+        # rightmost sample, which the comparison puts at x = 0.
         reaper = GrimReaper(c0=1.0, tau0=0.2)
-        inside = translate(make_ellipse(0.5, 0.1), (-0.6, 0.0))
-        past = translate(make_circle(1.0), (-1.0, 0.0))
-        assert reaper_margins(inside, reaper, -0.1) == pytest.approx(0.1522337, abs=1e-7)
-        assert reaper_margins(past, reaper, -0.1) == -np.inf
-        states = [FlowState(inside, 0.0, 0), FlowState(past, 0.0, 1)]
-        margins = reaper_barrier_check(states, reaper, t_offset=0.1)
-        np.testing.assert_allclose(margins, [0.1522337, -np.inf], atol=1e-7)
+        inside, past = make_ellipse(0.5, 0.1), make_circle(1.0)
+        margins = barrier_comparison(snapshots(inside, past), reaper).margins
+        np.testing.assert_allclose(margins, [0.0522337, -np.inf], atol=1e-7)
+        with pytest.raises(NotInsideReaper, match="initial margin -inf"):
+            barrier_comparison(snapshots(past), reaper)
 
     def test_matched_lemniscate_comparison(self, lemniscate_run):
         cmp_ = matched_barrier_comparison(lemniscate_run)
