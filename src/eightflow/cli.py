@@ -277,7 +277,7 @@ def cmd_compare_reaper(args) -> int:
     margins, push, final_x = cmp_.margins, cmp_.push, cmp_.final_rightmost_x
     padded = np.full(len(traj.states), np.nan)
     padded[:len(margins)] = margins
-    runio.append_margin_column(args.run_dir, padded)
+    runio.append_margin_column(traj, padded, args.run_dir)
     print(f"margins: min={np.nanmin(margins):.6g} "
           f"all_positive={bool(np.all(margins > 0))}")
     # A barrier that does not move left pushes nothing past it; the slack is
@@ -344,15 +344,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
-    except ValidationError as exc:
+    except (EightflowError, OSError) as exc:
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except EightflowError as exc:
-        print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, OSError) else 1 if isinstance(exc, ValidationError) else 2
 
 
 if __name__ == "__main__":

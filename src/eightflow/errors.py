@@ -64,7 +64,3 @@ class OscBelowPi(ValidationError):
 
 class NotInsideReaper(ValidationError):
     """Barrier comparison requires the initial curve strictly inside the reaper region."""
-
-
-class RowCountMismatch(ValidationError):
-    """Per-snapshot values do not match the rows of a stored run's diagnostics."""

@@ -6,12 +6,13 @@
                          snapshot times and steps, records, snapshot sha256s
       snapshots/snap_NNNN.csv   curve samples per snapshot (u,x,y)
 
-`load_run` reads the records, one JSON list per DiagnosticsRecord field
-(exact, as JSON writes floats by repr), and not diagnostics.csv.  It checks
-every snapshot's sha256, holds only the digests, and parses a snapshot
-when a caller first uses it, reading and checking the file again then.
-A lifted run mirrors the layout with u,x,y,z snapshot files and a `residual`
-column appended to the diagnostics, and holds no records or digests.
+diagnostics.csv is written from the records by `_write_diagnostics` alone, for
+`evolve`, `lift` and `compare-reaper` (which adds a `reaper_margin` column),
+and no command reads it back: `load_run` reads the records, one JSON list per
+DiagnosticsRecord field (exact, as JSON writes floats by repr).  It checks
+every snapshot's sha256, holds only the digests, and parses a snapshot when a
+caller first uses it.  A lifted run mirrors the layout with u,x,y,z snapshot
+files and a `residual` column, and holds no records or digests.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from . import contact
 from .curves import curve_from_csv, curve_to_csv
 from .diagnostics import DiagnosticsRecord, compute_record
-from .errors import RowCountMismatch, ValidationError
+from .errors import ValidationError
 from .flow import FlowConfig, FlowState, Trajectory, checked_times
 
 
@@ -42,14 +43,27 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _write_run(run_dir, header: str, rows, curves, meta: dict, digests: bool = False) -> Path:
-    """The one run-directory writer: diagnostics.csv from a header and rows,
-    one snapshot CSV per curve, then metadata.json, which holds the snapshot
-    files' sha256 under `snapshot_sha256` when `digests` is set."""
+def _write_diagnostics(run_dir: Path, records, column=None) -> Path:
+    """The one diagnostics.csv writer: CSV_COLUMNS and one csv_row() per record,
+    each line extended by one %.17g value given a `(name, values)` column."""
+    lines = [DiagnosticsRecord.CSV_COLUMNS, *(rec.csv_row() for rec in records)]
+    if column is not None:
+        cells = [column[0], *(f"{value:.17g}" for value in column[1])]
+        lines = [f"{line},{cell}" for line, cell in zip(lines, cells, strict=True)]
+    path = run_dir / "diagnostics.csv"
+    path.write_text("".join(line + "\n" for line in lines))
+    return path
+
+
+def _write_run(run_dir, records, curves, meta: dict, column=None, digests: bool = False) -> Path:
+    """The one run-directory writer: diagnostics.csv from the records and
+    `column` by _write_diagnostics (no command reads it back), one snapshot CSV
+    per curve, then metadata.json, which holds the snapshot files' sha256
+    under `snapshot_sha256` when `digests` is set."""
     run_dir = Path(run_dir)
     snap_dir = run_dir / "snapshots"
     snap_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "diagnostics.csv").write_text("".join(line + "\n" for line in (header, *rows)))
+    _write_diagnostics(run_dir, records, column)
     paths = [snap_dir / f"snap_{k:04d}.csv" for k in range(len(curves))]
     for curve, path in zip(curves, paths):
         curve_to_csv(curve, path)
@@ -71,9 +85,7 @@ def save_run(traj: Trajectory, run_dir: str | Path) -> Path:
         "records": {f.name: [getattr(rec, f.name) for rec in traj.records]
                     for f in fields(DiagnosticsRecord)},
     }
-    return _write_run(run_dir, DiagnosticsRecord.CSV_COLUMNS,
-                      [rec.csv_row() for rec in traj.records],
-                      [s.curve for s in traj.states], meta, digests=True)
+    return _write_run(run_dir, traj.records, [s.curve for s in traj.states], meta, digests=True)
 
 
 def _matches(stored, fresh) -> bool:
@@ -190,26 +202,10 @@ def save_lifted_run(
         "max_residual": max(residuals) if residuals else None,
         "snapshot_times": [s.t for s in traj.states],
     }
-    return _write_run(out_dir, DiagnosticsRecord.CSV_COLUMNS + ",residual",
-                      [rec.csv_row() + f",{res:.17g}" for rec, res in zip(traj.records, residuals)],
-                      lifted, meta)
+    return _write_run(out_dir, traj.records, lifted, meta, ("residual", residuals))
 
 
-def append_margin_column(run_dir: str | Path, margins: np.ndarray) -> Path:
-    """Rewrite diagnostics.csv with a last reaper_margin column.
-
-    A reaper_margin column left by an earlier comparison is replaced, not
-    repeated.  Raises RowCountMismatch unless there is one margin per row.
-    """
-    path = Path(run_dir) / "diagnostics.csv"
-    lines = path.read_text().strip().split("\n")
-    if len(lines) - 1 != len(margins):
-        raise RowCountMismatch(
-            f"{len(margins)} margins for {len(lines) - 1} diagnostics rows"
-        )
-    if lines[0].endswith(",reaper_margin"):
-        lines = [line.rsplit(",", 1)[0] for line in lines]
-    out = [lines[0] + ",reaper_margin"]
-    out += [line + f",{m:.17g}" for line, m in zip(lines[1:], margins)]
-    path.write_text("\n".join(out) + "\n")
-    return path
+def append_margin_column(traj: Trajectory, margins: np.ndarray, run_dir: str | Path) -> Path:
+    """Rebuild the diagnostics.csv of `traj`, loaded from `run_dir`, from its
+    records with one reaper_margin column, replacing an earlier comparison's."""
+    return _write_diagnostics(Path(run_dir), traj.records, ("reaper_margin", margins))

@@ -15,7 +15,7 @@ import eightflow
 from eightflow import cli, crossings, runio, solitons
 from eightflow.cli import _GENERATORS, main
 from eightflow.curves import y_extent
-from eightflow.errors import RowCountMismatch, ValidationError
+from eightflow.errors import ValidationError
 from eightflow.flow import FlowConfig, Trajectory, run
 from eightflow.shapes import make_bernoulli_lemniscate, make_circle
 
@@ -489,16 +489,33 @@ class TestCLI:
                      "--out", str(out)]) == 0
         assert out.read_bytes() == (stored_reaper_run / f"report_{monitor}.json").read_bytes()
 
-    def test_margin_row_count_mismatch(self, reaper_run, capsys):
-        rows = len(runio.load_run(reaper_run).states)
-        with pytest.raises(RowCountMismatch):
-            runio.append_margin_column(reaper_run, np.zeros(rows + 1))
-        assert issubclass(RowCountMismatch, ValidationError)
-        path = reaper_run / "diagnostics.csv"
-        path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
-        assert main(["compare-reaper", str(reaper_run)]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("ERROR RowCountMismatch")
+    @pytest.mark.parametrize("damage", ["truncated", "deleted"])
+    def test_compare_reaper_rebuilds_diagnostics(self, stored_reaper_run, tmp_path, damage):
+        # compare-reaper writes diagnostics.csv from the stored records, so
+        # what the file held before, or whether it was there, changes nothing.
+        intact = shutil.copytree(stored_reaper_run, tmp_path / "intact")
+        damaged = shutil.copytree(stored_reaper_run, tmp_path / "damaged")
+        path = damaged / "diagnostics.csv"
+        if damage == "truncated":
+            path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+        else:
+            path.unlink()
+        for run_dir in (intact, damaged):
+            assert main(["compare-reaper", str(run_dir)]) == 0
+        assert path.read_bytes() == (intact / "diagnostics.csv").read_bytes()
+
+    def test_writers_share_one_layout(self, reaper_run):
+        # Without its last column, lift's and compare-reaper's diagnostics.csv
+        # is save_run's, byte for byte.
+        def without_last_column(path) -> bytes:
+            lines = path.read_bytes().splitlines()
+            return b"".join(line.rsplit(b",", 1)[0] + b"\n" for line in lines)
+
+        saved = (reaper_run / "diagnostics.csv").read_bytes()
+        assert main(["lift", str(reaper_run)]) == 0
+        assert main(["compare-reaper", str(reaper_run)]) == 0
+        assert without_last_column(reaper_run / "lifted" / "diagnostics.csv") == saved
+        assert without_last_column(reaper_run / "diagnostics.csv") == saved
 
     def test_evolve_prints_its_summary(self, tmp_path, capsys):
         # The shrinking-circle check needs the circle's generator.
