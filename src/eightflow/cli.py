@@ -94,7 +94,9 @@ class RunSpec:
     @classmethod
     def from_dict(cls, spec: dict) -> RunSpec:
         """The run a RunSpec JSON object describes, once every key is a field, every
-        value usable and out_dir free of an earlier run; else ValidationError."""
+        value usable and out_dir free of an earlier run; else ValidationError.
+        A null value means the key was left out."""
+        spec = {k: v for k, v in spec.items() if v is not None}
         unknown = sorted(set(spec) - {f.name for f in fields(cls)})
         if unknown:
             raise ValidationError(f"unknown RunSpec key {unknown[0]!r}")
@@ -102,9 +104,9 @@ class RunSpec:
         if not out_dir or not isinstance(out_dir, str):
             raise ValidationError(f"RunSpec needs an out_dir path, not {out_dir!r}")
         runio.check_new_run_dir(out_dir)
-        curve_file, gen = spec.get("curve_file") or None, spec.get("generator")
+        curve_file, gen = spec.get("curve_file"), spec.get("generator")
         if curve_file is not None:
-            if not isinstance(curve_file, str):
+            if not curve_file or not isinstance(curve_file, str):
                 raise ValidationError(f"curve_file must be a path, not {curve_file!r}")
             if gen is not None:
                 raise ValidationError("RunSpec names both a curve_file and a generator")
@@ -113,15 +115,14 @@ class RunSpec:
         else:
             gen = _checked_generator(gen)
         flow = spec.get("flow", cls.flow)
-        if flow not in FLOWS:
+        if not isinstance(flow, str) or flow not in FLOWS:
             raise ValidationError(f"unknown flow kind {flow!r}")
-        # A null t_end means no end time.
-        t_end = None if spec.get("t_end") is None else checked_times([spec["t_end"]], "t_end")[0]
-        times = spec.get("output_times") or []
+        t_end = checked_times([spec["t_end"]], "t_end")[0] if "t_end" in spec else None
+        times = spec.get("output_times", [])
         if not isinstance(times, list):
             raise ValidationError(f"RunSpec output_times must be a list of numbers, not {times!r}")
         times = checked_times(times, "output time")
-        names = spec.get("monitors") or []
+        names = spec.get("monitors", [])
         if not isinstance(names, list) or not all(
                 isinstance(name, str) and name in _MONITORS for name in names):
             raise ValidationError(
@@ -129,7 +130,7 @@ class RunSpec:
                 f"not {names!r}")
         return cls(**{
             **spec, "curve_file": curve_file, "generator": gen, "flow": flow,
-            "config": FlowConfig.from_dict(spec.get("config") or {}),
+            "config": FlowConfig.from_dict(spec.get("config", {})),
             "output_times": tuple(times), "t_end": t_end, "monitors": tuple(names)})
 
 
@@ -214,7 +215,7 @@ def _with_flags(args, spec: dict) -> dict:
     spec |= given(("curve", "flow", "out_dir", "times", "t_end", "monitors"))
     config = given(f.name for f in fields(FlowConfig))
     if config:
-        base = spec.get("config") or {}
+        base = {} if spec.get("config") is None else spec["config"]
         # A base that is not an object stays, for from_dict to reject.
         spec["config"] = {**base, **config} if isinstance(base, dict) else base
     return spec

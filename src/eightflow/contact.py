@@ -60,14 +60,6 @@ class SpaceCurve:
         object.__setattr__(self, "z", z)
 
     @property
-    def n(self) -> int:
-        return self.plane.n
-
-    @property
-    def du(self) -> float:
-        return self.plane.du
-
-    @property
     def points(self) -> np.ndarray:
         """The (N, 3) samples (x, y, z)."""
         return np.column_stack([self.plane.points, self.z])
@@ -92,7 +84,7 @@ def legendrian_residual(curve: SpaceCurve) -> float:
     """
     inc, _ = _height_transport(curve.plane)
     dz = cv.cyclic_next(curve.z) - curve.z
-    return float((np.abs(dz - inc) / curve.du).max())
+    return float((np.abs(dz - inc) / curve.plane.du).max())
 
 
 def lift(plane: cv.PlaneCurve, z_base: float = 0.0) -> SpaceCurve:

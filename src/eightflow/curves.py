@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
@@ -55,7 +55,7 @@ class PlaneCurve:
     adopted without a copy, so the caller's array becomes read-only too; any
     other input is converted to a new array first.  The `jet` is computed on
     first use and kept, read-only too.  Curve values are safe to share across
-    threads: a concurrent first use of `jet` computes identical values twice.
+    threads: a concurrent first use of `jet` may compute identical values twice.
     """
 
     points: np.ndarray
@@ -81,7 +81,6 @@ class PlaneCurve:
         seg.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "_seg_lengths", seg)
-        object.__setattr__(self, "_jet", None)
 
     @property
     def n(self) -> int:
@@ -99,15 +98,13 @@ class PlaneCurve:
     def y(self) -> np.ndarray:
         return self.points[:, 1]
 
-    @property
+    @cached_property
     def jet(self) -> Jet:
         """`stencil` of the samples, computed on first use and kept read-only."""
-        if self._jet is None:
-            jet = stencil(self.points, self.du)
-            for values in jet:
-                values.setflags(write=False)
-            object.__setattr__(self, "_jet", jet)
-        return self._jet
+        jet = stencil(self.points, self.du)
+        for values in jet:
+            values.setflags(write=False)
+        return jet
 
 
 def cyclic_next(values: np.ndarray) -> np.ndarray:
@@ -288,19 +285,20 @@ def resample_arclength(curve: PlaneCurve) -> PlaneCurve:
 # which rounds exactly like float().
 
 @lru_cache(maxsize=8)
-def _u_column(n: int, du: float) -> list[str]:
-    """The %.17g strings of u = 0, du, ..., (n - 1) du, which every snapshot
-    of an n-sample run writes alike."""
-    return ["%.17g" % u for u in (np.arange(n) * du).tolist()]
+def _u_column(n: int) -> list[str]:
+    """The %.17g strings of u = k du, du = 2 pi / n as `PlaneCurve.du`, which
+    every snapshot of an n-sample run writes alike."""
+    return ["%.17g" % u for u in (np.arange(n) * (TWO_PI / n)).tolist()]
 
 
 def curve_to_csv(curve, path: str | Path) -> None:
-    """Write any curve with `points`, `n` and `du` as u,x,y[,z] rows."""
+    """Write any curve's (N, 2) or (N, 3) `points` as u,x,y[,z] rows."""
     points = curve.points
-    row = ",".join(["%s"] + ["%.17g"] * points.shape[1]) + "\n"
-    values = chain.from_iterable(zip(_u_column(curve.n, curve.du), *points.T.tolist()))
+    n, dim = points.shape
+    row = ",".join(["%s"] + ["%.17g"] * dim) + "\n"
+    values = chain.from_iterable(zip(_u_column(n), *points.T.tolist()))
     with open(path, "w") as fh:
-        fh.write(",".join("uxyz"[:points.shape[1] + 1]) + "\n" + row * curve.n % tuple(values))
+        fh.write(",".join("uxyz"[:dim + 1]) + "\n" + row * n % tuple(values))
 
 
 def curve_from_csv(path: str | Path, data: bytes | None = None) -> PlaneCurve:

@@ -20,9 +20,8 @@ class DiagnosticsRecord:
     there if it is the only crossing, else NaN.  isoperimetric_q is
     L^2 / area_total.  theta_min, the minimum of the unwrapped tangent angle,
     is comparable across snapshots while node 0 stays materially anchored, as
-    in the flows.  The ten CSV_COLUMNS are t, length, area_signed, area_total,
-    total_curvature, osc_theta, inflections, crossing_count, x_extent (ell)
-    and isoperimetric_q (Q); the other seven fields are not CSV columns.
+    in the flows.  CSV_FIELDS pairs each diagnostics.csv column with the
+    field it holds.
     """
 
     t: float
@@ -43,19 +42,17 @@ class DiagnosticsRecord:
     y_extent: float
     isoperimetric_q: float
 
-    CSV_COLUMNS = (
-        "t,L,A_signed,A_total,total_curvature,osc_theta,"
-        "inflections,crossings,ell,Q"
+    CSV_FIELDS = (
+        ("t", "t"), ("L", "length"), ("A_signed", "area_signed"), ("A_total", "area_total"),
+        ("total_curvature", "total_curvature"), ("osc_theta", "osc_theta"),
+        ("inflections", "inflections"), ("crossings", "crossing_count"),
+        ("ell", "x_extent"), ("Q", "isoperimetric_q"),
     )
+    CSV_COLUMNS = ",".join(column for column, _ in CSV_FIELDS)
 
     def csv_row(self) -> str:
-        vals = (
-            self.t, self.length, self.area_signed, self.area_total,
-            self.total_curvature, self.osc_theta,
-        )
-        head = ",".join(f"{v:.17g}" for v in vals)
-        tail = f"{self.x_extent:.17g},{self.isoperimetric_q:.17g}"
-        return f"{head},{self.inflections},{self.crossing_count},{tail}"
+        # %.17g writes the two int fields as plain integers.
+        return ",".join(["%.17g" % getattr(self, field) for _, field in self.CSV_FIELDS])
 
 
 def loop_split(

@@ -5,6 +5,8 @@
       metadata.json      config, flow kind, stop reason, unreached outputs,
                          snapshot times and steps, records, snapshot sha256s
       snapshots/snap_NNNN.csv   curve samples per snapshot (u,x,y)
+      report_<monitor>.json     a monitor's report, from `evolve --monitors`
+                                or from `report` without --out
 
 diagnostics.csv is written from the records by `_write_diagnostics` alone, for
 `evolve`, `lift` and `compare-reaper` (which adds a `reaper_margin` column),

@@ -35,7 +35,7 @@ def legendrian_residual_profile(curve: contact.SpaceCurve) -> np.ndarray:
     `contact.legendrian_residual`: entry i compares the height increment
     across segment i -> i+1 (mod N) with the transport of y x_u."""
     inc, _ = contact._height_transport(curve.plane)
-    return np.abs(cv.cyclic_next(curve.z) - curve.z - inc) / curve.du
+    return np.abs(cv.cyclic_next(curve.z) - curve.z - inc) / curve.plane.du
 
 
 def lift_defect(plane: cv.PlaneCurve) -> float:
@@ -99,12 +99,12 @@ def legendrian_variation(curve: contact.SpaceCurve, f: np.ndarray, dt: float) ->
     O(dt), which quantifies why the coefficient is forced.
     """
     f = np.asarray(f, dtype=float)
-    if f.shape != (curve.n,):
-        raise InvalidCurve(f"scalar field shape {f.shape} != ({curve.n},)")
+    if f.shape != (curve.plane.n,):
+        raise InvalidCurve(f"scalar field shape {f.shape} != ({curve.plane.n},)")
     _, normal, reeb = contact_frame(curve)
     # The 4th-order periodic difference of `curves.stencil`, on one column.
     f_u = (-np.roll(f, -2) + 8.0 * np.roll(f, -1) - 8.0 * np.roll(f, 1)
-           + np.roll(f, 2)) / (12.0 * curve.du)
+           + np.roll(f, 2)) / (12.0 * curve.plane.du)
     phi = f_u / np.sqrt(curve.plane.jet.g2)
     velocity = phi[:, None] * normal + f[:, None] * reeb
     xyz = curve.points + dt * velocity

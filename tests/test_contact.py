@@ -88,7 +88,7 @@ class TestProjection:
     def test_projection_of_non_legendrian(self):
         u = 2 * np.pi * np.arange(64) / 64
         curve = space_curve(np.column_stack([np.cos(u), np.sin(u), np.cos(3 * u)]))
-        assert curve.plane.n == curve.n == 64
+        assert curve.plane.n == 64
 
     @pytest.mark.parametrize("z", [np.zeros(63), np.full(64, np.nan), np.full(64, np.inf)],
                              ids=["short", "nan", "inf"])
@@ -205,7 +205,7 @@ class TestContactFrame:
 class TestVariation:
     def test_constant_field_is_reeb_translation(self, lifted_lemniscate):
         _, lifted = lifted_lemniscate
-        moved = oracles.legendrian_variation(lifted, np.full(lifted.n, 2.0), 1e-3)
+        moved = oracles.legendrian_variation(lifted, np.full(lifted.plane.n, 2.0), 1e-3)
         assert np.array_equal(moved.points[:, :2], lifted.points[:, :2])
         assert np.allclose(moved.z - lifted.z, 2e-3, atol=1e-15)
         assert contact.legendrian_residual(moved) < 1e-8
@@ -230,7 +230,7 @@ class TestVariation:
     def test_field_shape_checked(self, lifted_lemniscate):
         _, lifted = lifted_lemniscate
         with pytest.raises(InvalidCurve, match="scalar field shape"):
-            oracles.legendrian_variation(lifted, np.zeros(lifted.n - 1), 1e-3)
+            oracles.legendrian_variation(lifted, np.zeros(lifted.plane.n - 1), 1e-3)
 
 
 class TestSerialization3D:

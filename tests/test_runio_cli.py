@@ -10,13 +10,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eightflow
 from eightflow import cli, crossings, runio, solitons
-from eightflow.cli import _GENERATORS, main
+from eightflow.cli import _GENERATORS, RunSpec, main
 from eightflow.curves import y_extent
 from eightflow.errors import ValidationError
 from eightflow.flow import FlowConfig, Trajectory, run
+from eightflow.gradients import FLOWS
 from eightflow.shapes import make_bernoulli_lemniscate, make_circle
 
 
@@ -79,6 +82,19 @@ class TestRunIO:
         header = (out / "diagnostics.csv").read_text().splitlines()[0]
         assert header == ("t,L,A_signed,A_total,total_curvature,osc_theta,"
                           "inflections,crossings,ell,Q")
+
+    def test_diagnostics_cells_are_the_named_fields(self, small_run):
+        # Cell k of every row is the %.17g text of the field header k names.
+        traj, out = small_run
+        field = {"t": "t", "L": "length", "A_signed": "area_signed", "A_total": "area_total",
+                 "total_curvature": "total_curvature", "osc_theta": "osc_theta",
+                 "inflections": "inflections", "crossings": "crossing_count",
+                 "ell": "x_extent", "Q": "isoperimetric_q"}
+        header, *rows = (out / "diagnostics.csv").read_text().splitlines()
+        assert len(rows) == len(traj.records)
+        for row, rec in zip(rows, traj.records):
+            assert row.split(",") == ["%.17g" % getattr(rec, field[name])
+                                      for name in header.split(",")]
 
     def test_determinism_byte_identical(self, small_run, tmp_path):
         traj, out = small_run
@@ -622,6 +638,19 @@ class TestCLI:
         {"alphas": [0.01]},
         {"flow": "bogus"},
         {"config": {"max_steps": 0}},
+        {"flow": []},
+        {"flow": {}},
+        {"output_times": {}},
+        {"output_times": 0},
+        {"output_times": ""},
+        {"output_times": False},
+        {"monitors": ""},
+        {"monitors": {}},
+        {"monitors": 0},
+        {"config": []},
+        {"config": ""},
+        {"config": 0},
+        {"curve_file": ""},
     ], ids=["string-t_end", "negative-t_end", "zero-t_end", "nan-t_end", "inf-t_end",
             "string-output_times", "string-output_time",
             "list-config", "number-out_dir", "number-curve_file",
@@ -629,7 +658,11 @@ class TestCLI:
             "negative-output_time", "zero-output_time", "nan-output_time",
             "curve_file-and-generator", "out-of-range-cfl",
             "cfl-above-heun-limit", "removed-remesh_every", "removed-M",
-            "removed-alpha", "removed-alphas", "unknown-flow", "zero-max_steps"])
+            "removed-alpha", "removed-alphas", "unknown-flow", "zero-max_steps",
+            "list-flow", "object-flow", "object-output_times", "zero-output_times",
+            "empty-string-output_times", "false-output_times", "empty-string-monitors",
+            "object-monitors", "zero-monitors", "empty-list-config", "empty-string-config",
+            "zero-config", "empty-curve_file"])
     def test_bad_spec_value_exits_1_before_the_run(self, tmp_path, capsys, monkeypatch,
                                                     entry):
         monkeypatch.chdir(tmp_path)   # a number out_dir would be a relative path
@@ -875,6 +908,52 @@ class TestCLI:
     def test_missing_run_dir_exits_3(self, tmp_path, capsys):
         assert main(["lift", str(tmp_path / "no_such_run")]) == 3
         assert capsys.readouterr().err.startswith("ERROR FileNotFoundError")
+
+
+# The JSON kinds a value can take, and the one each RunSpec key takes.
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+JSON_KINDS = {
+    "bool": st.booleans(),
+    "number": st.integers() | st.floats(),
+    "string": st.text(max_size=8),
+    "list": st.lists(_SCALARS, max_size=3),
+    "object": st.dictionaries(st.text(max_size=4), _SCALARS, max_size=3),
+}
+SPEC_KINDS = {"out_dir": "string", "curve_file": "string", "generator": "object",
+              "flow": "string", "config": "object", "output_times": "list",
+              "t_end": "number", "monitors": "list"}
+# A valid value or null for each optional key of a generator's RunSpec.
+OPTIONAL_VALUES = {
+    "curve_file": st.none(),
+    "flow": st.none() | st.sampled_from(sorted(FLOWS)),
+    "config": st.none() | st.just({"cfl": 0.1}),
+    "output_times": st.none() | st.lists(st.floats(0.01, 1.0), max_size=3),
+    "t_end": st.none() | st.floats(0.01, 1.0),
+    "monitors": st.none() | st.lists(st.sampled_from(sorted(cli._MONITORS)), max_size=2),
+}
+
+
+def generator_spec(tmp_path_factory) -> dict:
+    return {"generator": {"name": "circle", "n": 64},
+            "out_dir": str(tmp_path_factory.getbasetemp() / "never")}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_wrong_kind_spec_value_is_a_validation_error(tmp_path_factory, data):
+    key = data.draw(st.sampled_from(sorted(SPEC_KINDS)))
+    kind = data.draw(st.sampled_from(sorted(set(JSON_KINDS) - {SPEC_KINDS[key]})))
+    spec = {**generator_spec(tmp_path_factory), key: data.draw(JSON_KINDS[kind])}
+    with pytest.raises(ValidationError):
+        RunSpec.from_dict(spec)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.fixed_dictionaries({}, optional=OPTIONAL_VALUES))
+def test_null_spec_value_means_the_key_is_left_out(tmp_path_factory, optional):
+    spec = {**generator_spec(tmp_path_factory), **optional}
+    given_only = {k: v for k, v in spec.items() if v is not None}
+    assert RunSpec.from_dict(spec) == RunSpec.from_dict(given_only)
 
 
 class TestImportGraph:
