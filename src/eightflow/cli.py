@@ -39,12 +39,11 @@ _GENERATORS = {
     "asymmetric-eight": (make_asymmetric_eight, ("ratio", "n")),
 }
 
-# Generator parameters and their defaults, for the `generate` flags and for
-# RunSpec generators that leave a parameter out.
-_GENERATOR_DEFAULTS = {"a": 1.0, "b": 1.0, "r": 1.0, "ratio": 1.5, "n": 256}
-_GENERATOR_HELP = {"a": "scale / semi-axis", "b": "ellipse minor semi-axis",
-                   "r": "circle radius", "ratio": "eight loop ratio",
-                   "n": "sample count"}
+# Each generator parameter's default and `generate` help; the default also
+# serves RunSpec generators that leave the parameter out.
+_GENERATOR_PARAMS = {"a": (1.0, "scale / semi-axis"), "b": (1.0, "ellipse minor semi-axis"),
+                     "r": (1.0, "circle radius"), "ratio": (1.5, "eight loop ratio"),
+                     "n": (256, "sample count")}
 
 # Each monitor's report function in `monitors` (looked up by name at each
 # call, so a wrapper set on the module attribute sees it) and the `report`
@@ -66,7 +65,7 @@ def _checked_generator(gen) -> dict:
     name = gen.get("name") if isinstance(gen, dict) else None
     if not isinstance(name, str) or name not in _GENERATORS:
         raise ValidationError(f"unknown generator {name!r}")
-    defaults = {k: _GENERATOR_DEFAULTS[k] for k in _GENERATORS[name][1]}
+    defaults = {k: _GENERATOR_PARAMS[k][0] for k in _GENERATORS[name][1]}
     params = {k: v for k, v in gen.items() if k != "name"}
     return {"name": name, **defaults, **checked_numbers(params, defaults, f"{name} parameter")}
 
@@ -88,7 +87,7 @@ class RunSpec:
     flow: str = "csf"
     config: FlowConfig = FlowConfig()
     output_times: tuple[float, ...] = ()
-    t_end: float | None = None
+    t_end: float = np.inf
     monitors: tuple[str, ...] = ()
 
     @classmethod
@@ -117,7 +116,7 @@ class RunSpec:
         flow = spec.get("flow", cls.flow)
         if not isinstance(flow, str) or flow not in FLOWS:
             raise ValidationError(f"unknown flow kind {flow!r}")
-        t_end = checked_times([spec["t_end"]], "t_end")[0] if "t_end" in spec else None
+        t_end = checked_times([spec["t_end"]], "t_end")[0] if "t_end" in spec else np.inf
         times = spec.get("output_times", [])
         if not isinstance(times, list):
             raise ValidationError(f"RunSpec output_times must be a list of numbers, not {times!r}")
@@ -160,7 +159,7 @@ def _listed(kind, flag: str):
 
 
 def cmd_generate(args) -> int:
-    params = {k: getattr(args, k) for k in _GENERATOR_DEFAULTS if getattr(args, k) is not None}
+    params = {k: getattr(args, k) for k in _GENERATOR_PARAMS if getattr(args, k) is not None}
     curve = _generated(_checked_generator({"name": args.generator, **params}))
     curve_to_csv(curve, args.out)
     print(_record_line(compute_record(curve, 0.0)))
@@ -205,14 +204,12 @@ def _with_flags(args, spec: dict) -> dict:
     """`spec`, a RunSpec file's object or {}, with the given evolve flags laid
     over it.  Flags override file values, and `--curve` replaces the file's
     curve source; `RunSpec.from_dict` checks the result."""
-    keys = {"curve": "curve_file", "times": "output_times"}
-
     def given(dests):
-        return {keys.get(d, d): getattr(args, d) for d in dests if getattr(args, d) is not None}
+        return {d: getattr(args, d) for d in dests if getattr(args, d) is not None}
 
-    if args.curve is not None:
+    if args.curve_file is not None:
         spec = {k: v for k, v in spec.items() if k != "generator"}
-    spec |= given(("curve", "flow", "out_dir", "times", "t_end", "monitors"))
+    spec |= given(("curve_file", "flow", "out_dir", "output_times", "t_end", "monitors"))
     config = given(f.name for f in fields(FlowConfig))
     if config:
         base = {} if spec.get("config") is None else spec["config"]
@@ -298,17 +295,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write an initial curve CSV file")
     p.add_argument("generator", choices=sorted(_GENERATORS))
-    for name, default in _GENERATOR_DEFAULTS.items():
-        p.add_argument(f"--{name}", type=type(default), help=_GENERATOR_HELP[name])
+    for name, (default, text) in _GENERATOR_PARAMS.items():
+        p.add_argument(f"--{name}", type=type(default), help=text)
     p.add_argument("--out", required=True, help="curve CSV file")
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("evolve", help="run a flow and write a run directory")
     p.add_argument("--spec", help="RunSpec JSON file")
-    p.add_argument("--curve", help="input curve CSV file")
+    p.add_argument("--curve", dest="curve_file", help="input curve CSV file")
     p.add_argument("--flow", choices=FLOWS)
     p.add_argument("--out-dir")
-    p.add_argument("--times", type=_listed(float, "--times"), help="comma-separated output times")
+    p.add_argument("--times", dest="output_times", type=_listed(float, "--times"),
+                   help="comma-separated output times")
     p.add_argument("--t-end", type=float)
     for f in fields(FlowConfig):
         p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default))
@@ -318,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lift", help="lift a run to Legendrian curves")
     p.add_argument("run_dir")
-    p.add_argument("--z-base", type=float, default=0.0, dest="z_base")
+    p.add_argument("--z-base", type=float, default=0.0)
     p.add_argument("--out-dir")
     p.set_defaults(fn=cmd_lift)
 

@@ -42,6 +42,7 @@ from .errors import DegenerateTangent, InvalidCurve
 from .tridiag import solve_cyclic
 
 TWO_PI = 2.0 * np.pi
+FOUR_PI = 4.0 * np.pi
 
 # Discrete tangents shorter than sqrt(1e-24) cannot be normalized reliably.
 _TANGENT_FLOOR = 1e-24

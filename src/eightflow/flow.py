@@ -50,7 +50,7 @@ import numpy as np
 
 from . import crossings as cx
 from . import curves as cv
-from .curves import TWO_PI
+from .curves import FOUR_PI, TWO_PI
 from .diagnostics import DiagnosticsRecord, compute_record, loop_split
 from .errors import (
     AreaNotDecreasing,
@@ -222,7 +222,7 @@ def step(
     else:
         if area is None:
             area = loop_split(curve, cx.find_self_intersections(curve))[2]
-        dt = config.cfl * min(area / (2.0 * TWO_PI), 1.0 / kappa2)
+        dt = config.cfl * min(area / FOUR_PI, 1.0 / kappa2)
     dt = min(dt, dt_cap)
     try:
         # Row j's displacement after _ROWS[j] stages of h = dt / _ROWS[j], in
@@ -257,14 +257,14 @@ def run(
     output_times=(),
     *,
     flow: Flow = CSF,
-    t_end: float | None = None,
+    t_end: float = np.inf,
 ) -> Trajectory:
     """Evolve `flow` until a stopping criterion fires, snapshotting at output_times.
 
     Before each step the loop tests, in order: area and topology, t >=
     t_end, the step budget, and max|kappa| * h_min > STOP_KAPPA_H; the first
     that fires names the stop_reason ("area", "topology", "time" or
-    "curvature").
+    "curvature"); t_end defaults to +inf, no end time.
     Snapshots are taken at the first accepted step with t >= requested time
     (the step size is capped so the step lands on the requested time; no
     interpolation between steps).  The initial and final states are always
@@ -294,7 +294,7 @@ def run(
         if not embedded and not crossings:
             stop_reason = "topology"
             break
-        if t_end is not None and state.t >= t_end - 1e-15:
+        if state.t >= t_end - 1e-15:
             stop_reason = "time"
             break
         if state.step >= config.max_steps:
@@ -304,13 +304,10 @@ def run(
             stop_reason = "curvature"
             break
 
-        caps = [pending[0] - state.t] if pending else []
-        if t_end is not None:
-            caps.append(t_end - state.t)
-        state = step(state, config, flow=flow, dt_cap=min(caps, default=np.inf), area=area)
+        dt_cap = min(pending[0] if pending else np.inf, t_end) - state.t
+        state = step(state, config, flow=flow, dt_cap=dt_cap, area=area)
         if pending and state.t >= pending[0] - 1e-12:
-            while pending and state.t >= pending[0] - 1e-12:
-                pending.pop(0)
+            pending = [t for t in pending if state.t < t - 1e-12]
             states.append(state)
             records.append(compute_record(state.curve, state.t))
 
@@ -350,7 +347,7 @@ def estimate_extinction_time(traj: Trajectory) -> ExtinctionEstimate:
     a_last = float(areas[-1])
     upper = t_last + a_last / TWO_PI
     if traj.records[-1].crossing_count >= 1:
-        lower = t_last + a_last / (2.0 * TWO_PI)
+        lower = t_last + a_last / FOUR_PI
     else:
         lower = upper
     return ExtinctionEstimate(bracket_low=lower, bracket_high=upper)

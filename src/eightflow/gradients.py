@@ -98,7 +98,7 @@ def evolve_gradient_flow(
     config: FlowConfig,
     output_times=(),
     *,
-    t_end: float | None = None,
+    t_end: float = np.inf,
 ) -> Trajectory:
     """`flow.run` of `FLOWS[flow_kind]`; ValidationError for another name.
 
@@ -107,7 +107,7 @@ def evolve_gradient_flow(
     squared symbol, and dt = cfl * min(|A| / 4 pi, 1 / max kappa^2) for the
     others.  The indefinite flow shares the curve-shortening speed
     operator, so its trajectories coincide bitwise with the csf engine under
-    equal configs.
+    equal configs.  t_end defaults to +inf, no end time.
     """
     if flow_kind not in FLOWS:
         raise ValidationError(f"unknown flow kind {flow_kind!r}; pick from {tuple(FLOWS)}")

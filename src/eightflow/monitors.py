@@ -20,11 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import curves as cv
-from .curves import TWO_PI
+from .curves import FOUR_PI, TWO_PI
 from .errors import ExtinctionUnresolved, OscBelowPi, ValidationError
 from .flow import Trajectory, estimate_extinction_time
-
-FOUR_PI = 2.0 * TWO_PI
 
 # Constants of the dyadic collapse recursion ell(tau/2) <= eta * ell(tau).
 C1 = 1.0 / (32.0 * np.pi)

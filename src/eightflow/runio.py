@@ -200,8 +200,8 @@ def save_lifted_run(
     column of their `contact.legendrian_residual`s."""
     meta = {
         "kind": "lifted",
-        "z_base": float(lifted[0].z[0]) if lifted else None,
-        "max_residual": max(residuals) if residuals else None,
+        "z_base": float(lifted[0].z[0]),
+        "max_residual": max(residuals),
         "snapshot_times": [s.t for s in traj.states],
     }
     return _write_run(out_dir, traj.records, lifted, meta, ("residual", residuals))

@@ -26,8 +26,11 @@ def make_circle(radius: float, n: int = 256) -> PlaneCurve:
 
 def make_ellipse(a: float, b: float, n: int = 256) -> PlaneCurve:
     """Counterclockwise ellipse with semi-axes a (x) and b (y)."""
-    if a <= 0 or b <= 0:
-        raise InvalidCurve("semi-axes must be positive")
+    for axis in (a, b):
+        if not 0 < axis < np.inf:
+            raise InvalidCurve(f"semi-axes must be positive and finite, not {axis}")
+    if n < 16:
+        raise InvalidCurve(f"need at least 16 samples, got {n}")
     u = 2.0 * np.pi * np.arange(n) / n
     return PlaneCurve(np.column_stack([a * np.cos(u), b * np.sin(u)]))
 
@@ -41,8 +44,8 @@ def make_bernoulli_lemniscate(a: float, n: int = 256) -> PlaneCurve:
     the origin, exactly two inflection points (at the crossing passages), and
     total enclosed loop area a^2.
     """
-    if a <= 0:
-        raise InvalidCurve("scale must be positive")
+    if not 0 < a < np.inf:
+        raise InvalidCurve(f"scale must be positive and finite, not {a}")
     if n < 64:
         raise InvalidCurve(f"need at least 64 samples for a figure-eight, got {n}")
     u = 2.0 * np.pi * np.arange(n) / n

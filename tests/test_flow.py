@@ -261,6 +261,16 @@ class TestRunContract:
         traj = run(make_circle(1.0, 64), config, output_times=[0.05, 9.0])
         assert traj.unreached_outputs == [9.0]
 
+    def test_times_within_tolerance_share_a_snapshot(self):
+        # A step that lands within 1e-12 of several requested times takes one
+        # snapshot for all of them; a time 2e-12 later gets its own.
+        config = FlowConfig(cfl=0.2, stop_area_frac=0.5)
+        times = [0.01, 0.01 + 5e-13, 0.01 + 2e-12, 9.0]
+        traj = run(make_circle(1.0, 64), config, output_times=times)
+        assert [s.t for s in traj.states[:-1]] == [0.0, 0.01, 0.010000000002000001]
+        assert traj.states[-1].t > 0.0100001
+        assert traj.unreached_outputs == [9.0]
+
     @pytest.mark.parametrize("bad", [-0.005, 0, float("nan"), float("inf"), "0.01", True])
     def test_bad_output_time_raises(self, bad):
         # A time that cannot be a snapshot is refused, not silently dropped.

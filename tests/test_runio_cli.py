@@ -364,6 +364,18 @@ class TestCLI:
         assert code == 1
         assert capsys.readouterr().err.startswith("ERROR InvalidCurve:")
 
+    @pytest.mark.parametrize("args, error", [
+        (["circle", "--n", "-5"], "need at least 16 samples, got -5"),
+        (["ellipse", "--a", "nan"], "semi-axes must be positive and finite, not nan"),
+        (["circle", "--r", "inf"], "semi-axes must be positive and finite, not inf"),
+        (["lemniscate", "--a", "inf"], "scale must be positive and finite, not inf"),
+    ], ids=["negative-n", "nan-axis", "infinite-radius", "infinite-scale"])
+    def test_generate_out_of_range_parameter_is_named(self, tmp_path, capsys, args, error):
+        out = tmp_path / "c.csv"
+        assert main(["generate", *args, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"ERROR InvalidCurve: {error}"]
+        assert not out.exists()
+
     def test_generate_parameter_it_does_not_read_exits_1(self, tmp_path, capsys):
         out = tmp_path / "c.csv"
         assert main(["generate", "circle", "--a", "5", "--ratio", "9", "--out", str(out)]) == 1
