@@ -6,13 +6,13 @@ sufficient for every monitor built on top.  Near-coincident hits from
 adjacent segment pairs (a crossing landing on or next to a shared vertex)
 are merged into one crossing: a segment pair and a point.
 
-The full scan finds its candidate pairs with a sort-and-sweep broad phase
-(Bentley & Ottmann, IEEE Trans. Comput. C-28, 1979): the segments' padded
-x-intervals are sorted once, and each segment's run of overlapping
-successors is read off with a binary search.  That costs O(N log N + K),
-where K is the number of pairs whose x-intervals overlap, instead of the
-N(N-3)/2 pairs of an all-pairs list.  On the lemniscate about 1.5N
-non-adjacent pairs survive the sweep (380 of 32,384 at N=256).
+The full scan builds one segment table, each segment's end and padded
+bounding box, and reads it twice.  A sort-and-sweep (Bentley & Ottmann,
+IEEE Trans. Comput. C-28, 1979) sorts the boxes' x-intervals once and reads
+each segment's run of overlapping successors off with a binary search:
+O(N log N + K) for the K pairs whose x-intervals overlap, not the N(N-3)/2
+of all pairs (on the lemniscate about 1.5N, 380 of 32,384 at N=256).  The
+exact test drops the pairs whose boxes miss in y and intersects the rest.
 """
 
 from __future__ import annotations
@@ -44,28 +44,29 @@ class Crossing:
     point: np.ndarray
 
 
-def _candidate_hits(curve: PlaneCurve, ii: np.ndarray, jj: np.ndarray):
-    """Intersections among the given segment pairs: (i, j, t, v, point) arrays.
-
-    Raises TangentialCrossing on a genuine collinear overlap.
-    """
+def _segment_boxes(curve: PlaneCurve) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The scan's segment table (ends, lo, hi), (N, 2) arrays: segment k runs
+    from sample k to ends[k] inside the box [lo[k], hi[k]], whose hi is padded
+    by 2 * _PARAM_SLACK * the longest segment for hits at a segment end."""
     pts = curve.points
-    starts = pts
     ends = cyclic_next(pts)
-    dirs = ends - starts
-
-    # The y half of the bounding-box prefilter: every pair from
-    # `_x_overlap_pairs` already passes its x half.
-    lo = np.minimum(starts[:, 1], ends[:, 1])
-    hi = np.maximum(starts[:, 1], ends[:, 1])
     pad = 2 * _PARAM_SLACK * segment_lengths(curve).max()
-    overlap = (lo[ii] <= hi[jj] + pad) & (lo[jj] <= hi[ii] + pad)
+    return ends, np.minimum(pts, ends), np.maximum(pts, ends) + pad
+
+
+def _candidate_hits(curve: PlaneCurve, ii: np.ndarray, jj: np.ndarray, boxes):
+    """(i, j, t, v, point) arrays of the intersections, in pair order, among the
+    pairs (ii, jj) whose `_segment_boxes` overlap in y.  Raises
+    TangentialCrossing on a genuine collinear overlap."""
+    starts = curve.points
+    ends, lo, hi = boxes
+    overlap = (lo[ii, 1] <= hi[jj, 1]) & (lo[jj, 1] <= hi[ii, 1])
     ii, jj = ii[overlap], jj[overlap]
     if ii.size == 0:
         return ii, jj, np.empty(0), np.empty(0), np.empty((0, 2))
 
-    r = dirs[ii]
-    s = dirs[jj]
+    dirs = ends - starts
+    r, s = dirs[ii], dirs[jj]
     qp = starts[jj] - starts[ii]
     denom = r[:, 0] * s[:, 1] - r[:, 1] * s[:, 0]
     cross_qp_s = qp[:, 0] * s[:, 1] - qp[:, 1] * s[:, 0]
@@ -74,15 +75,16 @@ def _candidate_hits(curve: PlaneCurve, ii: np.ndarray, jj: np.ndarray):
     scale = np.linalg.norm(r, axis=1) * np.linalg.norm(s, axis=1)
     parallel = np.abs(denom) <= 1e-14 * scale
     collinear = parallel & (np.abs(cross_qp_s) <= 1e-14 * scale)
-    if collinear.any():
-        for a, b in zip(ii[collinear], jj[collinear]):
-            if _collinear_overlap(starts[a], ends[a], starts[b], ends[b]):
-                raise TangentialCrossing(f"segments {a} and {b} overlap collinearly")
+    for a, b in zip(ii[collinear], jj[collinear]):
+        if _collinear_overlap(starts[a], ends[a], starts[b], ends[b]):
+            raise TangentialCrossing(f"segments {a} and {b} overlap collinearly")
 
-    valid = ~parallel
-    t = np.where(valid, cross_qp_s / np.where(valid, denom, 1.0), -1.0)
-    v = np.where(valid, cross_qp_r / np.where(valid, denom, 1.0), -1.0)
-    hit = valid & (t >= -_PARAM_SLACK) & (t <= 1.0 + _PARAM_SLACK) \
+    # A parallel pair that passed the overlap check is no hit; only the rest divide.
+    ii, jj, r, denom, cross_qp_s, cross_qp_r = (
+        arr[~parallel] for arr in (ii, jj, r, denom, cross_qp_s, cross_qp_r))
+    t = cross_qp_s / denom
+    v = cross_qp_r / denom
+    hit = (t >= -_PARAM_SLACK) & (t <= 1.0 + _PARAM_SLACK) \
         & (v >= -_PARAM_SLACK) & (v <= 1.0 + _PARAM_SLACK)
     points = starts[ii[hit]] + t[hit, None] * r[hit]
     return ii[hit], jj[hit], t[hit], v[hit], points
@@ -90,38 +92,25 @@ def _candidate_hits(curve: PlaneCurve, ii: np.ndarray, jj: np.ndarray):
 
 def _merge_hits(curve: PlaneCurve, ii, jj, t, v, points) -> list[Crossing]:
     """Collapse near-coincident hits into one Crossing each."""
-    if len(ii) == 0:
-        return []
     # Interiority score: hits nearest their segment midpoints represent a
     # merged cluster best.
     score = np.abs(t - 0.5) + np.abs(v - 0.5)
-    order = np.argsort(score, kind="stable")
     merge_tol = 1e-9 * max(curve_length(curve), 1e-300)
 
     crossings: list[Crossing] = []
-    kept_points: list[np.ndarray] = []
-    for k in order:
+    for k in np.argsort(score, kind="stable"):
         p = points[k]
-        if any(np.hypot(*(p - q)) <= merge_tol for q in kept_points):
+        if any(np.hypot(*(p - c.point)) <= merge_tol for c in crossings):
             continue
-        kept_points.append(p)
         crossings.append(Crossing(segments=(int(ii[k]), int(jj[k])), point=p.copy()))
     crossings.sort(key=lambda c: c.segments)
     return crossings
 
 
-def _x_overlap_pairs(curve: PlaneCurve) -> tuple[np.ndarray, np.ndarray]:
-    """Non-adjacent segment pairs (i, j), i < j, whose padded x-intervals overlap.
-
-    The intervals [min x, max x + pad] use the pad of the y test in
-    `_candidate_hits`, which completes the bounding-box prefilter.  The pairs
-    are sorted by (i, j) as an all-pairs list would order them.
-    """
-    n = curve.n
-    x = curve.points[:, 0]
-    x_next = cyclic_next(x)
-    lo = np.minimum(x, x_next)
-    hi = np.maximum(x, x_next) + 2 * _PARAM_SLACK * segment_lengths(curve).max()
+def _x_overlap_pairs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Non-adjacent segment pairs (i, j), i < j, whose x-intervals [lo, hi]
+    overlap, sorted by (i, j) as an all-pairs list would order them."""
+    n = len(lo)
     order = np.argsort(lo, kind="stable")
     starts = lo[order]
     # The segment at sorted position p overlaps exactly the later positions
@@ -145,15 +134,16 @@ def _x_overlap_pairs(curve: PlaneCurve) -> tuple[np.ndarray, np.ndarray]:
 def find_self_intersections(curve: PlaneCurve) -> list[Crossing]:
     """All transversal intersections of non-adjacent segments, each once.
 
-    Candidate pairs come from a sort-and-sweep over the segments' x-intervals
-    (see the module docstring): O(N log N + K) for K x-overlapping pairs.
-    The survivors reach the exact intersection test in (i, j) order, so the
-    result does not depend on how the candidates were found.
+    One segment table (`_segment_boxes`) serves both phases: the sweep reads
+    its x columns (see the module docstring), the exact test its y columns and
+    ends.  The pairs reach the exact test in (i, j) order, so the result does
+    not depend on how the candidates were found.
 
     Raises TangentialCrossing when two segments overlap collinearly; such a
     configuration is flagged rather than resolved.
     """
-    hits = _candidate_hits(curve, *_x_overlap_pairs(curve))
+    boxes = _, lo, hi = _segment_boxes(curve)
+    hits = _candidate_hits(curve, *_x_overlap_pairs(lo[:, 0], hi[:, 0]), boxes)
     return _merge_hits(curve, *hits)
 
 

@@ -215,11 +215,11 @@ def y_extent(curve: PlaneCurve) -> float:
 
 
 def diameter(curve: PlaneCurve) -> float:
-    """Maximum pairwise distance between samples, over blocks of 32 rows so
-    the temporaries are O(N), not the (N, N, 2) array of all pairs."""
-    pts = curve.points
-    d2 = max(np.sum((pts[k:k + 32, None] - pts) ** 2, axis=-1).max()
-             for k in range(0, len(pts), 32))
+    """Maximum pairwise distance between samples, over blocks of 64 rows of
+    x and y apart, so the temporaries are O(N), not the (N, N) distances."""
+    x, y = curve.x, curve.y
+    d2 = max(((x[k:k + 64, None] - x) ** 2 + (y[k:k + 64, None] - y) ** 2).max()
+             for k in range(0, len(x), 64))
     return float(np.sqrt(d2))
 
 
@@ -292,14 +292,16 @@ def _u_column(n: int) -> list[str]:
     return ["%.17g" % u for u in (np.arange(n) * (TWO_PI / n)).tolist()]
 
 
-def curve_to_csv(curve, path: str | Path) -> None:
-    """Write any curve's (N, 2) or (N, 3) `points` as u,x,y[,z] rows."""
+def curve_to_csv(curve, path: str | Path) -> bytes:
+    """Write any curve's (N, 2) or (N, 3) `points` as u,x,y[,z] rows and
+    return the bytes written (binary mode, so no newline is translated)."""
     points = curve.points
     n, dim = points.shape
     row = ",".join(["%s"] + ["%.17g"] * dim) + "\n"
     values = chain.from_iterable(zip(_u_column(n), *points.T.tolist()))
-    with open(path, "w") as fh:
-        fh.write(",".join("uxyz"[:dim + 1]) + "\n" + row * n % tuple(values))
+    data = (",".join("uxyz"[:dim + 1]) + "\n" + row * n % tuple(values)).encode()
+    Path(path).write_bytes(data)
+    return data
 
 
 def curve_from_csv(path: str | Path, data: bytes | None = None) -> PlaneCurve:

@@ -60,17 +60,16 @@ def _write_diagnostics(run_dir: Path, records, column=None) -> Path:
 def _write_run(run_dir, records, curves, meta: dict, column=None, digests: bool = False) -> Path:
     """The one run-directory writer: diagnostics.csv from the records and
     `column` by _write_diagnostics (no command reads it back), one snapshot CSV
-    per curve, then metadata.json, which holds the snapshot files' sha256
-    under `snapshot_sha256` when `digests` is set."""
+    per curve, then metadata.json, which holds the sha256 of the bytes each
+    snapshot write returned under `snapshot_sha256` when `digests` is set."""
     run_dir = Path(run_dir)
     snap_dir = run_dir / "snapshots"
     snap_dir.mkdir(parents=True, exist_ok=True)
     _write_diagnostics(run_dir, records, column)
-    paths = [snap_dir / f"snap_{k:04d}.csv" for k in range(len(curves))]
-    for curve, path in zip(curves, paths):
-        curve_to_csv(curve, path)
+    sha256 = [_sha256(curve_to_csv(curve, snap_dir / f"snap_{k:04d}.csv"))
+              for k, curve in enumerate(curves)]
     if digests:
-        meta = {**meta, "snapshot_sha256": [_sha256(path.read_bytes()) for path in paths]}
+        meta = {**meta, "snapshot_sha256": sha256}
     (run_dir / "metadata.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
     return run_dir
 

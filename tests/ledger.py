@@ -3,13 +3,16 @@ solution or a stated reference value.
 
 Run it as `PYTHONPATH=src python tests/ledger.py`.  It prints one line per
 row: the case, the quantity, the reference and where it comes from, the
-error, and the steps and CPU (`time.process_time`) of the row's run; rows
-that read the same run print its steps and CPU once.  Errors are signed,
-value minus reference, and relative where the quantity says so.  The
-ledger sets no pass/fail bound: a change that moves a trajectory shows the
-table before and after and names the reason of any error that grows.  A
-reference that is not exact names its source, here the prototypes in
-ROADMAP.md.  The file is not named test_*, so pytest does not collect it.
+error, and the steps, crossing scans and CPU (`time.process_time`) of the
+row's run; rows that read the same run print those once.  The scans are the
+calls of `crossings.find_self_intersections`, the run loop's and the
+records' alike, counted by a wrapper on the module attribute they both
+call.  Errors are signed, value minus reference, and relative where the
+quantity says so.  The ledger sets no pass/fail bound: a change that moves a
+trajectory shows the table before and after and names the reason of any
+error that grows.  A reference that is not exact names its source, here the
+prototypes in ROADMAP.md.  The file is not named test_*, so pytest does not
+collect it.
 """
 
 import time
@@ -17,6 +20,7 @@ import time
 import numpy as np
 from conftest import angenent_oval, measured_radius
 
+from eightflow import crossings
 from eightflow.curves import TWO_PI
 from eightflow.flow import FlowConfig, run
 from eightflow.gradients import evolve_gradient_flow
@@ -70,14 +74,23 @@ CASES = [
 
 
 def main():
-    table = [("case", "quantity", "reference", "error", "steps", "CPU s")]
+    scan, scans = crossings.find_self_intersections, 0
+
+    def counted(curve):
+        nonlocal scans
+        scans += 1
+        return scan(curve)
+
+    crossings.find_self_intersections = counted
+    table = [("case", "quantity", "reference", "error", "steps", "scans", "CPU s")]
     for case, measure in CASES:
-        start = time.process_time()
+        start, scans = time.process_time(), 0
         traj, rows = measure()
         steps, cpu = str(traj.states[-1].step), f"{time.process_time() - start:.2f}"
+        count = str(scans)
         for quantity, reference, error in rows:
-            table.append((case, quantity, reference, f"{error:.3e}", steps, cpu))
-            steps = cpu = ""
+            table.append((case, quantity, reference, f"{error:.3e}", steps, count, cpu))
+            steps = count = cpu = ""
     widths = [max(map(len, column)) for column in zip(*table)]
     for row in table:
         left = [cell.ljust(w) for cell, w in zip(row[:3], widths)]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from eightflow.crossings import (
     _candidate_hits,
     _merge_hits,
+    _segment_boxes,
     crossing_interior_angle,
     find_crossing_near,
     find_self_intersections,
@@ -50,7 +51,8 @@ def all_pairs_scan(curve):
     n = curve.n
     ii, jj = np.triu_indices(n, k=2)
     keep = ~((ii == 0) & (jj == n - 1))
-    return _merge_hits(curve, *_candidate_hits(curve, ii[keep], jj[keep]))
+    hits = _candidate_hits(curve, ii[keep], jj[keep], _segment_boxes(curve))
+    return _merge_hits(curve, *hits)
 
 
 def scan_outcome(scan, curve):

@@ -278,12 +278,14 @@ class TestExtents:
 
 
 class TestDiameter:
-    # 17, 65 and 257 leave a partial last block of rows.
-    @pytest.mark.parametrize("n", [16, 17, 64, 65, 257])
+    # Blocks are 64 rows: 16, 17 and 63 fit in a partial first block, 64
+    # fills one, and 65 and 257 leave a one-row last block.
+    @pytest.mark.parametrize("n", [16, 17, 63, 64, 65, 257])
     def test_equals_all_pairs_maximum(self, n):
         pts = wobbly_points(n, seed=n)
         all_pairs = np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1).max())
         assert cv.diameter(PlaneCurve(pts)) == all_pairs
+        assert cv.diameter(PlaneCurve(pts)) == np.linalg.norm(pts[:, None] - pts, axis=-1).max()
 
 
 class TestInflections:

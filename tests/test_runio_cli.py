@@ -1,6 +1,7 @@
 """Run directory persistence and the command-line interface."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import shutil
@@ -217,6 +218,20 @@ class TestStoredRecords:
             assert main(["report", str(run_dir), "--monitor", monitor]) == 1
             assert capsys.readouterr().err.splitlines() == [
                 f"ERROR ValidationError: {snap} differs from the snapshot the run saved"]
+
+    def test_save_hashes_the_bytes_written(self, small_run, tmp_path, monkeypatch):
+        # The digests come from the bytes each snapshot write returned; no
+        # file is read back, and each digest is still its file's.
+        def refuse(path):
+            raise AssertionError(f"read back {path}")
+
+        monkeypatch.setattr(Path, "read_bytes", refuse)
+        out = runio.save_run(small_run[0], tmp_path / "run")
+        monkeypatch.undo()
+        stored = json.loads((out / "metadata.json").read_text())["snapshot_sha256"]
+        snaps = sorted((out / "snapshots").glob("snap_*.csv"))
+        assert stored == [hashlib.sha256(p.read_bytes()).hexdigest() for p in snaps]
+        assert len(stored) == len(small_run[0].states)
 
     @pytest.mark.parametrize("a, b", [(1.0, 1.0 + 1e-9), (0.0, 1e-12), (np.nan, np.nan),
                                       (np.inf, np.inf), (np.inf, -np.inf), (1.0, np.nan),
