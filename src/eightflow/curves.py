@@ -215,11 +215,18 @@ def y_extent(curve: PlaneCurve) -> float:
 
 
 def diameter(curve: PlaneCurve) -> float:
-    """Maximum pairwise distance between samples, over blocks of 64 rows of
-    x and y apart, so the temporaries are O(N), not the (N, N) distances."""
+    """Maximum pairwise distance between samples, over blocks of 32 rows of
+    x and y apart squared in place, so the only temporaries are two
+    (32, N) blocks, not the (N, N) distances."""
     x, y = curve.x, curve.y
-    d2 = max(((x[k:k + 64, None] - x) ** 2 + (y[k:k + 64, None] - y) ** 2).max()
-             for k in range(0, len(x), 64))
+    d2 = 0.0
+    for k in range(0, len(x), 32):
+        dx = x[k:k + 32, None] - x
+        dy = y[k:k + 32, None] - y
+        dx *= dx
+        dy *= dy
+        dx += dy
+        d2 = max(d2, dx.max())
     return float(np.sqrt(d2))
 
 

@@ -37,6 +37,13 @@ stop_area_frac * |A|_0, the loss of every self-intersection, the end time
 and the resolution criterion max|kappa| * h_min > STOP_KAPPA_H (curvature
 blows up at the singular time and the mesh cannot follow it).
 No attempt is made to continue past a topology change.
+
+A stored snapshot holds its samples and segment lengths, 3N floats, not the
+jet its step computed: the initial state and each state taken at an output
+time are kept as a fresh `PlaneCurve` over the same read-only samples, built
+after their record, so the stepping curve and its jet are freed when the loop
+moves on (a final state taken after the loop keeps its curve).  A caller that
+reads a snapshot's jet computes it again, with the same values.
 """
 
 from __future__ import annotations
@@ -268,7 +275,9 @@ def run(
     Snapshots are taken at the first accepted step with t >= requested time
     (the step size is capped so the step lands on the requested time; no
     interpolation between steps).  The initial and final states are always
-    included.  Raises ValidationError for a bad output time,
+    included.  A snapshot before the final one holds only its samples and
+    segment lengths; its jet is computed again if read (see the module
+    docstring).  Raises ValidationError for a bad output time,
     MaxStepsExceeded if the step budget runs out first.
     """
     pending = checked_times(output_times, "output time")
@@ -277,13 +286,13 @@ def run(
     area0 = first_record.area_total
     embedded = first_record.crossing_count == 0
 
-    states = [state]
+    states = [FlowState(cv.PlaneCurve(initial.points), 0.0, 0)]
     records = [first_record]
     # compute_record's scan and area rule keep the stop like with like: a
     # state just recorded reads its record, and an embedded run skips the
     # scan.  The area also feeds the step law.
     while True:
-        if embedded or states[-1] is not state:
+        if embedded or states[-1].step != state.step:
             found = [] if embedded else cx.find_self_intersections(state.curve)
             crossings, area = len(found), loop_split(state.curve, found)[2]
         else:
@@ -308,8 +317,8 @@ def run(
         state = step(state, config, flow=flow, dt_cap=dt_cap, area=area)
         if pending and state.t >= pending[0] - 1e-12:
             pending = [t for t in pending if state.t < t - 1e-12]
-            states.append(state)
             records.append(compute_record(state.curve, state.t))
+            states.append(FlowState(cv.PlaneCurve(state.curve.points), state.t, state.step))
 
     if states[-1].step != state.step:
         states.append(state)

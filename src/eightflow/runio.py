@@ -61,12 +61,14 @@ def _write_run(run_dir, records, curves, meta: dict, column=None, digests: bool 
     """The one run-directory writer: diagnostics.csv from the records and
     `column` by _write_diagnostics (no command reads it back), one snapshot CSV
     per curve, then metadata.json, which holds the sha256 of the bytes each
-    snapshot write returned under `snapshot_sha256` when `digests` is set."""
+    snapshot write returned under `snapshot_sha256` when `digests` is set;
+    without it no snapshot is hashed."""
     run_dir = Path(run_dir)
     snap_dir = run_dir / "snapshots"
     snap_dir.mkdir(parents=True, exist_ok=True)
     _write_diagnostics(run_dir, records, column)
-    sha256 = [_sha256(curve_to_csv(curve, snap_dir / f"snap_{k:04d}.csv"))
+    digest = _sha256 if digests else lambda data: None
+    sha256 = [digest(curve_to_csv(curve, snap_dir / f"snap_{k:04d}.csv"))
               for k, curve in enumerate(curves)]
     if digests:
         meta = {**meta, "snapshot_sha256": sha256}

@@ -278,9 +278,9 @@ class TestExtents:
 
 
 class TestDiameter:
-    # Blocks are 64 rows: 16, 17 and 63 fit in a partial first block, 64
-    # fills one, and 65 and 257 leave a one-row last block.
-    @pytest.mark.parametrize("n", [16, 17, 63, 64, 65, 257])
+    # Blocks are 32 rows: 16, 17 and 31 fit in a partial first block, 32
+    # and 64 fill whole blocks, and 33, 65 and 257 leave a one-row last block.
+    @pytest.mark.parametrize("n", [16, 17, 31, 32, 33, 63, 64, 65, 257])
     def test_equals_all_pairs_maximum(self, n):
         pts = wobbly_points(n, seed=n)
         all_pairs = np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1).max())

@@ -532,6 +532,22 @@ class TestCrossingTracker:
         assert len(scanned) == steps + 2 == 145
         assert checks[-1] == (traj.states[-1].curve, traj.records[-1].crossing_count)
 
+    def test_stored_states_hold_only_their_samples(self):
+        # The benchmark's lemniscate run: a state stored before the last is a
+        # fresh curve over the stepped samples, holding them and its segment
+        # lengths (3 N floats) but not the jet its step computed; its record
+        # reads the same from it, the jet computed again.
+        n = 256
+        traj = run(make_bernoulli_lemniscate(1.0, n), FlowConfig(cfl=0.1),
+                   lemniscate_output_times())
+        assert len(traj.states) == 65
+        for state, record in zip(traj.states[:-1], traj.records):
+            # A cached jet would show here as a tuple of four arrays.
+            held = [a for v in vars(state.curve).values()
+                    for a in (v if isinstance(v, tuple) else (v,))]
+            assert sum(a.nbytes for a in held) == 3 * n * 8
+            assert compute_record(state.curve, state.t) == record
+
     def test_lost_crossing_stops_on_topology(self, monkeypatch):
         # The first record finds the eight's crossing; the run's scan then
         # finds none.  Unbalanced, |signed area| stays above the area stop.

@@ -107,15 +107,23 @@ class TestRunIO:
         assert (second / "diagnostics.csv").read_bytes() == \
                (out / "diagnostics.csv").read_bytes()
 
-    def test_lifted_layout(self, small_run, tmp_path):
+    def test_lifted_layout(self, small_run, tmp_path, monkeypatch):
         from eightflow.contact import legendrian_residual, lift_trajectory
         traj, _ = small_run
         lifted = lift_trajectory(traj, 0.5)
         out = tmp_path / "lifted"
+
+        def refuse(data):
+            raise AssertionError("hashed a lifted snapshot")
+
+        # A lifted run keeps no digests, so none is computed.
+        monkeypatch.setattr(runio, "_sha256", refuse)
         runio.save_lifted_run(traj, lifted, [legendrian_residual(c) for c in lifted], out)
         header = (out / "diagnostics.csv").read_text().splitlines()[0]
         assert header.endswith(",residual")
         assert (out / "snapshots" / "snap_0000.csv").read_text().startswith("u,x,y,z")
+        assert len(list((out / "snapshots").glob("snap_*.csv"))) == len(traj.states)
+        assert "snapshot_sha256" not in json.loads((out / "metadata.json").read_text())
 
 
 class TestMalformedMetadata:
